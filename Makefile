@@ -27,11 +27,12 @@ bench:
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- --smoke
 
-# Differential stress for the two parallel search engines: seeded
-# random bounded state spaces, barrier vs sharded at 4 domains,
-# repeated 10x — verdict lists and exploration counts must be
-# bit-identical (including the Tag/merge POR path).  Exits nonzero on
-# the first divergence with the reproducing seed in the message.
+# Differential stress for the parallel search: seeded random bounded
+# state spaces, the search at 1/2/4 domains against a naive sequential
+# reference BFS written out in the test, repeated 10x — verdict lists
+# and exploration counts must be bit-identical (including the merge
+# path POR depends on).  Exits nonzero on the first divergence with
+# the reproducing seed in the message.
 mc-stress: build
 	$(DUNE) exec --no-build test/test_mc_stress.exe -- --repeat 10 --domains 4
 	$(DUNE) exec --no-build test/test_mc_stress.exe -- --repeat 3 --domains 1,2,4
@@ -47,7 +48,7 @@ resume-smoke: build
 
 # Regenerates the B6 (por x dedup exploration grid), B5 (service
 # throughput), B8 (socket loopback latency-vs-rate sweep), B9
-# (barrier vs sharded engine grid), and B10 (external-memory spill
+# (search scaling at 1/2/4 domains), and B10 (external-memory spill
 # tier) series and diffs them against the committed baselines in
 # bench/baselines/ (BENCH_b6.json, BENCH_svc.json, BENCH_b8.json,
 # BENCH_b9.json, BENCH_b10.json): counts must match exactly; measured
@@ -55,14 +56,13 @@ resume-smoke: build
 # (default 4x — generous because CI wall clocks are noisy; count
 # drift is the precise signal).  Rate-like fields are gated
 # higher-is-better, everything else lower-is-better.  B9 additionally
-# self-gates: bit-identical counts across its whole engine x domains
-# grid, sharded@1 within tolerance of barrier@1, and sharded@4
-# strictly above barrier@4 (states/s).  B10 self-gates counts across
-# ram/spill rows and the deterministic spill shape (segments, disk
-# bytes, spilled records).  B11 self-gates min_t equality between the
-# monolithic and decomposed checkers on every cell and requires the
-# decomposition to explore >= 10x fewer nodes on the multi-object
-# family; its node counts are exact under the baseline diff.
+# self-gates bit-identical counts across its domain counts.  B10
+# self-gates counts across ram/spill rows and the deterministic spill
+# shape (segments, disk bytes, spilled records).  B11 self-gates min_t
+# equality between the monolithic and decomposed checkers on every
+# cell and requires the decomposition to explore >= 10x fewer nodes on
+# the multi-object family; its node counts are exact under the
+# baseline diff.
 perf-regress:
 	$(DUNE) exec bench/main.exe -- --regress
 

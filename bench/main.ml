@@ -1050,7 +1050,7 @@ let b7 ?(smoke = false) () =
   measured
 
 (* ------------------------------------------------------------------ *)
-(* B9: sharded vs barrier engine scaling                              *)
+(* B9: search scaling across domains                                  *)
 (* ------------------------------------------------------------------ *)
 
 let perf_tol () =
@@ -1058,20 +1058,11 @@ let perf_tol () =
   | Some s -> float_of_string s
   | None -> 4.0
 
-(* The engine {barrier, sharded} x domains {1, 2, 4} grid over the B6
-   2x3 d22 por+dedup workload.  Three things on trial:
-
-   - the determinism contract: every exploration count must be
-     bit-identical across the whole grid (cross-gated here, exact
-     under --regress);
-   - sharding may not cost anything sequentially: sharded@1 must stay
-     within ELIN_PERF_TOL of barrier@1 (states/s);
-   - the shared-nothing refactor must actually win where the barrier
-     engine re-spawns domains every level: sharded@4 strictly above
-     barrier@4 (states/s, best-of-5 each).
-
-   The committed BENCH_b9.json rates are gated higher-is-better by
-   --regress (any key containing "per_s"). *)
+(* The B6 2x3 d22 por+dedup workload at 1, 2 and 4 domains.  The
+   determinism contract is on trial: every exploration count must be
+   bit-identical across the three cells (cross-gated here, exact under
+   --regress).  The committed BENCH_b9.json rates are gated
+   higher-is-better by --regress (any key containing "per_s"). *)
 let b9 () =
   let open Elin_mc in
   let impl = Impls.fai_from_board () in
@@ -1084,32 +1075,25 @@ let b9 () =
     done;
     !best
   in
-  let run ~engine ~domains () =
-    Mc.count_states impl ~workloads:wl ~max_steps:22 ~engine ~domains
-      ~dedup:true ~por:true ()
+  let run ~domains () =
+    Mc.count_states impl ~workloads:wl ~max_steps:22 ~domains ~dedup:true
+      ~por:true ()
   in
-  Printf.printf "\n== B9: sharded vs barrier engine (2x3 d22 por+dedup) ==\n";
+  Printf.printf "\n== B9: search scaling across domains (2x3 d22 por+dedup) ==\n";
   Printf.printf "%-34s %9s %9s %12s %9s\n" "benchmark" "states" "kept"
     "states/s" "wall-s";
   let cells =
-    List.concat_map
-      (fun engine ->
-        List.map
-          (fun domains ->
-            ((engine, domains), best_of 5 (run ~engine ~domains)))
-          [ 1; 2; 4 ])
-      [ Search.Barrier; Search.Sharded ]
+    List.map (fun domains -> (domains, best_of 5 (run ~domains))) [ 1; 2; 4 ]
   in
   let failed = ref false in
   (* Cross-gates: the counts are one set-determined quantity; any cell
-     disagreeing with any other is an engine bug, not noise. *)
+     disagreeing with any other is a search bug, not noise. *)
   let (_, ref_stats) = List.hd cells in
   List.iter
-    (fun ((e, d), (s : Search.stats)) ->
+    (fun (d, (s : Search.stats)) ->
       let gate name a b =
         if a <> b then begin
-          Printf.eprintf "b9: %s x%d: %s drifted (%d, grid has %d)\n"
-            (Search.engine_to_string e) d name b a;
+          Printf.eprintf "b9: x%d: %s drifted (%d, grid has %d)\n" d name b a;
           failed := true
         end
       in
@@ -1124,28 +1108,10 @@ let b9 () =
       gate "levels" ref_stats.Search.levels s.Search.levels)
     cells;
   let rate (s : Search.stats) = float_of_int s.Search.states /. s.Search.wall in
-  let cell e d = List.assoc (e, d) cells in
-  let tol = perf_tol () in
-  let b1 = rate (cell Search.Barrier 1) and s1 = rate (cell Search.Sharded 1) in
-  if not (s1 >= b1 /. tol) then begin
-    Printf.eprintf
-      "b9: sharded@1 (%.0f states/s) fell past %gx below barrier@1 (%.0f)\n" s1
-      tol b1;
-    failed := true
-  end;
-  let b4 = rate (cell Search.Barrier 4) and s4 = rate (cell Search.Sharded 4) in
-  if not (s4 > b4) then begin
-    Printf.eprintf
-      "b9: sharded@4 (%.0f states/s) not above barrier@4 (%.0f)\n" s4 b4;
-    failed := true
-  end;
   let rows =
     List.map
-      (fun ((e, d), (s : Search.stats)) ->
-        let name =
-          Printf.sprintf "mc/fai-board 2x3 d22 por+dedup %s x%d"
-            (Search.engine_to_string e) d
-        in
+      (fun (d, (s : Search.stats)) ->
+        let name = Printf.sprintf "mc/fai-board 2x3 d22 por+dedup x%d" d in
         Printf.printf "%-34s %9d %9d %12.0f %9.3f\n" name s.Search.states
           s.Search.kept (rate s) s.Search.wall;
         flush stdout;
@@ -1153,7 +1119,6 @@ let b9 () =
         Obj
           [
             ("name", Str name);
-            ("engine", Str (Search.engine_to_string e));
             ("domains", Int d);
             ("states", Int s.Search.states);
             ("dedup_hits", Int s.Search.dedup_hits);
@@ -1175,7 +1140,7 @@ let b9 () =
 (* B10: external-memory spill tier                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The B6/B9 2x3 d22 workload through the sharded engine at 2 domains,
+(* The B6/B9 2x3 d22 workload at 2 domains,
    three ways: all-RAM, spill with a hot tier that never fills (2^20
    fingerprints/shard), and spill with a tiny hot tier (1024/shard)
    that seals segments all run long.  On trial:
@@ -1229,8 +1194,8 @@ let b10 () =
         (Some (Mc.spill ~hot ~identity:"b10" d), Some d)
     in
     let s =
-      Mc.count_states impl ~workloads:wl ~max_steps:22
-        ~engine:Search.Sharded ~domains:2 ~dedup:true ~por:true ?spill:sp ()
+      Mc.count_states impl ~workloads:wl ~max_steps:22 ~domains:2 ~dedup:true
+        ~por:true ?spill:sp ()
     in
     let store =
       match sp with
@@ -1852,7 +1817,7 @@ let regress ~update () =
       "\nperf-regress OK (%d b6 + %d svc + %d b8 rows + b7 overhead, \
        tolerance %gx)\n"
       (List.length brows) (List.length svc_rows) (List.length b8_rows) tol;
-    Printf.printf "b9 engine grid: %d rows gated (counts exact, rates %gx)\n"
+    Printf.printf "b9 domain scaling: %d rows gated (counts exact, rates %gx)\n"
       (List.length b9_rows) tol;
     Printf.printf
       "b11 decomposed checker: %d rows gated (node counts exact, rates %gx)\n"
@@ -1887,6 +1852,7 @@ let () =
   else if Array.exists (fun a -> a = "--svc") Sys.argv then ignore (b5 ())
   else if Array.exists (fun a -> a = "--decomp") Sys.argv then ignore (b11 ())
   else if Array.exists (fun a -> a = "--net") Sys.argv then ignore (b8 ())
+  else if Array.exists (fun a -> a = "--scaling") Sys.argv then ignore (b9 ())
   else begin
     Printf.printf
       "elin benchmark harness — experiment series from DESIGN.md section 5\n";

@@ -659,7 +659,6 @@ type mc_params = {
   q_procs : int;
   q_per_proc : int;
   q_depth : int;
-  q_engine : Elin_mc.Search.engine;
   q_domains : int;  (* resolved: >= 1, never the 0 sentinel *)
   q_dedup : bool;
   q_por : bool;
@@ -682,7 +681,6 @@ let identity_of_params p =
          ("procs", Int p.q_procs);
          ("per_proc", Int p.q_per_proc);
          ("depth", Int p.q_depth);
-         ("engine", Str (Elin_mc.Search.engine_to_string p.q_engine));
          ("domains", Int p.q_domains);
          ("dedup", Bool p.q_dedup);
          ("por", Bool p.q_por);
@@ -693,7 +691,7 @@ let identity_of_params p =
 
 (* Inverse of [identity_of_params].  Building the record back and
    re-rendering it must round-trip byte-identically (field order is
-   fixed), or the engine's manifest identity check would refuse its
+   fixed), or the search's manifest identity check would refuse its
    own checkpoints. *)
 let params_of_identity s =
   let open Elin_svc.Jsonl in
@@ -705,7 +703,6 @@ let params_of_identity s =
       ( int_mem "procs" id,
         int_mem "per_proc" id,
         int_mem "depth" id,
-        Option.bind (str_mem "engine" id) Elin_mc.Search.engine_of_string,
         int_mem "domains" id,
         bool_mem "dedup" id,
         bool_mem "por" id,
@@ -716,7 +713,6 @@ let params_of_identity s =
     | ( Some procs,
         Some per_proc,
         Some depth,
-        Some engine,
         Some domains,
         Some dedup,
         Some por,
@@ -732,7 +728,6 @@ let params_of_identity s =
           q_procs = procs;
           q_per_proc = per_proc;
           q_depth = depth;
-          q_engine = engine;
           q_domains = domains;
           q_dedup = dedup;
           q_por = por;
@@ -795,9 +790,9 @@ let pp_spill msp =
         s.disk_probes s.disk_probe_hits
     | None -> ())
 
-let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
-    domains no_dedup no_por symmetry json trace progress spill_dir spill_hot
-    ckpt_every resume_dir crash_after =
+let do_mc impl_name protocol_name stabilize_at procs per_proc depth domains
+    no_dedup no_por symmetry json trace progress spill_dir spill_hot ckpt_every
+    resume_dir crash_after =
   let open Elin_mc in
   if domains < 0 then
     `Error
@@ -823,13 +818,6 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
         "--crash-after-checkpoint requires --impl (crash injection hooks \
          state expansion)" )
   else
-    match Search.engine_of_string engine_s with
-    | None ->
-      `Error
-        ( false,
-          Printf.sprintf "--engine must be 'barrier' or 'sharded', got %s"
-            engine_s )
-    | Some engine ->
   (* Under [--resume DIR] every workload/search parameter is dictated
      by the newest committed manifest's identity; only the output and
      observability flags are honoured.  Any corruption here — and in
@@ -848,7 +836,6 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
           q_procs = (if impl_name = None then 2 else procs);
           q_per_proc = (if impl_name = None then 0 else per_proc);
           q_depth = depth;
-          q_engine = engine;
           q_domains =
             (if domains = 0 then Domain.recommended_domain_count ()
              else domains);
@@ -885,7 +872,6 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
   let procs = p.q_procs in
   let per_proc = p.q_per_proc in
   let depth = p.q_depth in
-  let engine = p.q_engine in
   let domains = Some p.q_domains in
   let dedup = p.q_dedup in
   let por = p.q_por in
@@ -935,13 +921,12 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
       let inputs = [| Value.int 0; Value.int 1 |] in
       human
         "mc: valency protocol %s (inputs 0, 1; exhaustive to depth %d; dedup \
-         %s, por %s, engine %s)\n"
+         %s, por %s)\n"
         p.Elin_valency.Valency.name depth
         (if dedup then "on" else "off")
-        (if por then "on" else "off")
-        (Search.engine_to_string engine);
-      let r = Mc_valency.check_consensus p ~inputs ~max_steps:depth ~engine
-          ?domains ~dedup ~por ?spill:msp ~resume () in
+        (if por then "on" else "off");
+      let r = Mc_valency.check_consensus p ~inputs ~max_steps:depth ?domains
+          ~dedup ~por ?spill:msp ~resume () in
       if not json then begin
         pp_mc_stats r.Mc_valency.stats;
         pp_spill msp
@@ -973,7 +958,6 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
            ("mode", Str "valency");
            ("protocol", Str p.Elin_valency.Valency.name);
            ("depth", Int depth);
-           ("engine", Str (Search.engine_to_string engine));
            ("dedup", Bool dedup);
            ("por", Bool por);
            ("terminated", Bool r.Mc_valency.terminated);
@@ -1008,15 +992,14 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
       let cfg = Engine.for_spec spec in
       human
         "mc: %s, %d procs x %d ops, exhaustive to depth %d (dedup %s, por \
-         %s, engine %s%s)\n"
+         %s%s)\n"
         impl.Impl.name procs per_proc depth
         (if dedup then "on" else "off")
         (if por then "on" else "off")
-        (Search.engine_to_string engine)
         (if symmetry then ", symmetry reduction" else "");
       let out =
-        Mc.check impl ~workloads ~max_steps:depth ~engine ?domains ~dedup
-          ~symmetry ~por ?spill:msp ~resume ~on_state
+        Mc.check impl ~workloads ~max_steps:depth ?domains ~dedup ~symmetry
+          ~por ?spill:msp ~resume ~on_state
           (fun h -> Engine.linearizable cfg h)
       in
       if not json then begin
@@ -1037,7 +1020,6 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth engine_s
            ("procs", Int procs);
            ("per_proc", Int per_proc);
            ("depth", Int depth);
-           ("engine", Str (Search.engine_to_string engine));
            ("dedup", Bool dedup);
            ("por", Bool por);
            ("symmetry", Bool symmetry);
@@ -1078,14 +1060,6 @@ let mc_cmd =
   in
   let depth =
     Arg.(value & opt int 20 & info [ "depth" ] ~doc:"Exploration step bound.")
-  in
-  let engine =
-    Arg.(value & opt string "barrier"
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Parallel engine: 'barrier' (legacy level-partitioned, \
-                   shared striped visited set) or 'sharded' (shared-nothing: \
-                   owner-partitioned visited set, SPSC handoff).  The verdict \
-                   and counts are engine-independent.")
   in
   let domains =
     Arg.(value & opt int 0
@@ -1167,7 +1141,7 @@ let mc_cmd =
     Term.(
       ret
         (const do_mc $ impl_name $ protocol $ stabilize_at $ procs_arg
-       $ per_proc $ depth $ engine $ domains $ no_dedup $ no_por $ symmetry
+       $ per_proc $ depth $ domains $ no_dedup $ no_por $ symmetry
        $ json $ trace_arg $ progress $ spill $ spill_hot $ checkpoint_every
        $ resume $ crash_after))
 

@@ -80,12 +80,12 @@ let finish (a : acc) : t =
 
 (* One more full avalanche over an already-finished fingerprint.
    Fingerprints come out of [finish] well-mixed, but consumers that
-   carve them into disjoint bit ranges (the visited-set stripe index
-   and the owner-shard index) must not both key on raw bits: a state
-   family whose encodings fix some low bits would then collapse onto
-   one stripe (or one shard).  Remixing gives every consumer an
-   independent view; the two indices below read disjoint ranges of the
-   SAME mixed word, so stripe choice and shard choice never alias. *)
+   carve them into disjoint bit ranges (the owner-shard index and any
+   low-bit bucket index) must not key on raw bits: a state family
+   whose encodings fix some low bits would then collapse onto one
+   bucket (or one shard).  Remixing gives every consumer an
+   independent view; indices that read disjoint ranges of the SAME
+   mixed word never alias. *)
 let mix (z : t) : t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in

@@ -38,7 +38,7 @@ val finish : acc -> t
 
 (** [mix fp] — an independent full avalanche of a finished
     fingerprint.  Consumers that index structures by disjoint bit
-    ranges of one fingerprint (visited-set stripes, owner shards) must
+    ranges of one fingerprint (owner shards, bucket indices) must
     carve up [mix fp], not [fp]: remixing guarantees uniform dispersion
     even for fingerprint families with fixed raw bits, and reading
     disjoint ranges of the same mixed word keeps the two indices

@@ -1,27 +1,22 @@
-(** Owner-partitioned set of 64-bit fingerprints: the sharded search's
-    visited set.
+(** Owner-partitioned set of 64-bit fingerprints: the search's visited
+    set.
 
-    Where {!Striped_set} lets every domain touch every stripe behind a
-    mutex, this structure gives each domain {e outright ownership} of
-    one shard: a fingerprint's owner is a pure function of its value
-    ({!owner}), all [add]/[mem] traffic for it happens on the owning
-    domain, and the shard is a plain [Hashtbl] with no lock on the hot
-    path.  Cross-domain synchronization is the {e caller's} routing
+    Each domain has {e outright ownership} of one shard: a
+    fingerprint's owner is a pure function of its value ({!owner}), all
+    [add]/[mem] traffic for it happens on the owning domain, and the
+    shard is a plain [Hashtbl] with no lock on the hot path.  Cross-domain synchronization is the {e caller's} routing
     discipline (the search hands fingerprints to their owner over
     {!Spsc} queues and separates phases with {!Barrier}); this module
     itself is just the partition function plus per-shard tables.
 
     {2 Bit discipline}
 
-    [owner] keys on the {e high} bits of {!Fingerprint.mix} while
-    {!Striped_set} stripes on the {e low} bits of the same mixed word.
-    Disjoint ranges of one avalanche: a fingerprint family confined to
-    one owner shard still disperses uniformly across stripes (and vice
-    versa), so mixing engines — e.g. a sharded search next to a legacy
-    striped set over the same fingerprints — never degenerates either
-    structure.  (Keying both on raw bits was the aliasing bug this
-    replaces: all of one shard's fingerprints shared their residue,
-    collapsing the striped path to a single mutex.) *)
+    [owner] keys on the {e high} bits of {!Fingerprint.mix}, so a
+    fingerprint family confined to one owner shard still disperses
+    uniformly over the low bits of the same mixed word — what any
+    low-bit index over it reads.  (Keying the owner on raw low bits
+    was an aliasing bug: all of one shard's fingerprints shared their
+    residue.) *)
 
 type t = {
   tables : (int64, unit) Hashtbl.t array;
@@ -35,8 +30,8 @@ let create ?(shards = 1) () =
 let shards t = t.shards
 
 (* High 31 bits of the mixed word (shifting by 33 also clears the sign
-   bit of the boxed-int64-to-int conversion), disjoint from the <= 16
-   low bits any realistic stripe count reads. *)
+   bit of the boxed-int64-to-int conversion), disjoint from the low
+   bits a bucket index reads. *)
 let owner t (fp : int64) =
   if t.shards = 1 then 0
   else

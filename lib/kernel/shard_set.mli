@@ -1,12 +1,11 @@
-(** Owner-partitioned set of 64-bit fingerprints: the sharded search's
-    visited set.  Each shard is a plain lock-free-because-single-owner
+(** Owner-partitioned set of 64-bit fingerprints: the search's visited
+    set.  Each shard is a plain lock-free-because-single-owner
     [Hashtbl]; a fingerprint's shard is the pure function {!owner} of
     its value, and the caller's routing (SPSC handoff + barrier
     phases) guarantees only the owning domain ever touches a shard.
-    The owner index reads the {e high} bits of {!Fingerprint.mix}
-    while {!Striped_set} stripes on the {e low} bits of the same mixed
-    word — disjoint ranges, so neither partition can alias the other
-    into degeneracy. *)
+    The owner index reads the {e high} bits of {!Fingerprint.mix},
+    leaving the low bits of the same mixed word uniform within every
+    shard. *)
 
 type t
 
@@ -17,7 +16,7 @@ val create : ?shards:int -> unit -> t
 val shards : t -> int
 
 (** [owner t fp] — the shard (hence domain) owning [fp]; uniform over
-    shards and independent of {!Striped_set}'s stripe choice. *)
+    shards and independent of the mixed word's low bits. *)
 val owner : t -> int64 -> int
 
 (** [add t ~shard fp] — [true] iff [fp] was not yet in [shard] (it is

@@ -7,7 +7,8 @@
 
     - syntactically identical configurations reached along different
       interleavings (e.g. commuting base accesses) are expanded once;
-    - BFS levels are partitioned across OCaml 5 domains;
+    - each BFS level is partitioned across OCaml 5 domains by
+      fingerprint owner;
     - the verdict is deterministic and domain-count-independent: when
       the predicate fails, the reported counterexample is the
       lexicographically minimal violating history of the shallowest
@@ -78,7 +79,7 @@ let check_symmetry ~symmetry ~workloads =
    counts under dedup — is invariant under [por]; only redundant
    successor generation ([dedup_hits]) shrinks.  In tree mode (no
    dedup) [por] prunes the node count itself. *)
-let drive (impl : Impl.t) ?engine ?domains ?(dedup = true) ?(symmetry = false)
+let drive (impl : Impl.t) ?domains ?(dedup = true) ?(symmetry = false)
     ?(por = true) ?(stop_early = true) ?spill:msp ?resume ?on_state ~budget
     ~leaf root =
   let por =
@@ -108,7 +109,7 @@ let drive (impl : Impl.t) ?engine ?domains ?(dedup = true) ?(symmetry = false)
       msp
   in
   let vs, stats =
-    Search.bfs ?engine ?domains ~dedup ~stop_early ?merge ?spill:sp ?resume
+    Search.bfs ?domains ~dedup ~stop_early ?merge ?spill:sp ?resume
       ~fingerprint:(Canon.fingerprint ~symmetry)
       ~expand ~compare:Canon.compare_history (Canon.root root)
   in
@@ -127,7 +128,7 @@ let outcome_of (violations, stats) =
 (** [check impl ~workloads p] — does [p] hold on every leaf history
     (finished or cut at [max_steps])?  The [Explore.for_all_histories]
     contract, parallel and deduplicated. *)
-let check (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) ?engine
+let check (impl : Impl.t) ~workloads ?locals ?(max_steps = 40)
     ?domains ?dedup ?(symmetry = false) ?por ?spill ?resume ?on_state p =
   check_symmetry ~symmetry ~workloads;
   let leaf c =
@@ -135,7 +136,7 @@ let check (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) ?engine
     if p h then None else Some h
   in
   outcome_of
-    (drive impl ?engine ?domains ?dedup ~symmetry ?por ?spill ?resume
+    (drive impl ?domains ?dedup ~symmetry ?por ?spill ?resume
        ?on_state ~budget:max_steps ~leaf
        (Explore.initial_config impl ~workloads ?locals ()))
 
@@ -143,23 +144,23 @@ let check (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) ?engine
     extension of configuration [c0] by at most [max_extra_steps] steps
     (the Prop. 18 stability certificate's shape).  No symmetry
     reduction: the processes' in-flight operations break it. *)
-let check_from (impl : Impl.t) (c0 : Explore.config) ~max_extra_steps ?engine
+let check_from (impl : Impl.t) (c0 : Explore.config) ~max_extra_steps
     ?domains ?dedup ?por ?spill ?resume ?on_state p =
   let leaf c =
     let h = Explore.history c in
     if p h then None else Some h
   in
   outcome_of
-    (drive impl ?engine ?domains ?dedup ?por ?spill ?resume ?on_state
+    (drive impl ?domains ?dedup ?por ?spill ?resume ?on_state
        ~budget:(c0.Explore.steps + max_extra_steps) ~leaf c0)
 
 (** [count_states impl ~workloads ()] — exhaust the bounded space with
     no predicate; the stats are the result. *)
-let count_states (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) ?engine
+let count_states (impl : Impl.t) ~workloads ?locals ?(max_steps = 40)
     ?domains ?dedup ?(symmetry = false) ?por ?spill ?resume ?on_state () =
   check_symmetry ~symmetry ~workloads;
   let _, stats =
-    drive impl ?engine ?domains ?dedup ~symmetry ?por ?spill ?resume ?on_state
+    drive impl ?domains ?dedup ~symmetry ?por ?spill ?resume ?on_state
       ~stop_early:false ~budget:max_steps
       ~leaf:(fun _ -> None)
       (Explore.initial_config impl ~workloads ?locals ())
@@ -171,9 +172,9 @@ let count_states (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) ?engine
     Used by the dedup-soundness tests: the set is invariant under
     [~dedup]. *)
 let leaf_histories (impl : Impl.t) ~workloads ?locals ?(max_steps = 40)
-    ?engine ?domains ?dedup ?por ?spill ?resume () =
+    ?domains ?dedup ?por ?spill ?resume () =
   let hs, stats =
-    drive impl ?engine ?domains ?dedup ?por ?spill ?resume ~stop_early:false
+    drive impl ?domains ?dedup ?por ?spill ?resume ~stop_early:false
       ~budget:max_steps
       ~leaf:(fun c -> Some (Explore.history c))
       (Explore.initial_config impl ~workloads ?locals ())

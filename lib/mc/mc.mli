@@ -56,9 +56,8 @@ val spill :
 (** [check impl ~workloads p] — does [p] hold on every leaf history
     (finished, or cut at [max_steps], default 40)?
 
-    [engine] (default [Search.Barrier]) selects the parallel engine;
-    the outcome is engine-independent (see {!Search.engine}).
-    [domains] defaults to [Domain.recommended_domain_count ()];
+    [domains] defaults to [Domain.recommended_domain_count ()] (the
+    outcome is independent of it, see {!Search.bfs});
     [dedup] defaults to [true]; [por] (default [true]) enables
     sleep-set partial-order reduction — verdicts, decision sets, leaf
     counts and the lex-min counterexample are invariant under it, only
@@ -81,7 +80,6 @@ val check :
   workloads:Op.t list array ->
   ?locals:Value.t array ->
   ?max_steps:int ->
-  ?engine:Search.engine ->
   ?domains:int ->
   ?dedup:bool ->
   ?symmetry:bool ->
@@ -99,7 +97,6 @@ val check_from :
   Impl.t ->
   Explore.config ->
   max_extra_steps:int ->
-  ?engine:Search.engine ->
   ?domains:int ->
   ?dedup:bool ->
   ?por:bool ->
@@ -116,7 +113,6 @@ val count_states :
   workloads:Op.t list array ->
   ?locals:Value.t array ->
   ?max_steps:int ->
-  ?engine:Search.engine ->
   ?domains:int ->
   ?dedup:bool ->
   ?symmetry:bool ->
@@ -135,7 +131,6 @@ val leaf_histories :
   workloads:Op.t list array ->
   ?locals:Value.t array ->
   ?max_steps:int ->
-  ?engine:Search.engine ->
   ?domains:int ->
   ?dedup:bool ->
   ?por:bool ->

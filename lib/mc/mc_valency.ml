@@ -150,7 +150,7 @@ type report = {
     dedup'd engine.  Unlike the DFS original, [decisions] is still
     reported when termination fails ([terminated = false]): the
     decision set of the paths that did decide within the bound. *)
-let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?engine ?domains
+let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
     ?dedup ?(por = true) ?spill:msp ?resume () =
   let por = por && Array.length inputs <= 62 in
   let dedup_on = match dedup with Some b -> b | None -> true in
@@ -183,7 +183,7 @@ let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?engine ?domains
       msp
   in
   let leaves, stats =
-    Search.bfs ?engine ?domains ?dedup ~stop_early:false ?merge ?spill:sp
+    Search.bfs ?domains ?dedup ~stop_early:false ?merge ?spill:sp
       ?resume ~fingerprint ~expand
       ~compare:compare_leaf (root p ~inputs)
   in

@@ -47,7 +47,6 @@ val check_consensus :
   Valency.protocol ->
   inputs:Value.t array ->
   max_steps:int ->
-  ?engine:Search.engine ->
   ?domains:int ->
   ?dedup:bool ->
   ?por:bool ->

@@ -9,52 +9,40 @@
 
     {2 Parallelism}
 
-    Two engines share the BFS semantics:
-
-    - {e Barrier} (legacy): each level is partitioned round-robin
-      across [domains] OCaml 5 domains, re-spawned per level
-      ([Domain.spawn]; the stripe-locked visited set is the only
-      shared mutable structure).  Levels are a hard barrier: every
-      domain finishes its share of level [d] before any state of level
-      [d+1] is expanded.  Small levels (fewer than [2 * domains]
-      states) are expanded on the spawning domain — spawning would
-      cost more than it buys.  With [domains = 1] no domain is ever
-      spawned: the engine degrades to a plain sequential BFS.
-    - {e Sharded} (shared-nothing): domains are spawned once for the
-      whole search; each owns a fixed shard of the fingerprint space
-      (plain per-domain [Hashtbl], no lock on the hot path), expands
-      its own frontier slice, and routes successors to their owner in
-      fixed-size batches over SPSC queues; levels synchronize at a
-      cheap two-phase epoch count.  See the long comment above
-      [bfs_sharded].
-
-    Both engines produce bit-identical verdicts and counts; they
-    differ only in [per_domain], [wall], and trace shape.
+    Shared nothing: [domains] OCaml 5 domains are spawned once for the
+    whole search (with [domains = 1] the single worker runs on the
+    calling domain).  Each owns a fixed shard of the fingerprint space
+    (a plain per-domain [Hashtbl], no lock on the hot path), expands
+    the frontier states it owns, and routes generated successors to
+    their owner in fixed-size batches over SPSC queues; levels
+    synchronize at a two-phase epoch barrier.  See the long comment
+    above [bfs].
 
     {2 Determinism contract}
 
     The result is a function of the state space and the bounds alone —
     {e not} of the domain count — because:
 
-    - the set of states at each level is dedup-independent of the
-      partition: the visited set's [add] is atomic, racing inserts of
-      the same fingerprint keep exactly one copy, and (modulo 64-bit
-      fingerprint collisions) equal fingerprints mean equal states, so
-      {e which} racing copy survives is unobservable;
-    - with [?merge] (dedup under partial-order reduction), duplicates
-      are instead resolved at the level barrier, on the spawning
-      domain: the first-generated copy survives with the [merge] of
+    - the set of states at each level is partition-independent: every
+      copy of a fingerprint routes to its one owner, where dedup runs
+      single-threaded, and (modulo 64-bit fingerprint collisions) equal
+      fingerprints mean equal states, so {e which} copy survives is
+      unobservable;
+    - with [?merge] (dedup under partial-order reduction), the owner
+      holds every copy of a level's state until the epoch's second
+      phase and keeps the first-arrived copy carrying the [merge] of
       all copies' search metadata.  [merge] must be commutative and
-      associative (sleep-set intersection is), so the outcome is again
-      partition-independent;
+      associative (sleep-set intersection is), so arrival order is
+      unobservable;
     - verdicts are never acted on mid-level.  When a verdict is found,
-      every domain still completes the current level, the verdicts of
-      that level are gathered from all domains, and the minimum under
-      [compare] is reported first — "lexicographically minimal
-      counterexample", independent of which domain found it first.
+      every domain still completes the current level, and the stop
+      decision is taken at the level boundary from data every domain
+      sees; the final verdict list is sorted under [compare], so the
+      "lexicographically minimal counterexample" does not depend on
+      which domain found it first.
 
-    Only the {e observability} fields ([per_domain], [wall]) depend on
-    scheduling. *)
+    Only the {e observability} fields ([per_domain], [wall]) and the
+    trace shape depend on the domain count. *)
 
 type stats = {
   states : int;           (** states expanded (dequeued from the frontier) *)
@@ -66,8 +54,8 @@ type stats = {
   leaves : int;           (** terminal states (finished or cut) *)
   cut : int;              (** terminal only because of the bound *)
   levels : int;           (** BFS depth reached *)
-  per_domain : int array; (** states expanded by each domain (scheduling-
-                              dependent: partitions follow frontier order) *)
+  per_domain : int array; (** states expanded by each domain (the
+                              ownership partition) *)
   domains : int;
   wall : float;           (** seconds *)
 }
@@ -84,37 +72,13 @@ type ('s, 'v) expansion =
   | Leaf of 'v option    (** terminal; [Some v] records a verdict *)
   | Cut of 'v option     (** terminal because of the bound *)
 
-(* A visited set reduced to the two operations the engines need.
-   Both engines build it over either the RAM sets
-   ({!Elin_kernel.Striped_set} / {!Elin_kernel.Shard_set}) or the
-   spill tier ({!Elin_store.Tiered_set}); the closures erase the
-   difference, which is what keeps the dedup semantics — and hence
-   the determinism contract — representation-independent. *)
+(* One domain's view of its visited shard, reduced to the two
+   operations the search needs, over either the RAM set
+   ({!Elin_kernel.Shard_set}) or the spill tier
+   ({!Elin_store.Tiered_set}); the closures erase the difference,
+   which is what keeps the dedup semantics — and hence the
+   determinism contract — representation-independent. *)
 type vset = { vadd : int64 -> bool; vmem : int64 -> bool }
-
-(* How a domain's share treats generated successors.  [Immediate] is
-   the classic path: filter through the shared visited set at
-   generation time.  [Tag] tags each successor with its fingerprint
-   for barrier-time merging (dedup under partial-order reduction,
-   where the surviving copy's metadata is the merge of all copies')
-   but still drops cross-level duplicates at generation time — the
-   visited set only ever holds earlier levels' (final) entries during
-   expansion, so the [mem] answer cannot change before the barrier,
-   and buffering such a copy would only inflate per-level peak memory.
-   Only intra-level copies reach the barrier merge.  [Plain] keeps
-   everything untagged. *)
-type keep_mode = Plain | Immediate of vset | Tag of vset
-
-(* Results of one domain's share of one level. *)
-type ('s, 'v) share = {
-  next : (int64 * 's) list;  (* kept successors, in expansion order;
-                                fingerprint tag is 0L in [Plain] mode *)
-  found : 'v list;
-  hits : int;
-  n_states : int;
-  n_leaves : int;
-  n_cut : int;
-}
 
 (* Observability.  Live counters/gauges let `elin mc --progress` read
    exploration rates mid-level; the trace gets one expansion span plus
@@ -158,72 +122,6 @@ let worker_counter d =
       Atomic.set worker_counters.(d) (Some c);
       c
 
-let expand_share ~expand ~fingerprint ~mode frontier ~stride ~offset =
-  let span_ts = Elin_obs.Trace.begin_ns () in
-  let pruned0 =
-    if span_ts <> 0L then Elin_obs.Metrics.Counter.shard_value m_pruned else 0
-  in
-  let m_worker = if Elin_obs.Metrics.on () then Some (worker_counter offset) else None in
-  let n = Array.length frontier in
-  let next = ref [] and found = ref [] in
-  let hits = ref 0 and n_states = ref 0 and n_leaves = ref 0 and n_cut = ref 0 in
-  let keep s' =
-    match mode with
-    | Plain -> next := (0L, s') :: !next
-    | Immediate visited ->
-      let fp = fingerprint s' in
-      if visited.vadd fp then next := (fp, s') :: !next else incr hits
-    | Tag visited ->
-      let fp = fingerprint s' in
-      if visited.vmem fp then incr hits else next := (fp, s') :: !next
-  in
-  let i = ref offset in
-  while !i < n do
-    incr n_states;
-    (match m_worker with
-    | Some c ->
-      Elin_obs.Metrics.Counter.incr m_states;
-      Elin_obs.Metrics.Counter.incr c
-    | None -> ());
-    (match expand frontier.(!i) with
-    | Children succs -> List.iter keep succs
-    | Leaf v ->
-      incr n_leaves;
-      Option.iter (fun v -> found := v :: !found) v
-    | Cut v ->
-      incr n_leaves;
-      incr n_cut;
-      Option.iter (fun v -> found := v :: !found) v);
-    i := !i + stride
-  done;
-  if Elin_obs.Metrics.on () then Elin_obs.Metrics.Counter.add m_dedup_hits !hits;
-  if Elin_obs.Trace.on () then begin
-    let open Elin_obs in
-    let pruned_d = Metrics.Counter.shard_value m_pruned - pruned0 in
-    if pruned_d > 0 then
-      Trace.instant ~tid:offset ~cat:"mc" "mc.por_pruned"
-        ~args:[ ("count", Jsonl.Int pruned_d) ];
-    if !hits > 0 then
-      Trace.instant ~tid:offset ~cat:"mc" "mc.dedup_dropped"
-        ~args:[ ("count", Jsonl.Int !hits) ];
-    Trace.complete ~tid:offset ~cat:"mc" ~ts:span_ts "mc.expand"
-      ~args:
-        [
-          ("worker", Jsonl.Int offset);
-          ("states", Jsonl.Int !n_states);
-          ("dedup_hits", Jsonl.Int !hits);
-          ("leaves", Jsonl.Int !n_leaves);
-        ]
-  end;
-  {
-    next = List.rev !next;
-    found = !found;
-    hits = !hits;
-    n_states = !n_states;
-    n_leaves = !n_leaves;
-    n_cut = !n_cut;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* External-memory spill and crash-safe checkpoints                    *)
 (* ------------------------------------------------------------------ *)
@@ -262,12 +160,17 @@ let spill ?(hot = 1 lsl 20) ?(every = 0) ?(identity = "")
 let corrupt fmt =
   Printf.ksprintf (fun s -> raise (Elin_store.Segment.Corrupt s)) fmt
 
+(* The engine name every manifest carries.  Manifests written by the
+   retired level-partitioned engine say "barrier"; their single-writer
+   layout cannot seed a per-owner resume, so they are refused. *)
+let manifest_engine = "sharded"
+
 (* Resume refuses anything but an exact match: the frontier blobs are
    marshalled with closures (same-binary only), and every search
    parameter that shapes the state space or the partition is pinned by
    the manifest.  A mismatch is a usage error surfaced loudly — never
    a silent from-scratch recheck. *)
-let load_manifest_for_resume sp ~engine_name ~dedup ~writers ~shards =
+let load_manifest_for_resume sp ~dedup ~domains =
   let open Elin_store.Checkpoint in
   match load_latest ~dir:sp.sp_dir with
   | None -> corrupt "%s: no committed checkpoint manifest to resume" sp.sp_dir
@@ -278,16 +181,16 @@ let load_manifest_for_resume sp ~engine_name ~dedup ~writers ~shards =
       corrupt
         "resume: workload mismatch — checkpoint is for %s, this run is %s"
         m.identity sp.sp_identity;
-    if m.engine <> engine_name then
+    if m.engine <> manifest_engine then
       corrupt "resume: checkpoint engine is %s, this run uses %s" m.engine
-        engine_name;
+        manifest_engine;
     if m.dedup <> dedup then corrupt "resume: dedup setting mismatch";
-    if m.shards <> shards || m.writers <> writers then
+    if m.shards <> domains || m.writers <> domains then
       corrupt "resume: checkpoint used %d domains, this run uses %d" m.shards
-        shards;
-    if Array.length m.per_writer <> writers then
+        domains;
+    if Array.length m.per_writer <> domains then
       corrupt "resume: manifest writer slots do not match";
-    if Array.length m.per_domain <> shards then
+    if Array.length m.per_domain <> domains then
       corrupt "resume: manifest per-domain slots do not match";
     m
 
@@ -347,333 +250,43 @@ let read_verdicts (type v) sp ~seq ~writer : v list =
   try Marshal.from_string blob 0
   with Failure _ -> corrupt "%s: undecodable verdicts blob" name
 
-(** [bfs ?domains ?dedup ?stripes ?stop_early ?merge ~fingerprint
-    ~expand ~compare root] — explore the space rooted at [root].
-    Returns the verdicts (sorted and deduplicated under [compare]: the
-    head is the minimal one) and the exploration stats.  With
-    [stop_early] (the default) the search stops at the end of the
-    first level that produced a verdict; otherwise it exhausts the
-    bounded space and returns every verdict.
-
-    [?merge] (meaningful only with [dedup]) switches duplicate
-    resolution to the level barrier: all generated successors are
-    tagged, grouped by fingerprint on the spawning domain, and the
-    first-generated copy survives carrying [merge] of all copies.
-    Requires a {e level-stratified} space — equal states occur only
-    within one BFS level (true whenever the fingerprint covers a step
-    counter) — and a commutative, associative [merge]. *)
-let bfs_barrier ?domains ?(dedup = true) ?(stripes = 64) ?(stop_early = true)
-    ?merge ?spill:sp_opt ?(resume = false) ~fingerprint ~expand ~compare root
-    =
-  let n_domains =
-    match domains with
-    | Some n ->
-      if n < 1 then invalid_arg "Search.bfs: domains must be >= 1";
-      n
-    | None -> Domain.recommended_domain_count ()
-  in
-  if resume && sp_opt = None then
-    invalid_arg "Search.bfs: resume requires spill";
-  let t0 = Elin_obs.Clock.now_s () in
-  let manifest =
-    match sp_opt with
-    | Some sp when resume ->
-      Some
-        (load_manifest_for_resume sp ~engine_name:"barrier" ~dedup ~writers:1
-           ~shards:n_domains)
-    | _ -> None
-  in
-  (* The visited set: tiered (RAM hot tier + sealed disk segments)
-     under spill, striped RAM table otherwise.  Shard count follows
-     the domain count so manifests are engine-portable in shape (the
-     engine string still pins which engine wrote them). *)
-  let tiered =
-    match sp_opt with
-    | Some sp when dedup -> (
-      match manifest with
-      | Some m ->
-        Some
-          (Elin_store.Tiered_set.open_existing ~dir:sp.sp_dir
-             ~shards:n_domains ~hot_capacity:sp.sp_hot
-             ~segments:m.visited_segments ())
-      | None ->
-        Some
-          (Elin_store.Tiered_set.create ~dir:sp.sp_dir ~shards:n_domains
-             ~hot_capacity:sp.sp_hot ()))
-    | _ -> None
-  in
-  let visited =
-    if not dedup then None
-    else
-      match tiered with
-      | Some tv ->
-        Some
-          {
-            vadd = (fun fp -> Elin_store.Tiered_set.add tv fp);
-            vmem = (fun fp -> Elin_store.Tiered_set.mem tv fp);
-          }
-      | None ->
-        let v = Elin_kernel.Striped_set.create ~stripes () in
-        Some
-          {
-            vadd = (fun fp -> Elin_kernel.Striped_set.add v fp);
-            vmem = (fun fp -> Elin_kernel.Striped_set.mem v fp);
-          }
-  in
-  let mode =
-    match visited, merge with
-    | None, _ -> Plain
-    | Some v, None -> Immediate v
-    | Some v, Some _ -> Tag v
-  in
-  let states = ref 0 and hits = ref 0 and kept = ref 0 and peak = ref 0 in
-  let leaves = ref 0 and cut = ref 0 and levels = ref 0 in
-  let per_domain = Array.make n_domains 0 in
-  let verdicts = ref [] in
-  let frontier = ref [| root |] in
-  (match manifest, sp_opt with
-  | Some m, Some sp ->
-    (* Re-enter the search exactly at the stabilization cut: counters,
-       POR-pruned aux, accumulated verdicts, and the cut's frontier.
-       The root is NOT re-inserted — it is already in the visited
-       segments. *)
-    states := m.totals.t_states;
-    hits := m.totals.t_hits;
-    kept := m.totals.t_kept;
-    peak := m.totals.t_peak;
-    leaves := m.totals.t_leaves;
-    cut := m.totals.t_cut;
-    levels := m.level;
-    Array.blit m.per_domain 0 per_domain 0 n_domains;
-    sp.sp_restore_aux m.totals.t_aux;
-    verdicts := read_verdicts sp ~seq:m.seq ~writer:0;
-    frontier := read_frontier_slice sp ~dedup ~seq:m.seq ~writer:0 ~fingerprint;
-    sp.sp_resumed <- Some m.seq
-  | _ -> Option.iter (fun v -> ignore (v.vadd (fingerprint root))) visited);
-  let stop = ref false in
-  while (not !stop) && Array.length !frontier > 0 do
-    let fr = !frontier in
-    let n = Array.length fr in
-    if n > !peak then peak := n;
-    let level_ts = Elin_obs.Trace.begin_ns () in
-    if Elin_obs.Metrics.on () then begin
-      Elin_obs.Metrics.Gauge.set g_frontier n;
-      Elin_obs.Metrics.Gauge.set g_level !levels
-    end;
-    let shares =
-      if n_domains = 1 || n < 2 * n_domains then
-        [| expand_share ~expand ~fingerprint ~mode fr ~stride:1 ~offset:0 |]
-      else begin
-        (* Shares run under [Fun.protect]-style discipline: capture any
-           exception (e.g. a budget-bounded [expand] raising
-           [Budget.Exceeded]), join EVERY domain, then re-raise — a
-           raise must never leak unjoined domains. *)
-        let guarded f = try Ok (f ()) with e -> Error e in
-        let workers =
-          Array.init (n_domains - 1) (fun d ->
-              Domain.spawn (fun () ->
-                  guarded (fun () ->
-                      expand_share ~expand ~fingerprint ~mode fr
-                        ~stride:n_domains ~offset:(d + 1))))
-        in
-        let mine =
-          guarded (fun () ->
-              expand_share ~expand ~fingerprint ~mode fr ~stride:n_domains
-                ~offset:0)
-        in
-        let all = Array.append [| mine |] (Array.map Domain.join workers) in
-        Array.map (function Ok s -> s | Error e -> raise e) all
-      end
-    in
-    let level_found = ref [] in
-    Array.iteri
-      (fun d share ->
-        per_domain.(d) <- per_domain.(d) + share.n_states;
-        states := !states + share.n_states;
-        hits := !hits + share.hits;
-        leaves := !leaves + share.n_leaves;
-        cut := !cut + share.n_cut;
-        level_found := List.rev_append share.found !level_found)
-      shares;
-    let next =
-      match mode, merge, visited with
-      | Tag _, Some merge_fn, Some visited ->
-        (* Barrier-time duplicate resolution, on the spawning domain:
-           deterministic whatever the partition was, because [merge]
-           is commutative/associative and equal fingerprints mean
-           equal states (modulo collision). *)
-        let tbl = Hashtbl.create 257 in
-        let order = ref [] in
-        Array.iter
-          (fun share ->
-            List.iter
-              (fun (fp, s) ->
-                if visited.vmem fp then incr hits
-                else
-                  match Hashtbl.find_opt tbl fp with
-                  | None ->
-                    Hashtbl.add tbl fp s;
-                    order := fp :: !order
-                  | Some s0 ->
-                    incr hits;
-                    Hashtbl.replace tbl fp (merge_fn s0 s))
-              share.next)
-          shares;
-        let survivors =
-          List.rev_map
-            (fun fp ->
-              ignore (visited.vadd fp);
-              Hashtbl.find tbl fp)
-            !order
-        in
-        kept := !kept + List.length survivors;
-        Array.of_list survivors
-      | _ ->
-        let arr =
-          Array.concat
-            (List.map (fun s -> Array.of_list (List.map snd s.next))
-               (Array.to_list shares))
-        in
-        kept := !kept + Array.length arr;
-        arr
-    in
-    if Elin_obs.Metrics.on () then
-      Elin_obs.Metrics.Counter.add m_kept (Array.length next);
-    if Elin_obs.Trace.on () then
-      Elin_obs.Trace.complete ~cat:"mc" ~ts:level_ts "mc.level"
-        ~args:
-          [
-            ("level", Elin_obs.Jsonl.Int !levels);
-            ("frontier", Elin_obs.Jsonl.Int n);
-            ("kept", Elin_obs.Jsonl.Int (Array.length next));
-            ("found", Elin_obs.Jsonl.Int (List.length !level_found));
-          ];
-    verdicts := List.rev_append !level_found !verdicts;
-    incr levels;
-    if stop_early && !level_found <> [] then stop := true
-    else begin
-      frontier := next;
-      match sp_opt with
-      | Some sp
-        when sp.sp_every > 0
-             && !levels mod sp.sp_every = 0
-             && Array.length next > 0 ->
-        (* The level barrier is a stabilization cut: nothing is
-           in-flight, so sealing (visited, frontier, counters,
-           verdicts) here is a complete, resumable snapshot.  The
-           sequence number is the absolute level over the cadence, so
-           a resumed run checkpoints on the identical schedule. *)
-        let seq = !levels / sp.sp_every in
-        Option.iter Elin_store.Tiered_set.flush tiered;
-        write_frontier_slice sp ~dedup ~seq ~writer:0 ~fingerprint next;
-        write_verdicts sp ~seq ~writer:0 !verdicts;
-        let visited_segments =
-          match tiered with
-          | Some tv -> Elin_store.Tiered_set.segment_names tv
-          | None -> []
-        in
-        Elin_store.Checkpoint.commit ~dir:sp.sp_dir
-          {
-            seq;
-            identity = sp.sp_identity;
-            engine = "barrier";
-            dedup;
-            shards = n_domains;
-            writers = 1;
-            level = !levels;
-            totals =
-              {
-                t_states = !states;
-                t_hits = !hits;
-                t_kept = !kept;
-                t_aux = sp.sp_save_aux ();
-                t_peak = !peak;
-                t_leaves = !leaves;
-                t_cut = !cut;
-              };
-            per_writer =
-              [|
-                {
-                  w_states = !states;
-                  w_hits = !hits;
-                  w_kept = !kept;
-                  w_leaves = !leaves;
-                  w_cut = !cut;
-                };
-              |];
-            per_domain = Array.copy per_domain;
-            visited_segments;
-            exe_digest = Elin_store.Checkpoint.exe_digest ();
-          };
-        sp.sp_on_checkpoint seq
-      | _ -> ()
-    end
-  done;
-  (match sp_opt, tiered with
-  | Some sp, Some tv ->
-    sp.sp_store <- Some (Elin_store.Tiered_set.stats tv);
-    Elin_store.Tiered_set.close tv
-  | _ -> ());
-  let stats =
-    {
-      states = !states;
-      dedup_hits = !hits;
-      kept = !kept;
-      pruned = 0;
-      frontier_peak = !peak;
-      leaves = !leaves;
-      cut = !cut;
-      levels = !levels;
-      per_domain;
-      domains = n_domains;
-      wall = Elin_obs.Clock.now_s () -. t0;
-    }
-  in
-  (List.sort_uniq compare !verdicts, stats)
-
 (* ------------------------------------------------------------------ *)
-(* The sharded (shared-nothing) engine                                 *)
+(* The search                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Same semantics, opposite ownership story.  The barrier engine above
-   partitions each level round-robin and funnels every domain through
-   one striped, mutex-guarded visited set, re-spawning domains at
-   every level.  Here each domain {e owns} a fixed shard of the
-   fingerprint space outright ({!Elin_kernel.Shard_set.owner}): it
-   holds that shard's slice of the visited set in a plain [Hashtbl]
-   (no lock ever touches the hot path), expands exactly the frontier
-   states it owns, and routes generated successors to their owner's
-   inbox in fixed-size batches over per-(src,dst) SPSC queues.
-   Domains are spawned once for the whole search; levels synchronize
-   at a cheap two-phase epoch (blocking {!Elin_kernel.Barrier}), which
-   is all that level-stratified dedup — and dedup-under-POR's [merge]
-   — need to stay exact.
+(* Each domain {e owns} a fixed shard of the fingerprint space
+   outright ({!Elin_kernel.Shard_set.owner}): it holds that shard's
+   slice of the visited set in a plain [Hashtbl] (no lock ever touches
+   the hot path), expands exactly the frontier states it owns, and
+   routes generated successors to their owner's inbox in fixed-size
+   batches over per-(src,dst) SPSC queues.  Domains are spawned once
+   for the whole search; levels synchronize at a two-phase epoch
+   (blocking {!Elin_kernel.Barrier}), which is all that
+   level-stratified dedup — and dedup-under-POR's [merge] — need to
+   stay exact.
 
-   {2 Why determinism survives without the hard barrier}
-
-   Every observable of {!bfs_barrier} is reproduced bit-identically:
+   {2 Why the result is partition-independent}
 
    - {e which} states exist at each level is a pure function of the
      state space (dedup is by fingerprint; equal fingerprints mean
      equal states), and every copy of a fingerprint routes to the one
-     owner, where dedup/merge runs single-threaded — there is not even
-     a racing insert left to reason about;
+     owner, where dedup/merge runs single-threaded — there is no
+     racing insert to reason about;
    - [merge] metadata: all copies of a level-[d+1] state are pushed
      before the epoch's first phase and drained before its second, so
-     the owner merges exactly the copies the barrier engine would, and
+     the owner merges every copy of the level, and
      commutativity/associativity makes the arrival order unobservable;
-   - verdicts are still acted on only at level boundaries: the stop
-     decision is computed by every domain from the same per-domain
-     slot arrays after the second phase, and the final verdict list is
-     sorted under [compare] — the lex-min counterexample cannot depend
-     on the partition;
+   - verdicts are acted on only at level boundaries: the stop decision
+     is computed by every domain from the same per-domain slot arrays
+     after the second phase, and the final verdict list is sorted
+     under [compare] — the lex-min counterexample cannot depend on the
+     partition;
    - the counts ([states]/[kept]/[dedup_hits]/[leaves]/[cut]/[levels]/
      [frontier_peak]) are sums or maxima of the same per-level
      quantities.
 
-   Only [per_domain] shifts meaning: it now reports the ownership
-   partition (a function of the fingerprints, so — unlike the barrier
-   engine's round-robin split — it is itself deterministic). *)
+   [per_domain] reports the ownership partition — a function of the
+   fingerprints and the domain count, not of scheduling. *)
 
 (* Cross-domain handoff batch: up to [handoff_batch] kept successors,
    accumulated in reverse.  64 amortizes the queue-node allocation and
@@ -696,7 +309,21 @@ type 'v worker_out = {
   w_peak : int;          (* identical across workers *)
 }
 
-let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
+(** [bfs ?domains ?dedup ?stop_early ?merge ?spill ?resume ~fingerprint
+    ~expand ~compare root] — explore the space rooted at [root].
+    Returns the verdicts (sorted and deduplicated under [compare]: the
+    head is the minimal one) and the exploration stats.  With
+    [stop_early] (the default) the search stops at the end of the
+    first level that produced a verdict; otherwise it exhausts the
+    bounded space and returns every verdict.
+
+    [?merge] (meaningful only with [dedup]) resolves duplicates at the
+    level barrier: the owner keeps the first-arrived copy carrying
+    [merge] of all copies.  Requires a {e level-stratified} space —
+    equal states occur only within one BFS level (true whenever the
+    fingerprint covers a step counter) — and a commutative,
+    associative [merge]. *)
+let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     ?spill:sp_opt ?(resume = false) ~fingerprint ~expand ~compare root =
   let open Elin_kernel in
   let n_domains =
@@ -712,9 +339,7 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
   let manifest =
     match sp_opt with
     | Some sp when resume ->
-      Some
-        (load_manifest_for_resume sp ~engine_name:"sharded" ~dedup
-           ~writers:n_domains ~shards:n_domains)
+      Some (load_manifest_for_resume sp ~dedup ~domains:n_domains)
     | _ -> None
   in
   (* Under spill the tiered set's shards coincide with the ownership
@@ -1020,7 +645,7 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
               {
                 seq;
                 identity = sp.sp_identity;
-                engine = "sharded";
+                engine = manifest_engine;
                 dedup;
                 shards = n_domains;
                 writers = n_domains;
@@ -1115,31 +740,6 @@ let bfs_sharded ?domains ?(dedup = true) ?(stop_early = true) ?merge
     }
   in
   (verdicts, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Engine dispatch                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type engine = Barrier | Sharded
-
-let engine_of_string = function
-  | "barrier" -> Some Barrier
-  | "sharded" -> Some Sharded
-  | _ -> None
-
-let engine_to_string = function Barrier -> "barrier" | Sharded -> "sharded"
-
-let bfs ?(engine = Barrier) ?domains ?dedup ?stripes ?stop_early ?merge ?spill
-    ?resume ~fingerprint ~expand ~compare root =
-  match engine with
-  | Barrier ->
-    bfs_barrier ?domains ?dedup ?stripes ?stop_early ?merge ?spill ?resume
-      ~fingerprint ~expand ~compare root
-  | Sharded ->
-    (* [stripes] shapes the barrier engine's striped set only; the
-       sharded visited set is partitioned by owner, not by stripe. *)
-    bfs_sharded ?domains ?dedup ?stop_early ?merge ?spill ?resume
-      ~fingerprint ~expand ~compare root
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -7,9 +7,9 @@
     The returned verdict list and every stats field except
     [per_domain] and [wall] are functions of the state space and the
     bounds alone, {e independent of the domain count} (modulo 64-bit
-    fingerprint collisions): levels are barriers, racing inserts of
-    equal fingerprints keep exactly one (identical) state, verdicts
-    are only acted on at level boundaries, and the verdicts of the
+    fingerprint collisions): levels are barriers, every copy of a
+    fingerprint is deduplicated by its one owning domain, verdicts are
+    only acted on at level boundaries, and the verdicts of the
     stopping level are totally ordered by [compare] — the head of the
     result is the {e minimal} verdict, e.g. the lexicographically
     minimal counterexample trace. *)
@@ -25,8 +25,9 @@ type stats = {
   leaves : int;           (** terminal states (finished or cut) *)
   cut : int;              (** terminal only because of the bound *)
   levels : int;           (** BFS depth reached *)
-  per_domain : int array; (** states expanded by each domain (the only
-                              scheduling-dependent field besides [wall]) *)
+  per_domain : int array; (** states expanded by each domain: the
+                              ownership partition, so it depends on the
+                              domain count *)
   domains : int;
   wall : float;           (** seconds *)
 }
@@ -40,32 +41,11 @@ type ('s, 'v) expansion =
   | Leaf of 'v option    (** terminal; [Some v] records a verdict *)
   | Cut of 'v option     (** terminal because of the depth bound *)
 
-(** Which parallel engine runs the BFS.  Both satisfy the determinism
-    contract with bit-identical verdicts and counts; they differ in
-    ownership story and scaling behaviour.
-
-    - [Barrier] (default, legacy): levels partitioned round-robin,
-      domains re-spawned per level, one stripe-locked visited set
-      shared by all domains.
-    - [Sharded] (shared-nothing): domains spawned once per search,
-      visited set partitioned by fingerprint owner into per-domain
-      plain hash tables (no locks on the hot path), successors routed
-      to their owner in fixed-size batches over SPSC queues, levels
-      synchronized by a two-phase epoch barrier.  [per_domain] then
-      reports the (deterministic) ownership partition rather than a
-      scheduling-dependent split. *)
-type engine = Barrier | Sharded
-
-(** ["barrier"] / ["sharded"]; [None] otherwise. *)
-val engine_of_string : string -> engine option
-
-val engine_to_string : engine -> string
-
 (** External-memory spill + crash-safe checkpoint configuration.
 
     With a spill attached, the visited set becomes an
     {!Elin_store.Tiered_set} (RAM hot tier, sealed sorted segments on
-    disk) sharded like the sharded engine's ownership partition, and —
+    disk) sharded like the search's ownership partition, and —
     when [sp_every > 0] — the search seals a {!Elin_store.Checkpoint}
     at every [sp_every]-th level barrier.  The level barrier is a
     {e stabilization cut}: no expansion, routing, or merge is
@@ -80,8 +60,8 @@ val engine_to_string : engine -> string
     uninterrupted one would.  Frontier states are marshalled with
     closures: resume requires the same binary (enforced via an
     executable digest in the manifest) and the same [sp_identity],
-    engine, dedup setting, and domain count (enforced via manifest
-    fields; violations raise {!Elin_store.Segment.Corrupt}). *)
+    dedup setting, and domain count (enforced via manifest fields;
+    violations raise {!Elin_store.Segment.Corrupt}). *)
 type 's spill = {
   sp_dir : string;  (** spill directory (created if missing) *)
   sp_hot : int;  (** hot-tier capacity per shard, in fingerprints *)
@@ -119,48 +99,43 @@ val spill :
   string ->
   's spill
 
-(** [bfs ?engine ?domains ?dedup ?stripes ?stop_early ~fingerprint
-    ~expand ~compare root] — explore the space rooted at [root];
-    returns the verdicts (sorted and deduplicated under [compare]) and
-    the stats.
+(** [bfs ?domains ?dedup ?stop_early ~fingerprint ~expand ~compare
+    root] — explore the space rooted at [root]; returns the verdicts
+    (sorted and deduplicated under [compare]) and the stats.
 
-    - [engine] (default [Barrier]) selects the parallel engine; the
-      result is engine-independent (everything but [per_domain] and
-      [wall]).
-    - [domains] defaults to [Domain.recommended_domain_count ()]; with
-      [1] the engine is a plain sequential BFS (no domain is spawned
-      by [Barrier]; [Sharded] runs its single worker on the calling
-      domain).
-    - [dedup] (default [true]) keys a visited set on [fingerprint]
-      (an {!Elin_kernel.Striped_set} under [Barrier], an
-      owner-partitioned {!Elin_kernel.Shard_set} under [Sharded]);
-      with [false] every generated successor is kept — the BFS then
-      expands exactly the nodes a dedup-free tree search would.
-    - [stripes] shapes the [Barrier] visited set only.
+    - [domains] defaults to [Domain.recommended_domain_count ()].
+      Domains are spawned once per search; each owns the fingerprints
+      that {!Elin_kernel.Shard_set.owner} maps to it, expands the
+      frontier states it owns, and routes successors to their owner
+      in batches over SPSC queues, with no lock on the hot path.  With
+      [1] the single worker runs on the calling domain.  [per_domain]
+      reports the (deterministic) ownership partition.
+    - [dedup] (default [true]) keys an owner-partitioned visited set
+      ({!Elin_kernel.Shard_set}) on [fingerprint]; with [false] every
+      generated successor is kept — the BFS then expands exactly the
+      nodes a dedup-free tree search would.
     - [stop_early] (default [true]) stops at the end of the first
       level that produced a verdict; with [false] the bounded space is
       exhausted and every verdict is returned (used to {e collect},
       e.g. the valency analysis's decision vectors).
     - [merge] (meaningful only with [dedup]) resolves duplicates at
-      the level barrier instead of at generation: the first-generated
-      copy survives carrying [merge] of all same-fingerprint copies of
-      the level — how sleep sets and dedup compose soundly under
-      partial-order reduction.  Requires a level-stratified space
-      (equal states only within one BFS level; true whenever the
-      fingerprint covers a step counter) and a commutative,
-      associative [merge].
+      the level barrier instead of at generation: one copy survives
+      carrying [merge] of all same-fingerprint copies of the level —
+      how sleep sets and dedup compose soundly under partial-order
+      reduction.  Requires a level-stratified space (equal states only
+      within one BFS level; true whenever the fingerprint covers a
+      step counter) and a commutative, associative [merge].
     - [spill] attaches the external-memory tier and checkpoint
       schedule (see {!type:spill}); [resume] (default [false],
       requires [spill]) re-enters the search at the newest committed
       checkpoint in [sp_dir] instead of starting from [root] — raising
       {!Elin_store.Segment.Corrupt} if there is none, if any artefact
       fails its checksum, or if the manifest does not match this run's
-      binary, identity, engine, dedup, or domain count. *)
+      binary, identity, dedup, or domain count, or was written by
+      another engine. *)
 val bfs :
-  ?engine:engine ->
   ?domains:int ->
   ?dedup:bool ->
-  ?stripes:int ->
   ?stop_early:bool ->
   ?merge:('s -> 's -> 's) ->
   ?spill:'s spill ->

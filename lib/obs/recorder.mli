@@ -6,10 +6,15 @@
 
     Unlike {!Trace} (opt-in, unbounded growth) the recorder runs by
     default in every process with a hard memory bound: one 256-slot
-    ring per domain, overwritten oldest-first.  [note] is for {e cold}
-    sites only — per-job, per-frame, per-segment, per-checkpoint —
-    never per-state or per-access; each note is one clock read and one
-    small allocation.
+    ring per {e live} domain, overwritten oldest-first.  A domain that
+    exits hands its ring (entries intact) to the next domain that
+    notes, so a process that spawns domains over and over keeps at most
+    as many rings as it ever had noting domains alive at once.  Entries
+    are kept as bytes in buffers the ring owns, so a note retains
+    nothing allocated by a domain that later exits.  [note] is for
+    {e cold} sites only — per-job, per-frame, per-segment,
+    per-checkpoint — never per-state or per-access; each note is one
+    clock read, rendering its args, and a copy into the ring.
 
     {2 Dumps}
 
@@ -37,14 +42,19 @@ val set_enabled : bool -> unit
 
 (** [note kind ~id ~args] — append to the calling domain's ring,
     overwriting the oldest entry when full.  Safe from any domain or
-    thread (each systhread on a domain shares that domain's ring; a
-    lost update under thread interleaving costs one entry, never
-    corruption). *)
+    thread (each systhread on a domain shares that domain's ring; an
+    interleaving of threads can cost or garble one entry, never memory
+    safety).  [kind] and [id] are cut to 65 535 bytes. *)
 val note : ?id:string -> ?args:(string * Jsonl.t) list -> string -> unit
+
+(** Rings allocated so far: the peak number of domains that were
+    noting at the same time. *)
+val rings : unit -> int
 
 (** Merged snapshot of every domain's ring, oldest first.  Racy reads
     of other domains' rings are memory-safe; entries may be a moment
-    stale. *)
+    stale, and one being rewritten during the read may be skipped or
+    garbled. *)
 val entries : unit -> entry list
 
 (** Reset all rings (tests). *)

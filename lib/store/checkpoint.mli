@@ -12,8 +12,8 @@
     {2 Commit protocol}
 
     Phase 1 seals every artefact the checkpoint needs — visited
-    segments (via {!Tiered_set.flush}), frontier slices, verdict blobs
-    — each individually tmp-written, fsynced, renamed.  Phase 2
+    segments (via {!Tiered_set.flush_shard}), frontier slices, verdict
+    blobs — each individually tmp-written, fsynced, renamed.  Phase 2
     commits [MANIFEST.<seq>] the same way.  The manifest {e names}
     its artefacts, so a crash between the phases leaves orphan files
     that no manifest references (harmless; overwritten on reuse) and

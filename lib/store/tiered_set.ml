@@ -12,7 +12,6 @@ module Recorder = Elin_obs.Recorder
 module Jsonl = Elin_obs.Jsonl
 
 type shard_state = {
-  lock : Mutex.t;
   hot : (int64, unit) Hashtbl.t;
   mutable readers : Segment.reader list;
   mutable seq : int;  (* next segment sequence number *)
@@ -46,7 +45,6 @@ let parse_seg_name name =
 
 let fresh_shard () =
   {
-    lock = Mutex.create ();
     hot = Hashtbl.create 1024;
     readers = [];
     seq = 0;
@@ -120,8 +118,7 @@ let owner t fp =
   Int64.to_int (Int64.shift_right_logical (Fingerprint.mix fp) 33)
   mod t.n_shards
 
-(* Probe the sealed segments of [s] for [fp].  Caller holds the shard
-   (lock or ownership). *)
+(* Probe the sealed segments of [s] for [fp].  Caller owns the shard. *)
 let probe_disk t s fp =
   match s.readers with
   | [] -> false
@@ -157,9 +154,8 @@ let probe_disk t s fp =
         ~args:[ ("hit", Elin_obs.Jsonl.Bool hit) ];
       hit
 
-(* Seal [s]'s hot tier as one sorted segment.  Caller holds the
-   shard. *)
-let flush_locked t shard_idx s =
+(* Seal [s]'s hot tier as one sorted segment.  Caller owns the shard. *)
+let seal t shard_idx s =
   let n = Hashtbl.length s.hot in
   if n > 0 then begin
     (* Seal span: sort + write + fsync + reopen — the whole stall the
@@ -200,56 +196,28 @@ let flush_locked t shard_idx s =
       ~args:[ ("shard", Jsonl.Int shard_idx); ("records", Jsonl.Int n) ]
   end
 
-(* Core add/mem on a held shard. *)
-let add_held t shard_idx s fp =
-  if Hashtbl.mem s.hot fp then false
-  else if probe_disk t s fp then false
-  else begin
-    Hashtbl.add s.hot fp ();
-    if Metrics.on () then Metrics.Gauge.add t.g_hot 1;
-    if Hashtbl.length s.hot >= t.hot_capacity then flush_locked t shard_idx s;
-    true
-  end
-
-let mem_held t s fp = Hashtbl.mem s.hot fp || probe_disk t s fp
-
-let with_shard t fp f =
-  let i = owner t fp in
-  let s = t.shard_states.(i) in
-  Mutex.lock s.lock;
-  match f i s with
-  | v ->
-      Mutex.unlock s.lock;
-      v
-  | exception e ->
-      Mutex.unlock s.lock;
-      raise e
-
-let add t fp = with_shard t fp (fun i s -> add_held t i s fp)
-let mem t fp = with_shard t fp (fun _ s -> mem_held t s fp)
-
 let check_owned t ~shard fp fn =
   if shard <> owner t fp then
     invalid_arg (Printf.sprintf "Tiered_set.%s: wrong shard" fn)
 
 let add_owned t ~shard fp =
   check_owned t ~shard fp "add_owned";
-  add_held t shard t.shard_states.(shard) fp
+  let s = t.shard_states.(shard) in
+  if Hashtbl.mem s.hot fp then false
+  else if probe_disk t s fp then false
+  else begin
+    Hashtbl.add s.hot fp ();
+    if Metrics.on () then Metrics.Gauge.add t.g_hot 1;
+    if Hashtbl.length s.hot >= t.hot_capacity then seal t shard s;
+    true
+  end
 
 let mem_owned t ~shard fp =
   check_owned t ~shard fp "mem_owned";
-  mem_held t t.shard_states.(shard) fp
+  let s = t.shard_states.(shard) in
+  Hashtbl.mem s.hot fp || probe_disk t s fp
 
-let flush_shard t shard = flush_locked t shard t.shard_states.(shard)
-
-let flush t =
-  Array.iteri
-    (fun i s ->
-      Mutex.lock s.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.lock)
-        (fun () -> flush_locked t i s))
-    t.shard_states
+let flush_shard t shard = seal t shard t.shard_states.(shard)
 
 let segment_names t =
   Array.to_list t.shard_states

@@ -1,8 +1,8 @@
 (** Two-tier visited set: an in-RAM hot [Hashtbl] per shard that spills
     sealed, sorted {!Segment}s to disk when it reaches capacity.
 
-    Dedup semantics are {e exactly} those of {!Elin_kernel.Striped_set}
-    / {!Elin_kernel.Shard_set}: a fingerprint is a member iff some
+    Dedup semantics are {e exactly} those of {!Elin_kernel.Shard_set}:
+    a fingerprint is a member iff some
     earlier [add] inserted it, whether it now lives in RAM or on disk.
     Within a shard, the hot table never holds a fingerprint that is
     already on disk (an [add] probes disk before inserting), so the
@@ -11,10 +11,10 @@
     counterexamples are bit-identical across spill on/off.
 
     Sharding uses the {e same} owner function as {!Shard_set.owner}
-    (high bits of [Fingerprint.mix]), so in the sharded engine the
-    tiered shard of a fingerprint coincides with its owning domain and
-    the [_owned] entry points need no lock.  The locked [add]/[mem]
-    serve the barrier engine (any domain, any shard).
+    (high bits of [Fingerprint.mix]), so in the search the tiered
+    shard of a fingerprint coincides with its owning domain: every
+    entry point is owner-discipline — one domain per shard — and takes
+    no lock.
 
     Flushes trigger at {e exactly} [hot_capacity] entries in a shard —
     a deterministic function of the insertion sequence — so segment
@@ -47,27 +47,18 @@ val shards : t -> int
 (** Same partition as {!Elin_kernel.Shard_set.owner}. *)
 val owner : t -> int64 -> int
 
-(** Locked [add] — [true] iff [fp] was not yet a member (barrier
-    engine; any domain). *)
-val add : t -> int64 -> bool
-
-(** Locked membership probe. *)
-val mem : t -> int64 -> bool
-
-(** Owner-discipline [add]: caller must run on the domain owning
-    [shard = owner t fp].  No lock — same contract as
-    {!Shard_set.add}. *)
+(** Owner-discipline [add] — [true] iff [fp] was not yet a member.
+    The caller must run on the domain owning [shard = owner t fp]
+    (raises [Invalid_argument] on a wrong shard).  No lock — same
+    contract as {!Shard_set.add}. *)
 val add_owned : t -> shard:int -> int64 -> bool
 
+(** Owner-discipline membership probe. *)
 val mem_owned : t -> shard:int -> int64 -> bool
 
-(** Seal every shard's hot tier to disk (even below capacity) —
-    checkpoint barriers use this so the manifest's segment list covers
-    the whole visited set.  Locked; call between parallel sections. *)
-val flush : t -> unit
-
-(** Owner-discipline flush of one shard (sharded engine's checkpoint
-    phase). *)
+(** Seal one shard's hot tier to disk even below capacity (owner
+    discipline).  The search's checkpoint phase flushes every shard,
+    so the manifest's segment list covers the whole visited set. *)
 val flush_shard : t -> int -> unit
 
 (** Sealed segment file names, sorted — the manifest's inventory. *)

@@ -11,8 +11,11 @@
 #   3. corrupt newest manifest          -> resume exits 2
 #   4. corrupt a visited segment header -> resume exits 2
 #   5. truncated frontier segment       -> resume exits 2
+#   6. manifest relabelled as written by the retired "barrier"
+#      engine (checksum recomputed, so only the engine field is
+#      wrong)                           -> resume exits 2
 #
-# 3-5 each start from a FRESH crashed directory: a resume that
+# 3-6 each start from a FRESH crashed directory: a resume that
 # silently restarted from scratch would still produce the right
 # counts, so the corruption gates are what prove resume actually
 # reads the checkpoint.
@@ -22,8 +25,7 @@ set -u
 ELIN="${ELIN:-./_build/default/bin/elin.exe}"
 SCRATCH="${SCRATCH:-_build/resume-smoke}"
 
-WL="mc -i fai/board --procs 2 --per-proc 3 --depth 22 \
-  --engine sharded --domains 2 --json"
+WL="mc -i fai/board --procs 2 --per-proc 3 --depth 22 --domains 2 --json"
 SPILL="--spill-hot 4096 --checkpoint-every 2"
 CRASH_AT=6
 
@@ -113,5 +115,26 @@ f=$(ls "$SCRATCH"/bad-frontier/ckpt*-f*.seg | sort | tail -1)
 sz=$(wc -c < "$f")
 head -c $((sz - 100)) "$f" > "$f.cut" && mv "$f.cut" "$f"
 expect_resume_corrupt "$SCRATCH/bad-frontier" "truncated frontier segment"
+
+# 6. A manifest from the retired barrier engine.  A manifest frame is
+#    magic (8) | payload length (4) | payload | CRC-32 (4, LE); the
+#    engine name is a plain string inside the marshalled payload, and
+#    gzip's trailer is the same IEEE CRC-32, little-endian.
+crash_run "$SCRATCH/barrier-manifest"
+m="$SCRATCH/barrier-manifest/$(newest_manifest "$SCRATCH/barrier-manifest")"
+[ "$(grep -o -a sharded "$m" | wc -l)" -eq 1 ] \
+  || fail "barrier manifest: expected one engine field in $m"
+off=$(grep -o -b -a sharded "$m" | cut -d: -f1)
+printf 'barrier' | dd of="$m" bs=1 seek="$off" conv=notrunc 2> /dev/null
+sz=$(wc -c < "$m")
+tail -c +13 "$m" | head -c $((sz - 16)) | gzip -c | tail -c 8 | head -c 4 \
+  > "$m.crc"
+dd if="$m.crc" of="$m" bs=1 seek=$((sz - 4)) conv=notrunc 2> /dev/null
+rm -f "$m.crc"
+expect_resume_corrupt "$SCRATCH/barrier-manifest" "barrier-engine manifest"
+grep -q 'engine is barrier' "$SCRATCH/barrier-manifest.err" || {
+  cat "$SCRATCH/barrier-manifest.err" >&2
+  fail "barrier-engine manifest: refused for the wrong reason"
+}
 
 echo "resume-smoke OK"

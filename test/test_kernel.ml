@@ -224,154 +224,6 @@ let fingerprint_collision_smoke () =
   let b = family 0x736d6f6bL in
   Alcotest.(check int) "family sizes" (Hashtbl.length a) (Hashtbl.length b)
 
-(* --- Striped_set --- *)
-
-let striped_add_mem () =
-  let s = Striped_set.create () in
-  Alcotest.(check bool) "fresh add" true (Striped_set.add s 42L);
-  Alcotest.(check bool) "re-add" false (Striped_set.add s 42L);
-  Alcotest.(check bool) "mem" true (Striped_set.mem s 42L);
-  Alcotest.(check bool) "not mem" false (Striped_set.mem s 43L);
-  Alcotest.(check int) "cardinal" 1 (Striped_set.cardinal s);
-  Striped_set.clear s;
-  Alcotest.(check int) "cleared" 0 (Striped_set.cardinal s);
-  Alcotest.(check bool) "add after clear" true (Striped_set.add s 42L)
-
-let striped_stripes_pow2 () =
-  List.iter
-    (fun (req, got) ->
-      Alcotest.(check int)
-        (Printf.sprintf "stripes %d -> %d" req got)
-        got
-        (Striped_set.n_stripes (Striped_set.create ~stripes:req ())))
-    [ (1, 1); (3, 4); (64, 64); (65, 128) ]
-
-(* Growth past the per-stripe initial Hashtbl capacity (1024): a
-   1-stripe set forced through many resizes must stay exact. *)
-let striped_growth () =
-  let s = Striped_set.create ~stripes:1 () in
-  let n = 50_000 in
-  for i = 0 to n - 1 do
-    Alcotest.(check bool) "fresh" true (Striped_set.add s (Int64.of_int i))
-  done;
-  Alcotest.(check int) "cardinal after growth" n (Striped_set.cardinal s);
-  for i = 0 to n - 1 do
-    if not (Striped_set.mem s (Int64.of_int i)) then
-      Alcotest.failf "lost %d after growth" i
-  done;
-  Alcotest.(check bool) "absent stays absent" false
-    (Striped_set.mem s (Int64.of_int n))
-
-(* The membership test and insert are one atomic action: when D
-   domains race to add the same fingerprints, each fingerprint is won
-   exactly once, whatever the interleaving.  Exercises both the
-   same-stripe contention path (stripes:2) and concurrent resize
-   (50k keys through 2 stripes). *)
-let striped_concurrent_race () =
-  let n_domains = 4 and n = 50_000 in
-  let s = Striped_set.create ~stripes:2 () in
-  let go = Atomic.make false in
-  let worker () =
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    let wins = ref 0 in
-    for i = 0 to n - 1 do
-      if Striped_set.add s (Int64.of_int i) then incr wins
-    done;
-    !wins
-  in
-  let domains = Array.init n_domains (fun _ -> Domain.spawn worker) in
-  Atomic.set go true;
-  let wins = Array.fold_left (fun t d -> t + Domain.join d) 0 domains in
-  Alcotest.(check int) "every fingerprint won exactly once" n wins;
-  Alcotest.(check int) "cardinal" n (Striped_set.cardinal s);
-  for i = 0 to n - 1 do
-    if not (Striped_set.mem s (Int64.of_int i)) then
-      Alcotest.failf "fingerprint %d lost in the race" i
-  done
-
-(* The stripe index reads the {e mixed} low bits ({!Fingerprint.mix}),
-   so fingerprint families with fixed raw low bits — e.g. everything a
-   single {!Shard_set} owner receives — still disperse uniformly.
-   Keying on raw bits (the aliasing bug this guards against) would put
-   every multiple of 64 on stripe 0 of any <= 64-stripe set. *)
-let striped_dispersion_fixed_low_bits () =
-  let stripes = 16 in
-  let n = 4096 in
-  let counts = Array.make stripes 0 in
-  for i = 0 to n - 1 do
-    let fp = Int64.of_int (i * 64) (* raw low 6 bits all zero *) in
-    let s = Int64.to_int (Fingerprint.mix fp) land (stripes - 1) in
-    counts.(s) <- counts.(s) + 1
-  done;
-  let expect = n / stripes in
-  Array.iteri
-    (fun s c ->
-      if c < expect / 2 || c > expect * 2 then
-        Alcotest.failf "stripe %d holds %d of %d (uniform would be ~%d)" s c n
-          expect)
-    counts
-
-(* cardinal/clear lock stripe by stripe, not globally: under a racing
-   adder the observed counts are per-stripe snapshots — monotone
-   between calls, bounded by the final population, exact once
-   quiescent. *)
-let striped_snapshot_under_adds () =
-  let s = Striped_set.create ~stripes:4 () in
-  let n = 20_000 in
-  let go = Atomic.make false in
-  let adder =
-    Domain.spawn (fun () ->
-        while not (Atomic.get go) do
-          Domain.cpu_relax ()
-        done;
-        for i = 0 to n - 1 do
-          ignore (Striped_set.add s (Int64.of_int i))
-        done)
-  in
-  Atomic.set go true;
-  let c1 = Striped_set.cardinal s in
-  let c2 = Striped_set.cardinal s in
-  if not (0 <= c1 && c1 <= c2 && c2 <= n) then
-    Alcotest.failf "snapshots not monotone in-bounds: %d then %d" c1 c2;
-  Domain.join adder;
-  Alcotest.(check int) "quiescent cardinal" n (Striped_set.cardinal s)
-
-(* clear racing adds: survivors are a subset of the added keys (adds
-   that hit an already-cleared stripe stick, the rest are dropped);
-   a second, quiescent clear observes empty and resets occupancy. *)
-let striped_clear_under_adds () =
-  let s = Striped_set.create ~stripes:4 () in
-  let n = 20_000 in
-  let adder =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          ignore (Striped_set.add s (Int64.of_int i))
-        done)
-  in
-  Striped_set.clear s;
-  Domain.join adder;
-  let c = Striped_set.cardinal s in
-  if c > n then Alcotest.failf "cardinal %d exceeds the %d adds" c n;
-  Striped_set.clear s;
-  Alcotest.(check int) "quiescent clear" 0 (Striped_set.cardinal s);
-  Alcotest.(check int) "occupancy reset" 0 (Striped_set.occupancy s)
-
-let striped_occupancy_reset () =
-  Elin_obs.Metrics.enable ();
-  Fun.protect ~finally:Elin_obs.Metrics.disable @@ fun () ->
-  let s = Striped_set.create ~stripes:2 () in
-  for i = 0 to 99 do
-    ignore (Striped_set.add s (Int64.of_int i))
-  done;
-  ignore (Striped_set.add s 7L) (* duplicate: no occupancy bump *);
-  Alcotest.(check int) "occupancy tracks inserts" 100 (Striped_set.occupancy s);
-  Striped_set.clear s;
-  Alcotest.(check int) "clear resets occupancy" 0 (Striped_set.occupancy s);
-  ignore (Striped_set.add s 7L);
-  Alcotest.(check int) "fresh count after clear" 1 (Striped_set.occupancy s)
-
 (* --- Shard_set --- *)
 
 let shard_add_mem () =
@@ -404,10 +256,11 @@ let shard_owner_uniform () =
           expect)
     counts
 
-(* The two partitions read disjoint bit ranges of one mixed word: the
+(* Owner choice reads the high bits of the mixed word, so the
    fingerprints confined to a single owner shard still disperse
-   uniformly across stripes.  This is the cross-structure half of the
-   aliasing regression. *)
+   uniformly over its low bits — what any low-bit consumer of the same
+   word (a stripe or bucket index) reads.  Keying both on one bit range
+   was the aliasing bug this guards against. *)
 let shard_owner_keeps_stripes_uniform () =
   let ss = Shard_set.create ~shards:4 () in
   let stripes = 64 in
@@ -624,21 +477,6 @@ let () =
           Support.quick "seeding" fingerprint_seeding;
           Support.quick "collision smoke (10^5 x 2 seeds)"
             fingerprint_collision_smoke;
-        ] );
-      ( "striped_set",
-        [
-          Support.quick "add/mem/clear" striped_add_mem;
-          Support.quick "stripe rounding" striped_stripes_pow2;
-          Support.quick "growth past initial capacity" striped_growth;
-          Support.quick "concurrent same-fingerprint race"
-            striped_concurrent_race;
-          Support.quick "dispersion with fixed raw low bits"
-            striped_dispersion_fixed_low_bits;
-          Support.quick "cardinal snapshots under concurrent adds"
-            striped_snapshot_under_adds;
-          Support.quick "clear under concurrent adds"
-            striped_clear_under_adds;
-          Support.quick "occupancy reset by clear" striped_occupancy_reset;
         ] );
       ( "shard_set",
         [

@@ -559,16 +559,13 @@ let stabilize_mc_engine_matches_dfs () =
     Alcotest.(check int) "por invariant: v0" mc_nopor.anchor.v0 mc.anchor.v0
   | _ -> Alcotest.fail "all engines must certify a stable configuration"
 
-(* --- engine equivalence (barrier vs sharded) --------------------- *)
+(* --- partition independence ------------------------------------- *)
 
-(* The sharded engine must reproduce the barrier engine bit for bit:
-   every stats field except [per_domain]/[domains]/[wall], the
-   verdict, and the lex-min counterexample, across engines x domain
-   counts x por — including the Tag/merge path (por+dedup), where
-   sleep-mask intersection happens at the owner instead of under a
-   stripe lock. *)
-
-let engines = [ Search.Barrier; Search.Sharded ]
+(* The search at 2 and 4 domains must reproduce the 1-domain run bit
+   for bit: every stats field except [per_domain]/[domains]/[wall],
+   the verdict, and the lex-min counterexample, across domain counts x
+   por — including the merge path (por+dedup), where sleep-mask
+   intersection happens at the owning domain. *)
 
 let check_stats_equal name (a : Search.stats) (b : Search.stats) =
   let f fname v w = Alcotest.(check int) (name ^ " " ^ fname) v w in
@@ -590,34 +587,21 @@ let sharded_same_verdict_and_counts () =
   List.iter
     (fun por ->
       let reference =
-        Mc.check impl ~workloads:wl ~max_steps:12 ~engine:Search.Barrier
-          ~domains:1 ~por p
+        Mc.check impl ~workloads:wl ~max_steps:12 ~domains:1 ~por p
       in
       Alcotest.(check bool) "violation found" false reference.Mc.ok;
       List.iter
-        (fun engine ->
-          List.iter
-            (fun domains ->
-              let name n =
-                Printf.sprintf "%s (engine=%s domains=%d por=%b)" n
-                  (Search.engine_to_string engine)
-                  domains por
-              in
-              let out =
-                Mc.check impl ~workloads:wl ~max_steps:12 ~engine ~domains ~por
-                  p
-              in
-              Alcotest.(check bool) (name "ok") reference.Mc.ok out.Mc.ok;
-              (match reference.Mc.counterexample, out.Mc.counterexample with
-              | None, None -> ()
-              | Some a, Some b ->
-                Alcotest.check Support.history
-                  (name "lex-min counterexample")
-                  a b
-              | _ -> Alcotest.fail (name "counterexample presence"));
-              check_stats_equal (name "stats") reference.Mc.stats out.Mc.stats)
-            domain_counts)
-        engines)
+        (fun domains ->
+          let name n = Printf.sprintf "%s (domains=%d por=%b)" n domains por in
+          let out = Mc.check impl ~workloads:wl ~max_steps:12 ~domains ~por p in
+          Alcotest.(check bool) (name "ok") reference.Mc.ok out.Mc.ok;
+          (match reference.Mc.counterexample, out.Mc.counterexample with
+          | None, None -> ()
+          | Some a, Some b ->
+            Alcotest.check Support.history (name "lex-min counterexample") a b
+          | _ -> Alcotest.fail (name "counterexample presence"));
+          check_stats_equal (name "stats") reference.Mc.stats out.Mc.stats)
+        domain_counts)
     [ true; false ]
 
 (* Exhaustive counts over the full dedup x por grid. *)
@@ -627,25 +611,20 @@ let sharded_same_counts_exhaustive () =
   List.iter
     (fun (dedup, por) ->
       let reference =
-        Mc.count_states impl ~workloads:wl ~max_steps:16 ~engine:Search.Barrier
-          ~domains:1 ~dedup ~por ()
+        Mc.count_states impl ~workloads:wl ~max_steps:16 ~domains:1 ~dedup
+          ~por ()
       in
       List.iter
-        (fun engine ->
-          List.iter
-            (fun domains ->
-              let name =
-                Printf.sprintf "engine=%s domains=%d dedup=%b por=%b"
-                  (Search.engine_to_string engine)
-                  domains dedup por
-              in
-              let stats =
-                Mc.count_states impl ~workloads:wl ~max_steps:16 ~engine
-                  ~domains ~dedup ~por ()
-              in
-              check_stats_equal name reference stats)
-            domain_counts)
-        engines)
+        (fun domains ->
+          let name =
+            Printf.sprintf "domains=%d dedup=%b por=%b" domains dedup por
+          in
+          let stats =
+            Mc.count_states impl ~workloads:wl ~max_steps:16 ~domains ~dedup
+              ~por ()
+          in
+          check_stats_equal name reference stats)
+        domain_counts)
     [ (true, true); (true, false); (false, true); (false, false) ]
 
 (* The valency rewiring: decision sets and consensus verdicts. *)
@@ -658,35 +637,25 @@ let sharded_valency_equivalence () =
   List.iter
     (fun (p, max_steps) ->
       let reference =
-        Mc_valency.check_consensus p ~inputs ~max_steps ~engine:Search.Barrier
-          ~domains:1 ()
+        Mc_valency.check_consensus p ~inputs ~max_steps ~domains:1 ()
       in
       List.iter
-        (fun engine ->
-          List.iter
-            (fun domains ->
-              let name n =
-                Printf.sprintf "%s %s (engine=%s domains=%d)"
-                  p.Valency.name n
-                  (Search.engine_to_string engine)
-                  domains
-              in
-              let r =
-                Mc_valency.check_consensus p ~inputs ~max_steps ~engine
-                  ~domains ()
-              in
-              Alcotest.(check int) (name "decision sets") 0
-                (List.compare cmp reference.Mc_valency.decisions
-                   r.Mc_valency.decisions);
-              Alcotest.(check bool) (name "terminated")
-                reference.Mc_valency.terminated r.Mc_valency.terminated;
-              Alcotest.(check bool) (name "agreement violation")
-                (reference.Mc_valency.agreement_violation <> None)
-                (r.Mc_valency.agreement_violation <> None);
-              check_stats_equal (name "stats") reference.Mc_valency.stats
-                r.Mc_valency.stats)
-            domain_counts)
-        engines)
+        (fun domains ->
+          let name n =
+            Printf.sprintf "%s %s (domains=%d)" p.Valency.name n domains
+          in
+          let r = Mc_valency.check_consensus p ~inputs ~max_steps ~domains () in
+          Alcotest.(check int) (name "decision sets") 0
+            (List.compare cmp reference.Mc_valency.decisions
+               r.Mc_valency.decisions);
+          Alcotest.(check bool) (name "terminated")
+            reference.Mc_valency.terminated r.Mc_valency.terminated;
+          Alcotest.(check bool) (name "agreement violation")
+            (reference.Mc_valency.agreement_violation <> None)
+            (r.Mc_valency.agreement_violation <> None);
+          check_stats_equal (name "stats") reference.Mc_valency.stats
+            r.Mc_valency.stats)
+        domain_counts)
     [
       (Protocols.cas (), 20);
       (Protocols.registers_plus_ev_testandset ~stabilize_at:1000 (), 30);

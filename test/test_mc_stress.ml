@@ -1,18 +1,18 @@
-(** Differential stress suite for the two parallel search engines
-    (EXPERIMENTS.md gate; [make mc-stress]).
+(** Differential stress suite for the parallel search (EXPERIMENTS.md
+    gate; [make mc-stress]).
 
     Generates seeded random bounded state spaces — small per-level id
     ranges force genuine cross-path duplicates — and runs each through
-    {!Search.bfs} under both engines at several domain counts,
-    asserting bit-identical verdict lists and stats.  Two space
+    {!Search.bfs} at several domain counts, asserting verdict lists and
+    stats bit-identical to a naive sequential reference BFS written
+    out below (one hash table, no domains, no routing).  Two space
     flavours:
 
     - {b plain}: the fingerprint covers the whole state, dedup is
-      first-wins (any copy is the same state) — the Plain/Immediate
-      keep paths;
+      first-wins (any copy is the same state);
     - {b merge}: the fingerprint covers only [(depth, id)] while a
       [meta] bitmask rides along and duplicates are resolved by
-      intersection at the level boundary — the Tag/[merge] path POR
+      intersection at the level boundary — the [merge] path POR
       depends on.  [meta] feeds the leaf verdicts, so a merge applied
       in the wrong place or order shows up as a verdict diff, not just
       a count diff.
@@ -99,12 +99,69 @@ let check_equal ~what ~cfg (v0, (s0 : Search.stats)) (v1, (s1 : Search.stats))
   field "levels" s0.Search.levels s1.Search.levels;
   field "frontier_peak" s0.Search.frontier_peak s1.Search.frontier_peak
 
-let run_one sp ~engine ~domains ~dedup ~merge =
-  let fingerprint, merge_fn =
-    if merge then (fp_shape sp, Some merge_meta) else (fp_full sp, None)
+let space_fns sp ~merge =
+  if merge then (fp_shape sp, Some merge_meta) else (fp_full sp, None)
+
+let run_one sp ~domains ~dedup ~merge =
+  let fingerprint, merge_fn = space_fns sp ~merge in
+  Search.bfs ~domains ~dedup ~stop_early:false ?merge:merge_fn ~fingerprint
+    ~expand:(expand sp) ~compare:Stdlib.compare root
+
+(* The oracle: level-by-level BFS over lists.  A level's successors are
+   deduplicated against every earlier level and against each other;
+   under [merge] a duplicate folds its meta into the surviving copy.
+   Only the fields [check_equal] compares are filled in. *)
+let reference_bfs sp ~dedup ~merge =
+  let fingerprint, merge_fn = space_fns sp ~merge in
+  let visited = Hashtbl.create 1024 in
+  let states = ref 0 and hits = ref 0 and kept = ref 0 and peak = ref 0 in
+  let leaves = ref 0 and cut = ref 0 and levels = ref 0 and found = ref [] in
+  let terminal ~is_cut v =
+    incr leaves;
+    if is_cut then incr cut;
+    Option.iter (fun v -> found := v :: !found) v
   in
-  Search.bfs ~engine ~domains ~dedup ~stop_early:false ?merge:merge_fn
-    ~fingerprint ~expand:(expand sp) ~compare:Stdlib.compare root
+  if dedup then Hashtbl.replace visited (fingerprint root) ();
+  let frontier = ref [ root ] in
+  while !frontier <> [] do
+    peak := max !peak (List.length !frontier);
+    incr levels;
+    let level = Hashtbl.create 64 and next = ref [] in
+    List.iter
+      (fun s ->
+        incr states;
+        match expand sp s with
+        | Search.Leaf v -> terminal ~is_cut:false v
+        | Search.Cut v -> terminal ~is_cut:true v
+        | Search.Children cs ->
+          List.iter
+            (fun c ->
+              let fp = fingerprint c in
+              if not dedup then next := c :: !next
+              else if Hashtbl.mem visited fp then incr hits
+              else
+                match Hashtbl.find_opt level fp, merge_fn with
+                | None, _ ->
+                  Hashtbl.replace level fp c;
+                  next := c :: !next
+                | Some c0, Some m ->
+                  incr hits;
+                  Hashtbl.replace level fp (m c0 c)
+                | Some _, None -> incr hits)
+            cs)
+      !frontier;
+    let next =
+      if dedup then List.map (fun c -> Hashtbl.find level (fingerprint c)) !next
+      else !next
+    in
+    Hashtbl.iter (fun fp _ -> Hashtbl.replace visited fp ()) level;
+    kept := !kept + List.length next;
+    frontier := next
+  done;
+  ( List.sort_uniq Stdlib.compare !found,
+    { Search.states = !states; dedup_hits = !hits; kept = !kept; pruned = 0;
+      frontier_peak = !peak; leaves = !leaves; cut = !cut; levels = !levels;
+      per_domain = [| !states |]; domains = 1; wall = 0. } )
 
 let stress ~repeat ~domain_counts ~seed =
   let rng = Prng.create seed in
@@ -114,26 +171,17 @@ let stress ~repeat ~domain_counts ~seed =
     (* (dedup, merge): plain tree, plain dedup, and the Tag/merge path. *)
     List.iter
       (fun (dedup, merge) ->
-        let reference =
-          run_one sp ~engine:Search.Barrier ~domains:1 ~dedup ~merge
-        in
+        let reference = reference_bfs sp ~dedup ~merge in
         total := !total + (snd reference).Search.states;
         List.iter
-          (fun engine ->
-            List.iter
-              (fun domains ->
-                let cfg =
-                  Printf.sprintf
-                    "repeat=%d seed=0x%Lx engine=%s domains=%d dedup=%b \
-                     merge=%b"
-                    r sp.seed
-                    (Search.engine_to_string engine)
-                    domains dedup merge
-                in
-                check_equal ~what:"engine differential" ~cfg reference
-                  (run_one sp ~engine ~domains ~dedup ~merge))
-              domain_counts)
-          [ Search.Barrier; Search.Sharded ])
+          (fun domains ->
+            let cfg =
+              Printf.sprintf "repeat=%d seed=0x%Lx domains=%d dedup=%b merge=%b"
+                r sp.seed domains dedup merge
+            in
+            check_equal ~what:"search vs reference BFS" ~cfg reference
+              (run_one sp ~domains ~dedup ~merge))
+          domain_counts)
       [ (false, false); (true, false); (true, true) ]
   done;
   !total
@@ -162,8 +210,8 @@ let () =
   match stress ~repeat:!repeat ~domain_counts:!domains ~seed:!seed with
   | total ->
     Printf.printf
-      "mc-stress: OK — %d repeats x {tree, dedup, merge} x {barrier, \
-       sharded} x domains [%s] agree (%d reference states)\n"
+      "mc-stress: OK — %d repeats x {tree, dedup, merge} x domains [%s] \
+       agree with the reference BFS (%d reference states)\n"
       !repeat
       (String.concat "; " (List.map string_of_int !domains))
       total

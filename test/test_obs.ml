@@ -441,6 +441,34 @@ let test_recorder_ring_bound () =
   Alcotest.(check int) "clear empties the ring" 0
     (List.length (Obs.Recorder.entries ()))
 
+(* One ring per live domain, not per domain ever spawned: 50 domains
+   noting one after another share one recycled ring (the main
+   domain's is the other), and each exited domain's last entry stays
+   readable until the ring is reused. *)
+let test_recorder_rings_track_live_domains () =
+  Obs.Recorder.clear ();
+  Obs.Recorder.note "main";
+  let before = Obs.Recorder.rings () in
+  for i = 1 to 50 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Obs.Recorder.note "spawned" ~id:(string_of_int i)))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 rings (had %d before, %d after)" before
+       (Obs.Recorder.rings ()))
+    true
+    (Obs.Recorder.rings () <= max 2 before);
+  let ids =
+    List.filter_map
+      (fun e ->
+        if e.Obs.Recorder.kind = "spawned" then Some e.Obs.Recorder.id else None)
+      (Obs.Recorder.entries ())
+  in
+  Alcotest.(check bool) "last exited domain's note survives" true
+    (List.mem "50" ids);
+  Obs.Recorder.clear ()
+
 (* ------------------------------------------------------------------ *)
 (* Trace metadata + offline analysis toolkit                          *)
 (* ------------------------------------------------------------------ *)
@@ -654,6 +682,8 @@ let () =
         [
           Support.quick "ring bound drops oldest first"
             test_recorder_ring_bound;
+          Support.quick "rings track live domains"
+            test_recorder_rings_track_live_domains;
         ] );
       ( "trace-tools",
         [

@@ -1,8 +1,7 @@
 (** Tests for the external-memory spill tier and crash-safe
     checkpointing wired through lib/mc: dedup semantics bit-identical
     across spill on/off — verdicts, lex-min counterexamples, and
-    counts — for both engines, 1/2/4 domains, POR on/off and dedup
-    on/off; checkpoint + resume reaching the identical outcome;
+    counts — for 1/2/4 domains, POR on/off and dedup on/off; checkpoint + resume reaching the identical outcome;
     identity-mismatch rejection; and observability zero-interference
     under spill. *)
 
@@ -28,7 +27,6 @@ let fresh_dir =
 let tiny_spill ?(every = 0) ?(identity = "test") ?on_checkpoint dir =
   Mc.spill ~hot:64 ~every ~identity ?on_checkpoint dir
 
-let engines = [ Search.Barrier; Search.Sharded ]
 let domain_counts = [ 1; 2; 4 ]
 
 let check_stats_equal name (a : Search.stats) (b : Search.stats) =
@@ -56,41 +54,34 @@ let fai_workload () =
 let spill_equivalence_grid () =
   let impl, wl = fai_workload () in
   List.iter
-    (fun engine ->
+    (fun domains ->
       List.iter
-        (fun domains ->
+        (fun por ->
           List.iter
-            (fun por ->
-              List.iter
-                (fun dedup ->
-                  let name =
-                    Printf.sprintf "%s d%d por=%b dedup=%b"
-                      (Search.engine_to_string engine)
-                      domains por dedup
-                  in
-                  let ram =
-                    Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine
-                      ~domains ~dedup ~por ()
-                  in
-                  let sp = tiny_spill (fresh_dir ()) in
-                  let spilled =
-                    Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine
-                      ~domains ~dedup ~por ~spill:sp ()
-                  in
-                  check_stats_equal name ram spilled;
-                  if dedup then begin
-                    match sp.Mc.store with
-                    | None -> Alcotest.fail (name ^ ": no store stats")
-                    | Some s ->
-                      Alcotest.(check bool)
-                        (name ^ " actually spilled")
-                        true
-                        (s.Elin_store.Tiered_set.spilled > 0)
-                  end)
-                [ true; false ])
+            (fun dedup ->
+              let name = Printf.sprintf "d%d por=%b dedup=%b" domains por dedup in
+              let ram =
+                Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains ~dedup
+                  ~por ()
+              in
+              let sp = tiny_spill (fresh_dir ()) in
+              let spilled =
+                Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains ~dedup
+                  ~por ~spill:sp ()
+              in
+              check_stats_equal name ram spilled;
+              if dedup then begin
+                match sp.Mc.store with
+                | None -> Alcotest.fail (name ^ ": no store stats")
+                | Some s ->
+                  Alcotest.(check bool)
+                    (name ^ " actually spilled")
+                    true
+                    (s.Elin_store.Tiered_set.spilled > 0)
+              end)
             [ true; false ])
-        domain_counts)
-    engines
+        [ true; false ])
+    domain_counts
 
 (* The verdict side: a violating implementation must yield the same
    lex-min counterexample with and without spill. *)
@@ -99,9 +90,9 @@ let spill_preserves_counterexample () =
   let wl = Run.uniform_workload Op.test_and_set ~procs:2 ~per_proc:1 in
   let cfg = Engine.for_spec (Testandset.spec ()) in
   List.iter
-    (fun engine ->
+    (fun domains ->
       let run spill =
-        Mc.check impl ~workloads:wl ~max_steps:12 ~engine ~domains:2 ?spill
+        Mc.check impl ~workloads:wl ~max_steps:12 ~domains ?spill
           (fun h -> Engine.linearizable cfg h)
       in
       let ram = run None in
@@ -109,42 +100,41 @@ let spill_preserves_counterexample () =
       Alcotest.(check bool) "violation" false ram.Mc.ok;
       Alcotest.(check bool) "violation under spill" false spilled.Mc.ok;
       Alcotest.check Support.history
-        (Printf.sprintf "cex (%s)" (Search.engine_to_string engine))
+        (Printf.sprintf "cex (d%d)" domains)
         (Option.get ram.Mc.counterexample)
         (Option.get spilled.Mc.counterexample))
-    engines
+    domain_counts
 
 (* Leaf-history sets survive the spill tier exactly. *)
 let spill_preserves_leaf_histories () =
   let impl, wl = fai_workload () in
   let ram, _ = Mc.leaf_histories impl ~workloads:wl ~max_steps:8 ~domains:2 () in
   List.iter
-    (fun engine ->
+    (fun domains ->
       let spilled, _ =
-        Mc.leaf_histories impl ~workloads:wl ~max_steps:8 ~engine ~domains:2
+        Mc.leaf_histories impl ~workloads:wl ~max_steps:8 ~domains
           ~spill:(tiny_spill (fresh_dir ()))
           ()
       in
       Alcotest.(check int)
-        (Printf.sprintf "leaf count (%s)" (Search.engine_to_string engine))
+        (Printf.sprintf "leaf count (d%d)" domains)
         (List.length ram) (List.length spilled);
       List.iter2
         (fun a b -> Alcotest.check Support.history "leaf history" a b)
         ram spilled)
-    engines
+    domain_counts
 
 (* Valency workload through the spill tier. *)
 let spill_valency_equivalence () =
   let p = Elin_valency.Protocols.registers_plus_linearizable_queue () in
   let inputs = [| Value.int 0; Value.int 1 |] in
-  let run ?spill engine =
-    Mc_valency.check_consensus p ~inputs ~max_steps:16 ~engine ~domains:2
-      ?spill ()
+  let run ?spill domains =
+    Mc_valency.check_consensus p ~inputs ~max_steps:16 ~domains ?spill ()
   in
   List.iter
-    (fun engine ->
-      let ram = run engine in
-      let spilled = run ~spill:(tiny_spill (fresh_dir ())) engine in
+    (fun domains ->
+      let ram = run domains in
+      let spilled = run ~spill:(tiny_spill (fresh_dir ())) domains in
       Alcotest.(check bool) "terminated" ram.Mc_valency.terminated
         spilled.Mc_valency.terminated;
       Alcotest.(check int) "decision count"
@@ -156,9 +146,9 @@ let spill_valency_equivalence () =
             (Array.for_all2 Value.equal a b))
         ram.Mc_valency.decisions spilled.Mc_valency.decisions;
       check_stats_equal
-        (Search.engine_to_string engine)
+        (Printf.sprintf "d%d" domains)
         ram.Mc_valency.stats spilled.Mc_valency.stats)
-    engines
+    domain_counts
 
 (* --- checkpoint + resume ------------------------------------------ *)
 
@@ -166,44 +156,37 @@ exception Abort_after_checkpoint
 
 (* Abort the run right after checkpoint [kill_at] commits, then resume
    from the directory: the resumed run must land on stats identical to
-   the uninterrupted reference, for both engines and several domain
-   counts. *)
+   the uninterrupted reference, at every domain count. *)
 let checkpoint_resume_identical () =
   let impl, wl = fai_workload () in
   List.iter
-    (fun engine ->
-      List.iter
-        (fun domains ->
-          let name =
-            Printf.sprintf "%s d%d" (Search.engine_to_string engine) domains
-          in
-          let reference =
-            Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine ~domains
-              ()
-          in
-          let dir = fresh_dir () in
-          let aborting =
-            tiny_spill ~every:2 ~identity:name
-              ~on_checkpoint:(fun seq ->
-                if seq = 2 then raise Abort_after_checkpoint)
-              dir
-          in
-          (match
-             Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine ~domains
-               ~spill:aborting ()
-           with
-          | _ -> Alcotest.fail (name ^ ": expected abort")
-          | exception Abort_after_checkpoint -> ());
-          let resumed_sp = tiny_spill ~every:2 ~identity:name dir in
-          let resumed =
-            Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine ~domains
-              ~spill:resumed_sp ~resume:true ()
-          in
-          check_stats_equal name reference resumed;
-          Alcotest.(check bool) (name ^ " resumed_from") true
-            (resumed_sp.Mc.resumed_from = Some 2))
-        [ 1; 2 ])
-    engines
+    (fun domains ->
+      let name = Printf.sprintf "d%d" domains in
+      let reference =
+        Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains ()
+      in
+      let dir = fresh_dir () in
+      let aborting =
+        tiny_spill ~every:2 ~identity:name
+          ~on_checkpoint:(fun seq ->
+            if seq = 2 then raise Abort_after_checkpoint)
+          dir
+      in
+      (match
+         Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains
+           ~spill:aborting ()
+       with
+      | _ -> Alcotest.fail (name ^ ": expected abort")
+      | exception Abort_after_checkpoint -> ());
+      let resumed_sp = tiny_spill ~every:2 ~identity:name dir in
+      let resumed =
+        Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains
+          ~spill:resumed_sp ~resume:true ()
+      in
+      check_stats_equal name reference resumed;
+      Alcotest.(check bool) (name ^ " resumed_from") true
+        (resumed_sp.Mc.resumed_from = Some 2))
+    domain_counts
 
 (* Same, against a violating predicate: the lex-min counterexample
    must survive kill + resume (stop_early off so checkpoints happen
@@ -214,7 +197,7 @@ let checkpoint_resume_counterexample () =
      events), which first appear well after checkpoint 2 commits. *)
   let bad h = Elin_history.History.length h < 8 in
   let reference =
-    Mc.check impl ~workloads:wl ~max_steps:14 ~engine:Search.Sharded ~domains:2
+    Mc.check impl ~workloads:wl ~max_steps:14 ~domains:2
       bad
   in
   Alcotest.(check bool) "violation" false reference.Mc.ok;
@@ -225,13 +208,13 @@ let checkpoint_resume_counterexample () =
       dir
   in
   (match
-     Mc.check impl ~workloads:wl ~max_steps:14 ~engine:Search.Sharded
+     Mc.check impl ~workloads:wl ~max_steps:14
        ~domains:2 ~spill:aborting bad
    with
   | _ -> Alcotest.fail "expected abort"
   | exception Abort_after_checkpoint -> ());
   let resumed =
-    Mc.check impl ~workloads:wl ~max_steps:14 ~engine:Search.Sharded ~domains:2
+    Mc.check impl ~workloads:wl ~max_steps:14 ~domains:2
       ~spill:(tiny_spill ~every:2 ~identity:"cex" dir)
       ~resume:true bad
   in
@@ -245,7 +228,8 @@ let expect_corrupt name f =
   | _ -> Alcotest.fail (name ^ ": expected Segment.Corrupt")
   | exception Elin_store.Segment.Corrupt _ -> ()
 
-(* Resume refuses: no checkpoint at all, and identity mismatch. *)
+(* Resume refuses: no checkpoint at all, identity or domain-count
+   mismatch, and a manifest written by another engine. *)
 let resume_validation () =
   let impl, wl = fai_workload () in
   let empty = fresh_dir () in
@@ -269,6 +253,16 @@ let resume_validation () =
   expect_corrupt "domain-count mismatch" (fun () ->
       Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains:4
         ~spill:(tiny_spill ~every:2 ~identity:"A" dir)
+        ~resume:true ());
+  (* A newer manifest claiming the retired level-partitioned engine
+     wins [load_latest] but must be refused, never re-read as ours. *)
+  let open Elin_store.Checkpoint in
+  (match load_latest ~dir with
+  | None -> Alcotest.fail "no manifest sealed"
+  | Some m -> commit ~dir { m with seq = m.seq + 1; engine = "barrier" });
+  expect_corrupt "barrier-engine manifest" (fun () ->
+      Mc.count_states impl ~workloads:wl ~max_steps:10 ~domains:2
+        ~spill:(tiny_spill ~every:2 ~identity:"A" dir)
         ~resume:true ())
 
 (* A run that completes leaves its last checkpoints behind; resuming
@@ -278,13 +272,13 @@ let resume_after_completion () =
   let impl, wl = fai_workload () in
   let dir = fresh_dir () in
   let full =
-    Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine:Search.Sharded
+    Mc.count_states impl ~workloads:wl ~max_steps:10
       ~domains:2
       ~spill:(tiny_spill ~every:2 ~identity:"done" dir)
       ()
   in
   let resumed =
-    Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine:Search.Sharded
+    Mc.count_states impl ~workloads:wl ~max_steps:10
       ~domains:2
       ~spill:(tiny_spill ~every:2 ~identity:"done" dir)
       ~resume:true ()
@@ -298,7 +292,7 @@ let resume_after_completion () =
 let obs_zero_interference_under_spill () =
   let impl, wl = fai_workload () in
   let quiet =
-    Mc.count_states impl ~workloads:wl ~max_steps:10 ~engine:Search.Sharded
+    Mc.count_states impl ~workloads:wl ~max_steps:10
       ~domains:2
       ~spill:(tiny_spill (fresh_dir ()))
       ()
@@ -313,7 +307,7 @@ let obs_zero_interference_under_spill () =
         Elin_obs.Metrics.disable ())
       (fun () ->
         Mc.count_states impl ~workloads:wl ~max_steps:10
-          ~engine:Search.Sharded ~domains:2
+          ~domains:2
           ~spill:(tiny_spill (fresh_dir ()))
           ())
   in

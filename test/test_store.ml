@@ -285,6 +285,16 @@ let segment_range () =
     (Segment.range e = None);
   Segment.close e
 
+(* Single-domain shortcuts over the owner-discipline entry points: one
+   caller owns every shard. *)
+let add t fp = Tiered_set.add_owned t ~shard:(Tiered_set.owner t fp) fp
+let mem t fp = Tiered_set.mem_owned t ~shard:(Tiered_set.owner t fp) fp
+
+let flush t =
+  for shard = 0 to Tiered_set.shards t - 1 do
+    Tiered_set.flush_shard t shard
+  done
+
 (* Fence pointers skip out-of-range segments in tiered probes without
    changing membership answers or the per-probe disk_probes count. *)
 let tiered_fence_skips () =
@@ -301,16 +311,16 @@ let tiered_fence_skips () =
     List.sort_uniq Int64.unsigned_compare
       (List.init 32 (fun i -> Int64.logor (fp_of (100 + i)) 0x8000000000000000L))
   in
-  List.iter (fun fp -> ignore (Tiered_set.add t fp)) lows;
-  Tiered_set.flush t;
-  List.iter (fun fp -> ignore (Tiered_set.add t fp)) highs;
-  Tiered_set.flush t;
+  List.iter (fun fp -> ignore (add t fp)) lows;
+  flush t;
+  List.iter (fun fp -> ignore (add t fp)) highs;
+  flush t;
   let b = Tiered_set.stats t in
   List.iter
-    (fun fp -> Alcotest.(check bool) "low member" true (Tiered_set.mem t fp))
+    (fun fp -> Alcotest.(check bool) "low member" true (mem t fp))
     lows;
   List.iter
-    (fun fp -> Alcotest.(check bool) "high member" true (Tiered_set.mem t fp))
+    (fun fp -> Alcotest.(check bool) "high member" true (mem t fp))
     highs;
   let s = Tiered_set.stats t in
   Alcotest.(check bool) "fence skips happened" true
@@ -333,14 +343,14 @@ let tiered_matches_model () =
     (fun fp ->
       let fresh_model = not (Hashtbl.mem model fp) in
       if fresh_model then Hashtbl.replace model fp ();
-      let fresh = Tiered_set.add t fp in
+      let fresh = add t fp in
       Alcotest.(check bool) "add agrees with model" fresh_model fresh)
     adds;
   Hashtbl.iter
-    (fun fp () -> Alcotest.(check bool) "member" true (Tiered_set.mem t fp))
+    (fun fp () -> Alcotest.(check bool) "member" true (mem t fp))
     model;
   for i = 1000 to 1050 do
-    Alcotest.(check bool) "non-member" false (Tiered_set.mem t (fp_of i))
+    Alcotest.(check bool) "non-member" false (mem t (fp_of i))
   done;
   Alcotest.(check int) "cardinal" (Hashtbl.length model)
     (Tiered_set.cardinal t);
@@ -391,9 +401,9 @@ let tiered_reopen_from_segments () =
   let dir = fresh_dir () in
   let t = Tiered_set.create ~dir ~shards:2 ~hot_capacity:32 () in
   for i = 0 to 199 do
-    ignore (Tiered_set.add t (fp_of i))
+    ignore (add t (fp_of i))
   done;
-  Tiered_set.flush t;
+  flush t;
   let names = Tiered_set.segment_names t in
   let spilled = (Tiered_set.stats t).Tiered_set.spilled in
   Tiered_set.close t;
@@ -402,17 +412,17 @@ let tiered_reopen_from_segments () =
     Tiered_set.open_existing ~dir ~shards:2 ~hot_capacity:32 ~segments:names ()
   in
   for i = 0 to 199 do
-    Alcotest.(check bool) "reopened member" true (Tiered_set.mem t2 (fp_of i))
+    Alcotest.(check bool) "reopened member" true (mem t2 (fp_of i))
   done;
   for i = 0 to 199 do
-    Alcotest.(check bool) "re-add is dup" false (Tiered_set.add t2 (fp_of i))
+    Alcotest.(check bool) "re-add is dup" false (add t2 (fp_of i))
   done;
   (* New inserts spill under fresh sequence numbers, clashing with
      nothing. *)
   for i = 200 to 299 do
-    Alcotest.(check bool) "new insert" true (Tiered_set.add t2 (fp_of i))
+    Alcotest.(check bool) "new insert" true (add t2 (fp_of i))
   done;
-  Tiered_set.flush t2;
+  flush t2;
   let names2 = Tiered_set.segment_names t2 in
   Alcotest.(check bool) "segment inventory grew" true
     (List.length names2 > List.length names);
@@ -424,9 +434,9 @@ let tiered_reopen_corrupt_segment_is_loud () =
   let dir = fresh_dir () in
   let t = Tiered_set.create ~dir ~shards:2 ~hot_capacity:16 () in
   for i = 0 to 99 do
-    ignore (Tiered_set.add t (fp_of i))
+    ignore (add t (fp_of i))
   done;
-  Tiered_set.flush t;
+  flush t;
   let names = Tiered_set.segment_names t in
   Tiered_set.close t;
   truncate_by (Filename.concat dir (List.hd names)) 5;
@@ -440,7 +450,7 @@ let tiered_flush_cadence_deterministic () =
   let shape dir =
     let t = Tiered_set.create ~dir ~shards:2 ~hot_capacity:16 () in
     for i = 0 to 499 do
-      ignore (Tiered_set.add t (fp_of i))
+      ignore (add t (fp_of i))
     done;
     let s = Tiered_set.stats t in
     let names = Tiered_set.segment_names t in
@@ -493,10 +503,46 @@ let cross_process_probe () =
     Alcotest.fail (Printf.sprintf "probe child exited %d" c)
   | _ -> Alcotest.fail "probe child killed"
 
+(* The first CRC of a process, forced from several domains at once
+   (shards sealing their first segments concurrently).  Only a fresh
+   process has a first CRC, so each round is a child process: its
+   domains meet at a spin barrier, then all digest the known-answer
+   input, and the child exits 0 iff every digest is right. *)
+let crc_race_sentinel = "--crc-race-child"
+
+let run_crc_race_child () =
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let digest () =
+    Atomic.incr ready;
+    while Atomic.get ready < n do
+      Domain.cpu_relax ()
+    done;
+    try Crc32.digest_string "123456789" = 0xCBF43926 with _ -> false
+  in
+  let others = List.init (n - 1) (fun _ -> Domain.spawn digest) in
+  let mine = digest () in
+  exit (if List.for_all Domain.join others && mine then 0 else 1)
+
+let crc32_first_use_racing () =
+  for round = 1 to 64 do
+    let pid =
+      Unix.create_process Sys.executable_name
+        [| Sys.executable_name; crc_race_sentinel |]
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED c ->
+      Alcotest.failf "round %d: racing first CRC child exited %d" round c
+    | _ -> Alcotest.failf "round %d: racing first CRC child killed" round
+  done
+
 let () =
   (match Array.to_list Sys.argv with
   | _ :: s :: dir :: name :: n :: _ when s = child_sentinel ->
     run_probe_child dir name (int_of_string n)
+  | [ _; s ] when s = crc_race_sentinel -> run_crc_race_child ()
   | _ -> ());
   Alcotest.run "store"
     [
@@ -504,6 +550,8 @@ let () =
         [
           Alcotest.test_case "known answer" `Quick crc32_known_answer;
           Alcotest.test_case "incremental" `Quick crc32_incremental;
+          Alcotest.test_case "first use from racing domains" `Quick
+            crc32_first_use_racing;
         ] );
       ( "segment",
         [

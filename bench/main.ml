@@ -1151,7 +1151,8 @@ let b9 () =
      --regress);
    - the spill shape is deterministic: segments, disk bytes, and
      spilled-record counts are integer fields, so --regress gates
-     them exactly;
+     them exactly.  So are the cold probes and the block reads they
+     make: each shard's probe sequence is fixed by the domain count;
    - throughput: states_per_s gated higher-is-better vs the committed
      baseline, like every other series. *)
 let b10 () =
@@ -1182,7 +1183,7 @@ let b10 () =
       flushes = 0;
       disk_probes = 0;
       disk_probe_hits = 0;
-      fence_skips = 0;
+      block_reads = 0;
     }
   in
   let run ~hot tag () =
@@ -1214,8 +1215,8 @@ let b10 () =
     !best
   in
   Printf.printf "\n== B10: spill tier (2x3 d22 por+dedup sharded x2) ==\n";
-  Printf.printf "%-34s %9s %9s %9s %12s %9s\n" "benchmark" "states" "segs"
-    "diskKiB" "states/s" "wall-s";
+  Printf.printf "%-34s %9s %9s %9s %9s %9s %12s %9s\n" "benchmark" "states"
+    "segs" "diskKiB" "probes" "blk-reads" "states/s" "wall-s";
   let cells =
     [
       ("ram", best_of 3 (run ~hot:None "ram"));
@@ -1266,10 +1267,10 @@ let b10 () =
       (fun (mode, ((s : Search.stats), (store : Elin_store.Tiered_set.stats)))
       ->
         let name = Printf.sprintf "mc/fai-board 2x3 d22 sharded x2 %s" mode in
-        Printf.printf "%-34s %9d %9d %9d %12.0f %9.3f\n" name s.Search.states
-          store.segments
+        Printf.printf "%-34s %9d %9d %9d %9d %9d %12.0f %9.3f\n" name
+          s.Search.states store.segments
           (store.disk_bytes / 1024)
-          (rate s) s.Search.wall;
+          store.disk_probes store.block_reads (rate s) s.Search.wall;
         flush stdout;
         let open Elin_svc.Jsonl in
         Obj
@@ -1288,6 +1289,8 @@ let b10 () =
             ("disk_bytes", Int store.disk_bytes);
             ("spilled", Int store.spilled);
             ("flushes", Int store.flushes);
+            ("disk_probes", Int store.disk_probes);
+            ("block_reads", Int store.block_reads);
             ("states_per_s", Float (rate s));
           ])
       cells

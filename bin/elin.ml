@@ -760,6 +760,7 @@ let spill_json_fields msp ~resume =
             ("flushes", Int s.flushes);
             ("disk_probes", Int s.disk_probes);
             ("disk_probe_hits", Int s.disk_probe_hits);
+            ("block_reads", Int s.block_reads);
           ]
     in
     [
@@ -785,9 +786,9 @@ let pp_spill msp =
       let open Elin_store.Tiered_set in
       Printf.printf
         "spill: %d segments (%d bytes, %d fingerprints) under %s; hot %d; \
-         flushes %d; disk probes %d (%d hits)\n"
+         flushes %d; disk probes %d (%d hits, %d block reads)\n"
         s.segments s.disk_bytes s.spilled m.Elin_mc.Mc.dir s.hot s.flushes
-        s.disk_probes s.disk_probe_hits
+        s.disk_probes s.disk_probe_hits s.block_reads
     | None -> ())
 
 let do_mc impl_name protocol_name stabilize_at procs per_proc depth domains

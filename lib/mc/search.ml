@@ -9,8 +9,10 @@
 
     {2 Parallelism}
 
-    Shared nothing: [domains] OCaml 5 domains are spawned once for the
-    whole search (with [domains = 1] the single worker runs on the
+    Shared nothing: a search runs on [domains] OCaml 5 domains, the
+    calling one plus [domains - 1] helpers checked out of a
+    process-wide pool, so domains are spawned once per process, not
+    once per search (with [domains = 1] the single worker runs on the
     calling domain).  Each owns a fixed shard of the fingerprint space
     (a plain per-domain [Hashtbl], no lock on the hot path), expands
     the frontier states it owns, and routes generated successors to
@@ -260,7 +262,7 @@ let read_verdicts (type v) sp ~seq ~writer : v list =
    the hot path), expands exactly the frontier states it owns, and
    routes generated successors to their owner's inbox in fixed-size
    batches over per-(src,dst) SPSC queues.  Domains are spawned once
-   for the whole search; levels synchronize at a two-phase epoch
+   per process ([Workers]); levels synchronize at a two-phase epoch
    (blocking {!Elin_kernel.Barrier}), which is all that
    level-stratified dedup — and dedup-under-POR's [merge] — need to
    stay exact.
@@ -297,7 +299,90 @@ let handoff_batch = 64
 let m_handoff_batches = Elin_obs.Metrics.counter "mc.handoff_batches"
 let m_handoff_states = Elin_obs.Metrics.counter "mc.handoff_states"
 
-(* Per-worker aggregate, collected at join time. *)
+(* The helper domains, shared by every search in the process.  A
+   search checks [domains - 1] of them out for its whole run and hands
+   them back once every one has finished, so concurrent or nested
+   searches never share a helper, and a domain is spawned only when
+   no idle one is left.  A fresh domain per search paid a spawn and a
+   join each time, and a process running search after search saw its
+   peak RSS climb with each one. *)
+module Workers = struct
+  type t = {
+    mu : Mutex.t;
+    cv : Condition.t;
+    mutable job : (unit -> unit) option;  (* submitted, not yet started *)
+    mutable busy : bool;  (* a job is submitted or running *)
+  }
+
+  let idle : t list ref = ref []
+  let idle_mu = Mutex.create ()
+
+  let rec serve w =
+    Mutex.lock w.mu;
+    while w.job = None do
+      Condition.wait w.cv w.mu
+    done;
+    let job = Option.get w.job in
+    w.job <- None;
+    Mutex.unlock w.mu;
+    job ();
+    Mutex.lock w.mu;
+    w.busy <- false;
+    Condition.broadcast w.cv;
+    Mutex.unlock w.mu;
+    serve w
+
+  let release ws =
+    Mutex.lock idle_mu;
+    idle := ws @ !idle;
+    Mutex.unlock idle_mu
+
+  (* [n] helpers, the caller's alone until it [release]s them. *)
+  let checkout n =
+    Mutex.lock idle_mu;
+    let rec take k taken =
+      match !idle with
+      | w :: rest when k > 0 ->
+        idle := rest;
+        take (k - 1) (w :: taken)
+      | _ -> taken
+    in
+    let taken = take n [] in
+    Mutex.unlock idle_mu;
+    let ws = ref taken in
+    (try
+       for _ = List.length taken + 1 to n do
+         let w =
+           { mu = Mutex.create (); cv = Condition.create (); job = None;
+             busy = false }
+         in
+         ignore (Domain.spawn (fun () -> serve w));
+         ws := w :: !ws
+       done
+     with e ->
+       release !ws;
+       raise e);
+    !ws
+
+  (* Starts [f] on [w]; the returned function waits for it and returns
+     its result or re-raises its exception. *)
+  let async w f =
+    let result = ref (Error Exit) in
+    Mutex.lock w.mu;
+    w.job <- Some (fun () -> result := (try Ok (f ()) with e -> Error e));
+    w.busy <- true;
+    Condition.broadcast w.cv;
+    Mutex.unlock w.mu;
+    fun () ->
+      Mutex.lock w.mu;
+      while w.busy do
+        Condition.wait w.cv w.mu
+      done;
+      Mutex.unlock w.mu;
+      match !result with Ok v -> v | Error e -> raise e
+end
+
+(* Per-worker aggregate, collected when the search ends. *)
 type 'v worker_out = {
   w_states : int;
   w_hits : int;
@@ -693,7 +778,8 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
   in
   (* A worker that dies must poison the barrier so its peers unwind
      instead of waiting forever; the first recorded exception is
-     re-raised after EVERY domain is joined. *)
+     re-raised after EVERY helper has finished and gone back to the
+     pool. *)
   let guarded d () =
     try Ok (worker d ()) with
     | Barrier.Poisoned -> Error ()
@@ -702,11 +788,13 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       Barrier.poison barrier;
       Error ()
   in
-  let spawned =
-    Array.init (n_domains - 1) (fun i -> Domain.spawn (guarded (i + 1)))
+  let helpers = Workers.checkout (n_domains - 1) in
+  let pending =
+    List.mapi (fun i w -> Workers.async w (guarded (i + 1))) helpers
   in
   let mine = guarded 0 () in
-  let outs = Array.append [| mine |] (Array.map Domain.join spawned) in
+  let outs = Array.of_list (mine :: List.map (fun await -> await ()) pending) in
+  Workers.release helpers;
   (match Atomic.get err with Some e -> raise e | None -> ());
   (match sp_opt, tiered with
   | Some sp, Some tv ->

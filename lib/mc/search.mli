@@ -104,7 +104,10 @@ val spill :
     (sorted and deduplicated under [compare]) and the stats.
 
     - [domains] defaults to [Domain.recommended_domain_count ()].
-      Domains are spawned once per search; each owns the fingerprints
+      Domains are spawned once per process: a search checks
+      [domains - 1] idle helper domains out of a process-wide pool
+      and returns them when it ends, so concurrent or nested searches
+      never share one.  Each domain owns the fingerprints
       that {!Elin_kernel.Shard_set.owner} maps to it, expands the
       frontier states it owns, and routes successors to their owner
       in batches over SPSC queues, with no lock on the hot path.  With

@@ -14,8 +14,7 @@ let cap = 256
 (* A slot keeps its entry as bytes in a buffer the ring owns, not as a
    heap value allocated by the noting domain.  An entry value would
    outlive the (often short-lived) domain that allocated it and pin
-   that domain's heap pages after it exits — about 2 MB per search
-   that spills, since every search spawns fresh domains.  Layout:
+   that domain's heap pages after it exits.  Layout:
    kind length (u16) | kind | id length (u16) | id | args as one JSON
    object (absent when empty).  [len = 0] marks an empty slot. *)
 type slot = {
@@ -43,10 +42,10 @@ let fresh_ring dom =
 (* Every ring ever made; [spare] holds those whose domain has exited.
    A domain's first [note] adopts a spare ring before making a new one,
    so the ring count is bounded by the peak number of live noting
-   domains, not by how many domains a process ever spawned (a search
-   spawns fresh domains every call).  An adopted ring keeps its
-   previous owner's entries until they are overwritten, so a post-mortem
-   still sees what an exited domain did last. *)
+   domains, not by how many domains a process ever spawned.  An
+   adopted ring keeps its previous owner's entries until they are
+   overwritten, so a post-mortem still sees what an exited domain did
+   last. *)
 let all_rings : ring list ref = ref []
 let spare : ring list ref = ref []
 let rings_mu = Mutex.create ()

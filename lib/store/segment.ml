@@ -66,9 +66,49 @@ let write ~dir ~name records =
         ("bytes", Elin_obs.Jsonl.Int (Buffer.length buf));
       ]
 
+(* The in-RAM Bloom filter over a segment's fingerprints, built at
+   open time and never written to disk: [bloom_bits] bits per record
+   and [bloom_probes] bit tests per lookup (the optimal count for 10
+   bits), about 1% false positives.  The positions are double-hashed
+   from a splitmix64 avalanche of the fingerprint, not from
+   [Fingerprint.mix]: the high bits of that word pick the owner
+   shard, so they are correlated across all of one shard's segments. *)
+let bloom_bits = 10
+let bloom_probes = 7
+
+let bloom_hash fp =
+  let z = Int64.add fp 0x9E3779B97F4A7C15L in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* [f] on each of [fp]'s bit positions in [bits] while it returns
+   true; true iff it always did. *)
+let bloom_for_all bits fp f =
+  let m = Bytes.length bits * 8 in
+  let h = bloom_hash fp in
+  let h1 = Int64.to_int h land 0xFFFF_FFFF in
+  let h2 = Int64.to_int (Int64.shift_right_logical h 32) lor 1 in
+  let rec go i = i = bloom_probes || (f ((h1 + (i * h2)) mod m) && go (i + 1)) in
+  go 0
+
+let bloom_add bits fp =
+  ignore
+    (bloom_for_all bits fp (fun b ->
+         let byte = Char.code (Bytes.get bits (b lsr 3)) in
+         Bytes.set bits (b lsr 3) (Char.chr (byte lor (1 lsl (b land 7))));
+         true))
+
+let bloom_mem bits fp =
+  bloom_for_all bits fp (fun b ->
+      Char.code (Bytes.get bits (b lsr 3)) land (1 lsl (b land 7)) <> 0)
+
 type reader = {
   rname : string;
-  path : string;
   fd : Unix.file_descr;
   n : int;
   br : int;  (* block_records as written in this file's header *)
@@ -76,28 +116,30 @@ type reader = {
   data_off : int;
   index : int64 array;  (* first fingerprint of each block *)
   fbytes : int;
-  (* Fence pointers: the unsigned-least and -greatest member, valid
-     when [n > 0].  [fmax] is read (CRC-checked) from the last block
-     at open time, so a corrupt tail fails loudly up front. *)
-  fmin : int64;
-  mutable fmax : int64;
-  cache : Bytes.t;  (* the one cached, CRC-verified block *)
+  bloom : Bytes.t;  (* holds every member; empty iff [n = 0] *)
+  cache : Bytes.t;  (* the one cached, CRC-verified block, CRC included *)
   mutable cached : int;  (* block number in [cache]; -1 = none *)
+  mutable block_reads : int;  (* blocks [probe] loaded from the file *)
   mutable closed : bool;
 }
 
-let read_exact r off len what =
-  let b = Bytes.create len in
-  ignore (Unix.lseek r.fd off Unix.SEEK_SET);
+let m_block_reads = Elin_obs.Metrics.counter "store.block_reads"
+
+(* Fill the first [len] bytes of [buf] from file offset [off]. *)
+let read_into fd name off buf len what =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
   let pos = ref 0 in
   while !pos < len do
-    let k = Unix.read r.fd b !pos (len - !pos) in
-    if k = 0 then corrupt "%s: truncated reading %s" r.rname what;
+    let k = Unix.read fd buf !pos (len - !pos) in
+    if k = 0 then corrupt "%s: truncated reading %s" name what;
     pos := !pos + k
-  done;
-  b
+  done
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+
+(* The first [len] bytes of [b] against the CRC-32 stored after them. *)
+let crc_ok b len =
+  Crc32.finish (Crc32.update Crc32.start b 0 len) = get_u32 b len
 
 (* Record count of block [b] (all full except possibly the last). *)
 let block_len r b = if b = r.n_blocks - 1 then r.n - (b * r.br) else r.br
@@ -109,119 +151,98 @@ let block_off r b = r.data_off + (b * ((r.br * record_bytes) + 4))
 let load_block r b =
   if r.closed then invalid_arg "Segment: reader closed";
   if r.cached <> b then begin
-    let k = block_len r b in
-    let len = k * record_bytes in
-    let blob = read_exact r (block_off r b) (len + 4) "block" in
-    let crc = get_u32 blob len in
-    if Crc32.finish (Crc32.update Crc32.start blob 0 len) <> crc then
+    let len = block_len r b * record_bytes in
+    r.cached <- -1;
+    read_into r.fd r.rname (block_off r b) r.cache (len + 4) "block";
+    if not (crc_ok r.cache len) then
       corrupt "%s: block %d checksum mismatch" r.rname b;
-    Bytes.blit blob 0 r.cache 0 len;
     r.cached <- b
   end
 
-let open_reader ~dir ~name =
-  let path = Filename.concat dir name in
-  let fd =
-    try Unix.openfile path [ Unix.O_RDONLY ] 0
-    with Unix.Unix_error (e, _, _) ->
-      corrupt "%s: cannot open (%s)" name (Unix.error_message e)
+(* Header, size arithmetic and index, then one CRC-verified pass over
+   every block that fills the Bloom filter. *)
+let validate ~name fd =
+  let read off len what =
+    let b = Bytes.create len in
+    read_into fd name off b len what;
+    b
   in
   let fbytes = (Unix.fstat fd).Unix.st_size in
-  let r0 =
-    {
-      rname = name;
-      path;
-      fd;
-      n = 0;
-      br = block_records;
-      n_blocks = 0;
-      data_off = 0;
-      index = [||];
-      fbytes;
-      fmin = 0L;
-      fmax = 0L;
-      cache = Bytes.create 0;
-      cached = -1;
-      closed = false;
-    }
-  in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        Unix.close fd;
-        raise (Corrupt s))
-      fmt
-  in
-  if fbytes < 12 then fail "%s: too short for a segment header" name;
-  let head = read_exact r0 0 12 "magic" in
-  if Bytes.sub_string head 0 8 <> magic then fail "%s: bad magic" name;
+  if fbytes < 12 then corrupt "%s: too short for a segment header" name;
+  let head = read 0 12 "magic" in
+  if Bytes.sub_string head 0 8 <> magic then corrupt "%s: bad magic" name;
   let hlen = get_u32 head 8 in
   if hlen < 16 || fbytes < 12 + hlen + 4 then
-    fail "%s: implausible header length %d" name hlen;
-  let hblob = read_exact r0 12 (hlen + 4) "header" in
-  let hcrc = get_u32 hblob hlen in
-  if Crc32.finish (Crc32.update Crc32.start hblob 0 hlen) <> hcrc then
-    fail "%s: header checksum mismatch" name;
+    corrupt "%s: implausible header length %d" name hlen;
+  let hblob = read 12 (hlen + 4) "header" in
+  if not (crc_ok hblob hlen) then corrupt "%s: header checksum mismatch" name;
   let fver = get_u32 hblob 0 in
-  if fver <> version then fail "%s: unsupported version %d" name fver;
+  if fver <> version then corrupt "%s: unsupported version %d" name fver;
   let n64 = Bytes.get_int64_le hblob 4 in
   if Int64.unsigned_compare n64 (Int64.of_int max_int) > 0 then
-    fail "%s: implausible record count" name;
+    corrupt "%s: implausible record count" name;
   let n = Int64.to_int n64 in
   let br = get_u32 hblob 12 in
-  if br <= 0 then fail "%s: bad block size %d" name br;
+  if br <= 0 then corrupt "%s: bad block size %d" name br;
   let n_blocks = (n + br - 1) / br in
   let data_off = 12 + hlen + 4 in
   let expect =
     data_off + (n * record_bytes) + (n_blocks * 4) + (n_blocks * 8) + 4
   in
   if fbytes <> expect then
-    fail "%s: size %d bytes, expected %d (truncated or torn)" name fbytes
+    corrupt "%s: size %d bytes, expected %d (truncated or torn)" name fbytes
       expect;
+  let ioff = data_off + (n * record_bytes) + (n_blocks * 4) in
+  let iblob = read ioff ((n_blocks * 8) + 4) "index" in
+  if not (crc_ok iblob (n_blocks * 8)) then
+    corrupt "%s: index checksum mismatch" name;
+  let index = Array.init n_blocks (fun i -> Bytes.get_int64_le iblob (i * 8)) in
+  for i = 1 to n_blocks - 1 do
+    if index.(i) <=^ index.(i - 1) then corrupt "%s: index not sorted" name
+  done;
   let r =
     {
-      r0 with
+      rname = name;
+      fd;
       n;
       br;
       n_blocks;
       data_off;
+      index;
       fbytes;
-      cache = Bytes.create (br * record_bytes);
+      bloom = Bytes.make (((n * bloom_bits) + 7) / 8) '\000';
+      cache = Bytes.create ((min n br * record_bytes) + 4);
+      cached = -1;
+      block_reads = 0;
+      closed = false;
     }
   in
-  let ioff = data_off + (n * record_bytes) + (n_blocks * 4) in
-  let iblob =
-    try read_exact r ioff ((n_blocks * 8) + 4) "index"
-    with Corrupt m ->
-      Unix.close fd;
-      raise (Corrupt m)
-  in
-  let icrc = get_u32 iblob (n_blocks * 8) in
-  if Crc32.finish (Crc32.update Crc32.start iblob 0 (n_blocks * 8)) <> icrc
-  then fail "%s: index checksum mismatch" name;
-  let index = Array.init n_blocks (fun i -> Bytes.get_int64_le iblob (i * 8)) in
-  for i = 1 to n_blocks - 1 do
-    if index.(i) <=^ index.(i - 1) then fail "%s: index not sorted" name
+  for b = 0 to n_blocks - 1 do
+    load_block r b;
+    for i = 0 to block_len r b - 1 do
+      bloom_add r.bloom (Bytes.get_int64_le r.cache (i * record_bytes))
+    done
   done;
-  let r = { r with index; fmin = (if n_blocks = 0 then 0L else index.(0)) } in
-  if r.n > 0 then begin
-    (try load_block r (r.n_blocks - 1)
-     with Corrupt m ->
-       Unix.close fd;
-       raise (Corrupt m));
-    r.fmax <-
-      Bytes.get_int64_le r.cache
-        ((block_len r (r.n_blocks - 1) - 1) * record_bytes)
-  end;
   r
+
+let open_reader ~dir ~name =
+  let fd =
+    try Unix.openfile (Filename.concat dir name) [ Unix.O_RDONLY ] 0
+    with Unix.Unix_error (e, _, _) ->
+      corrupt "%s: cannot open (%s)" name (Unix.error_message e)
+  in
+  try validate ~name fd
+  with e ->
+    Unix.close fd;
+    raise e
 
 let name r = r.rname
 let length r = r.n
 let file_bytes r = r.fbytes
-let range r = if r.n = 0 then None else Some (r.fmin, r.fmax)
+let block_reads r = r.block_reads
 
 let probe r fp =
-  if r.n_blocks = 0 || fp <^ r.index.(0) then None
+  if r.n = 0 || fp <^ r.index.(0) || not (bloom_mem r.bloom fp) then None
   else begin
     (* Last block whose first fingerprint is <= fp. *)
     let lo = ref 0 and hi = ref (r.n_blocks - 1) in
@@ -230,6 +251,10 @@ let probe r fp =
       if r.index.(mid) <=^ fp then lo := mid else hi := mid - 1
     done;
     let b = !lo in
+    if r.cached <> b then begin
+      r.block_reads <- r.block_reads + 1;
+      if Elin_obs.Metrics.on () then Elin_obs.Metrics.Counter.incr m_block_reads
+    end;
     load_block r b;
     let k = block_len r b in
     let lo = ref 0 and hi = ref (k - 1) and found = ref None in

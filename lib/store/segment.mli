@@ -36,7 +36,9 @@
     index_crc  u32
     v}
 
-    Records are sorted by {e unsigned} fingerprint; a probe binary
+    Records are sorted by {e unsigned} fingerprint.  A probe first
+    asks the reader's in-RAM Bloom filter, which turns most
+    non-members away without touching the file; otherwise it binary
     searches the in-RAM index for the candidate block, reads and
     CRC-checks that one block, and binary searches within it.
 
@@ -45,9 +47,11 @@
     [write] builds [name].tmp, [fsync]s it, renames it onto [name],
     and [fsync]s the directory: a crash leaves either no segment or a
     whole, checksummed one — never a half-written file under the
-    sealed name.  Truncated or bit-flipped segments are detected at
-    [open_reader] (size arithmetic) or at [probe] (block CRC) and
-    raise {!Corrupt}; nothing degrades silently. *)
+    sealed name.  Truncated or bit-flipped segments raise {!Corrupt}
+    at [open_reader], which checks the size arithmetic and the CRC of
+    every block; damage done to the file after it was opened surfaces
+    at the next [probe] or [iter] that loads the block.  Nothing
+    degrades silently. *)
 
 (** Torn, truncated, or checksum-corrupt on-disk state.  Callers must
     fail loudly (the CLI maps it to exit code 2), never fall back to
@@ -62,11 +66,14 @@ val write : dir:string -> name:string -> (int64 * int64) array -> unit
 
 type reader
 
-(** Opens and validates header, size arithmetic, and index checksum;
-    raises {!Corrupt} on any mismatch.  The reader holds one file
-    descriptor and a one-block cache; it is {e not} concurrency-safe —
-    callers serialize access (the tiered set probes under its shard
-    lock or from the shard's owning domain). *)
+(** Opens [dir/name] and validates it in one pass: header, size
+    arithmetic, index checksum, and the checksum of every block, whose
+    fingerprints fill the reader's Bloom filter (10 bits of RAM per
+    record, about 1% false positives); raises {!Corrupt} on any
+    mismatch.  The reader holds one file descriptor, the filter and a
+    one-block cache; it is {e not} concurrency-safe — one domain uses
+    it at a time (the tiered set's readers are used only by their
+    shard's owning domain). *)
 val open_reader : dir:string -> name:string -> reader
 
 val name : reader -> string
@@ -77,16 +84,15 @@ val length : reader -> int
 (** Total on-disk size in bytes (header + blocks + index). *)
 val file_bytes : reader -> int
 
-(** Fence pointers: the unsigned-least and -greatest fingerprint in
-    the segment ([None] when empty).  The maximum is read — CRC
-    checked — from the last block at {!open_reader} time, so it costs
-    nothing per probe; callers skip whole segments whose range
-    excludes the probed fingerprint. *)
-val range : reader -> (int64 * int64) option
-
-(** [probe r fp] — [Some payload] iff [fp] is a member.  One block
-    read (cached) + CRC check per miss of the cache. *)
+(** [probe r fp] — [Some payload] iff [fp] is a member.  No I/O when
+    the Bloom filter rules [fp] out; otherwise one block read (cached)
+    + CRC check per miss of the cache. *)
 val probe : reader -> int64 -> int64 option
+
+(** Blocks [probe] has loaded from the file so far: CRC-verified
+    reads, not counting filter rejections or cache hits.  Also counted
+    in the [store.block_reads] metric. *)
+val block_reads : reader -> int
 
 (** Sequential, fully CRC-checked scan in fingerprint order. *)
 val iter : reader -> (int64 -> int64 -> unit) -> unit

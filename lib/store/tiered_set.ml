@@ -19,7 +19,6 @@ type shard_state = {
   mutable flushes : int;
   mutable disk_probes : int;
   mutable disk_probe_hits : int;
-  mutable fence_skips : int;
 }
 
 type t = {
@@ -31,7 +30,6 @@ type t = {
   m_spilled : Metrics.Counter.t;
   m_disk_probes : Metrics.Counter.t;
   m_disk_hits : Metrics.Counter.t;
-  m_fence_skips : Metrics.Counter.t;
   g_segments : Metrics.Gauge.t;
   g_disk_bytes : Metrics.Gauge.t;
   g_hot : Metrics.Gauge.t;
@@ -52,7 +50,6 @@ let fresh_shard () =
     flushes = 0;
     disk_probes = 0;
     disk_probe_hits = 0;
-    fence_skips = 0;
   }
 
 let make ~dir ~shards ~hot_capacity =
@@ -68,7 +65,6 @@ let make ~dir ~shards ~hot_capacity =
     m_spilled = Metrics.counter "store.spilled";
     m_disk_probes = Metrics.counter "store.disk_probes";
     m_disk_hits = Metrics.counter "store.disk_probe_hits";
-    m_fence_skips = Metrics.counter "store.fence_skips";
     g_segments = Metrics.gauge "store.segments";
     g_disk_bytes = Metrics.gauge "store.disk_bytes";
     g_hot = Metrics.gauge "store.hot_entries";
@@ -118,36 +114,19 @@ let owner t fp =
   Int64.to_int (Int64.shift_right_logical (Fingerprint.mix fp) 33)
   mod t.n_shards
 
-(* Probe the sealed segments of [s] for [fp].  Caller owns the shard. *)
+(* Probe the sealed segments of [s] for [fp].  Caller owns the shard.
+   [disk_probes] counts calls, not the segments a call visits; most
+   visits end at the segment's Bloom filter without a read. *)
 let probe_disk t s fp =
   match s.readers with
   | [] -> false
   | readers ->
       let ts = Trace.begin_ns () in
       s.disk_probes <- s.disk_probes + 1;
-      (* Fence pointers: skip whole segments whose [min, max] range
-         (unsigned) excludes [fp] without touching their blocks.  The
-         [disk_probes] count is per probe_disk call, NOT per segment,
-         so it is unaffected (the committed B10 baseline pins it). *)
-      let skips = ref 0 in
-      let hit =
-        List.exists
-          (fun r ->
-            match Segment.range r with
-            | Some (lo, hi)
-              when Int64.unsigned_compare fp lo >= 0
-                   && Int64.unsigned_compare fp hi <= 0 ->
-              Segment.probe r fp <> None
-            | Some _ | None ->
-              incr skips;
-              false)
-          readers
-      in
-      s.fence_skips <- s.fence_skips + !skips;
+      let hit = List.exists (fun r -> Segment.probe r fp <> None) readers in
       if hit then s.disk_probe_hits <- s.disk_probe_hits + 1;
       if Metrics.on () then begin
         Metrics.Counter.incr t.m_disk_probes;
-        Metrics.Counter.add t.m_fence_skips !skips;
         if hit then Metrics.Counter.incr t.m_disk_hits
       end;
       Trace.complete ~cat:"store" ~ts "store.probe"
@@ -237,23 +216,22 @@ type stats = {
   flushes : int;
   disk_probes : int;
   disk_probe_hits : int;
-  fence_skips : int;
+  block_reads : int;
 }
 
 let stats t =
+  let sum f readers = List.fold_left (fun acc r -> acc + f r) 0 readers in
   Array.fold_left
     (fun acc s ->
       {
         segments = acc.segments + List.length s.readers;
-        disk_bytes =
-          acc.disk_bytes
-          + List.fold_left (fun b r -> b + Segment.file_bytes r) 0 s.readers;
+        disk_bytes = acc.disk_bytes + sum Segment.file_bytes s.readers;
         spilled = acc.spilled + s.spilled;
         hot = acc.hot + Hashtbl.length s.hot;
         flushes = acc.flushes + s.flushes;
         disk_probes = acc.disk_probes + s.disk_probes;
         disk_probe_hits = acc.disk_probe_hits + s.disk_probe_hits;
-        fence_skips = acc.fence_skips + s.fence_skips;
+        block_reads = acc.block_reads + sum Segment.block_reads s.readers;
       })
     {
       segments = 0;
@@ -263,7 +241,7 @@ let stats t =
       flushes = 0;
       disk_probes = 0;
       disk_probe_hits = 0;
-      fence_skips = 0;
+      block_reads = 0;
     }
     t.shard_states
 

@@ -73,18 +73,20 @@ type stats = {
   spilled : int;  (** records resident on disk *)
   hot : int;  (** records resident in RAM *)
   flushes : int;  (** spill flushes performed *)
-  disk_probes : int;  (** membership probes that reached disk *)
+  disk_probes : int;
+      (** membership probes that reached disk: one per probe, however
+          many segments it visits *)
   disk_probe_hits : int;  (** of those, how many found the key *)
-  fence_skips : int;
-      (** segments skipped by min/max fence pointers without touching
-          their blocks (counted per segment, unlike [disk_probes]
-          which counts per probe) *)
+  block_reads : int;
+      (** CRC-verified block loads those probes made: segment visits
+          that got past the segment's Bloom filter and missed its
+          one-block cache ({!Segment.block_reads}) *)
 }
 
 (** Quiescent callers only.  [segments], [disk_bytes], [spilled], and
     [hot] are deterministic for a given insertion sequence;
-    [disk_probes]/[disk_probe_hits] depend on probe interleaving and
-    must not be exact-gated under > 1 domain. *)
+    [disk_probes], [disk_probe_hits] and [block_reads] for a given
+    sequence of probes (in the search: for a given domain count). *)
 val stats : t -> stats
 
 (** Close all segment readers.  The set must not be used afterwards. *)

@@ -661,6 +661,53 @@ let sharded_valency_equivalence () =
       (Protocols.registers_plus_ev_testandset ~stabilize_at:1000 (), 30);
     ]
 
+(* --- the helper-domain pool ---------------------------------------- *)
+
+(* A small space with dedup hits and verdicts, searched through
+   [Search.bfs] at 2 domains: the caller plus one pooled helper. *)
+let pool_expand (d, v) =
+  if d = 12 then Search.Leaf (if v mod 7 = 0 then Some v else None)
+  else
+    Search.Children [ (d + 1, 2 * v mod 1009); (d + 1, ((3 * v) + 1) mod 1009) ]
+
+let pool_search ?(expand = pool_expand) () =
+  Search.bfs ~domains:2 ~stop_early:false
+    ~fingerprint:(fun (d, v) ->
+      Elin_kernel.Fingerprint.(finish (int (int (start ()) d) v)))
+    ~expand ~compare:Int.compare (0, 1)
+
+(* Searches from two domains at once: the pool hands each its own
+   helper, so every run reproduces the sequential result. *)
+let pool_concurrent_searches () =
+  let verdicts, stats = pool_search () in
+  let racers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () -> List.init 5 (fun _ -> pool_search ())))
+  in
+  List.iteri
+    (fun i d ->
+      List.iter
+        (fun (v, s) ->
+          let name = Printf.sprintf "racer %d" i in
+          Alcotest.(check (list int)) (name ^ " verdicts") verdicts v;
+          check_stats_equal name stats s)
+        (Domain.join d))
+    racers
+
+exception Boom
+
+(* A search whose [expand] raises re-raises only after its helper has
+   finished, and hands the helper back: the next search still runs
+   and still matches. *)
+let pool_survives_raising_search () =
+  let verdicts, stats = pool_search () in
+  let expand (d, v) = if d = 6 then raise Boom else pool_expand (d, v) in
+  Alcotest.check_raises "expand raises" Boom (fun () ->
+      ignore (pool_search ~expand ()));
+  let v, s = pool_search () in
+  Alcotest.(check (list int)) "verdicts after" verdicts v;
+  check_stats_equal "after a raising search" stats s
+
 let () =
   Alcotest.run "mc"
     [
@@ -717,5 +764,12 @@ let () =
           Support.quick "valency mc = dfs" valency_mc_matches_dfs;
           Support.quick "stabilize mc engine = dfs"
             stabilize_mc_engine_matches_dfs;
+        ] );
+      ( "helper pool",
+        [
+          Support.quick "concurrent searches = sequential"
+            pool_concurrent_searches;
+          Support.quick "raising expand leaves the pool usable"
+            pool_survives_raising_search;
         ] );
     ]

@@ -333,6 +333,28 @@ let obs_zero_interference_under_spill () =
   Elin_obs.Trace.clear ();
   Elin_obs.Metrics.reset ()
 
+(* --- Bloom filters keep cold probes off the disk -------------------- *)
+
+(* Without the per-segment filters a cold miss reads a block from
+   every segment of its shard; with them, from about 1 in 100.  The
+   B10 spill shape (fai/board 2x3 d22, hot tier 1024, 2 domains)
+   seals 22 segments and must read fewer than 1 block per 10 cold
+   probes. *)
+let bloom_keeps_probes_off_disk () =
+  let impl = Impls.fai_from_board () in
+  let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
+  let sp = Mc.spill ~hot:1024 (fresh_dir ()) in
+  ignore
+    (Mc.count_states impl ~workloads:wl ~max_steps:22 ~domains:2 ~spill:sp ());
+  match sp.Mc.store with
+  | None -> Alcotest.fail "no store stats"
+  | Some s ->
+    let open Elin_store.Tiered_set in
+    if s.segments < 10 then Alcotest.failf "only %d segments sealed" s.segments;
+    if s.block_reads * 10 >= s.disk_probes then
+      Alcotest.failf "%d block reads for %d cold probes over %d segments"
+        s.block_reads s.disk_probes s.segments
+
 let () =
   Alcotest.run "spill"
     [
@@ -361,5 +383,10 @@ let () =
         [
           Alcotest.test_case "zero interference + spill telemetry" `Quick
             obs_zero_interference_under_spill;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "bloom filters: < 1 block read per 10 probes"
+            `Quick bloom_keeps_probes_off_disk;
         ] );
     ]

@@ -125,18 +125,67 @@ let segment_truncated_tail () =
   expect_corrupt "open truncated" (fun () ->
       Segment.open_reader ~dir ~name:"t.seg")
 
+(* Flip a record byte inside block 0 (records start after the 32-byte
+   header region).  Header and index checksums still pass. *)
+let corrupt_block_0 dir =
+  corrupt_bytes (Filename.concat dir "t.seg") ~off:40 ~len:1
+
+(* Damage done before the open fails the open itself: the Bloom filter
+   is built from a CRC-verified read of every block. *)
 let segment_corrupt_block () =
+  let dir = fresh_dir () in
+  Segment.write ~dir ~name:"t.seg" (records 700);
+  corrupt_block_0 dir;
+  expect_corrupt "open corrupt block" (fun () ->
+      Segment.open_reader ~dir ~name:"t.seg")
+
+(* Damage done after the open still fails loudly: a probe that loads
+   the block checks its CRC again. *)
+let segment_corrupt_block_after_open () =
   let dir = fresh_dir () in
   let rs = records 700 in
   Segment.write ~dir ~name:"t.seg" rs;
-  (* Flip a record byte inside block 0 (records start after the
-     36-byte header region).  Header and index checksums still pass:
-     the damage must surface at probe time, from the block CRC. *)
-  corrupt_bytes (Filename.concat dir "t.seg") ~off:40 ~len:1;
   let r = Segment.open_reader ~dir ~name:"t.seg" in
+  corrupt_block_0 dir;
   expect_corrupt "probe corrupt block" (fun () ->
-      (* Probe for a key of block 0: the smallest record. *)
+      (* A member of block 0: the smallest record. *)
       Segment.probe r (fst rs.(0)));
+  Segment.close r
+
+(* The Bloom filter never hides a member: empty and one-record
+   segments, and either side of the 256-record block edge. *)
+let segment_bloom_no_false_negatives () =
+  let dir = fresh_dir () in
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "n%d.seg" n in
+      let rs = records n in
+      Segment.write ~dir ~name rs;
+      let r = Segment.open_reader ~dir ~name in
+      Alcotest.(check int) (name ^ " length") n (Segment.length r);
+      Array.iter
+        (fun (fp, pl) ->
+          Alcotest.(check (option int64)) (name ^ " member") (Some pl)
+            (Segment.probe r fp))
+        rs;
+      Segment.close r)
+    [ 0; 1; 255; 256; 257; 700 ]
+
+(* Non-members rarely get past the filter: 10^5 probes of fingerprints
+   outside the segment (the fixed-seed [fp_of] family) read a block
+   under 2% of the time.  10 bits and 7 probes per record give ~1%. *)
+let segment_bloom_false_positives () =
+  let dir = fresh_dir () in
+  let n = 1000 and probes = 100_000 in
+  Segment.write ~dir ~name:"fp.seg" (records n);
+  let r = Segment.open_reader ~dir ~name:"fp.seg" in
+  for i = n to n + probes - 1 do
+    if Segment.probe r (fp_of i) <> None then
+      Alcotest.failf "fp_of %d is not a member" i
+  done;
+  let reads = Segment.block_reads r in
+  if reads * 50 >= probes then
+    Alcotest.failf "%d block reads for %d non-member probes" reads probes;
   Segment.close r
 
 let segment_corrupt_header () =
@@ -267,24 +316,6 @@ let blob_roundtrip_and_corruption () =
 
 (* --- tiered set --------------------------------------------------- *)
 
-(* Fence pointers: range covers exactly the written records. *)
-let segment_range () =
-  let dir = fresh_dir () in
-  let rs = records 700 in
-  Segment.write ~dir ~name:"r.seg" rs;
-  let r = Segment.open_reader ~dir ~name:"r.seg" in
-  (match Segment.range r with
-  | None -> Alcotest.fail "non-empty segment must report a range"
-  | Some (lo, hi) ->
-    Alcotest.(check int64) "min fence" (fst rs.(0)) lo;
-    Alcotest.(check int64) "max fence" (fst rs.(Array.length rs - 1)) hi);
-  Segment.close r;
-  Segment.write ~dir ~name:"e.seg" [||];
-  let e = Segment.open_reader ~dir ~name:"e.seg" in
-  Alcotest.(check bool) "empty segment has no range" true
-    (Segment.range e = None);
-  Segment.close e
-
 (* Single-domain shortcuts over the owner-discipline entry points: one
    caller owns every shard. *)
 let add t fp = Tiered_set.add_owned t ~shard:(Tiered_set.owner t fp) fp
@@ -294,43 +325,6 @@ let flush t =
   for shard = 0 to Tiered_set.shards t - 1 do
     Tiered_set.flush_shard t shard
   done
-
-(* Fence pointers skip out-of-range segments in tiered probes without
-   changing membership answers or the per-probe disk_probes count. *)
-let tiered_fence_skips () =
-  let dir = fresh_dir () in
-  let t = Tiered_set.create ~dir ~shards:1 ~hot_capacity:8 () in
-  (* Two batches with disjoint fingerprint ranges, sealed separately:
-     probes landing in one batch's range fence-skip the other's
-     segment(s). *)
-  let lows =
-    List.sort_uniq Int64.unsigned_compare
-      (List.init 32 (fun i -> Int64.logand (fp_of i) 0xFFFFFFFFL))
-  in
-  let highs =
-    List.sort_uniq Int64.unsigned_compare
-      (List.init 32 (fun i -> Int64.logor (fp_of (100 + i)) 0x8000000000000000L))
-  in
-  List.iter (fun fp -> ignore (add t fp)) lows;
-  flush t;
-  List.iter (fun fp -> ignore (add t fp)) highs;
-  flush t;
-  let b = Tiered_set.stats t in
-  List.iter
-    (fun fp -> Alcotest.(check bool) "low member" true (mem t fp))
-    lows;
-  List.iter
-    (fun fp -> Alcotest.(check bool) "high member" true (mem t fp))
-    highs;
-  let s = Tiered_set.stats t in
-  Alcotest.(check bool) "fence skips happened" true
-    (s.Tiered_set.fence_skips > b.Tiered_set.fence_skips);
-  (* disk_probes counts per probe, not per segment: exactly one per
-     [mem] above (the hot tier is empty after the flush). *)
-  Alcotest.(check int) "disk_probes counts probes, not segments"
-    (b.Tiered_set.disk_probes + List.length lows + List.length highs)
-    s.Tiered_set.disk_probes;
-  Tiered_set.close t
 
 (* Dedup semantics against a model Hashtbl, through repeated spills
    (tiny hot capacity) and re-adds of known members. *)
@@ -414,6 +408,10 @@ let tiered_reopen_from_segments () =
   for i = 0 to 199 do
     Alcotest.(check bool) "reopened member" true (mem t2 (fp_of i))
   done;
+  (* Every [mem] above missed the empty hot tiers: one disk probe
+     each, however many segments it visited. *)
+  Alcotest.(check int) "disk_probes counts probes, not segments" 200
+    (Tiered_set.stats t2).Tiered_set.disk_probes;
   for i = 0 to 199 do
     Alcotest.(check bool) "re-add is dup" false (add t2 (fp_of i))
   done;
@@ -560,9 +558,14 @@ let () =
           Alcotest.test_case "unsigned order" `Quick segment_unsigned_order;
           Alcotest.test_case "truncated tail" `Quick segment_truncated_tail;
           Alcotest.test_case "corrupt block" `Quick segment_corrupt_block;
+          Alcotest.test_case "corrupt block after open" `Quick
+            segment_corrupt_block_after_open;
           Alcotest.test_case "corrupt header" `Quick segment_corrupt_header;
           Alcotest.test_case "bad magic" `Quick segment_bad_magic;
-          Alcotest.test_case "fence range" `Quick segment_range;
+          Alcotest.test_case "bloom: no false negatives" `Quick
+            segment_bloom_no_false_negatives;
+          Alcotest.test_case "bloom: false positives under 2%" `Quick
+            segment_bloom_false_positives;
         ] );
       ( "checkpoint",
         [
@@ -580,7 +583,6 @@ let () =
       ( "tiered",
         [
           Alcotest.test_case "matches model" `Quick tiered_matches_model;
-          Alcotest.test_case "fence skips" `Quick tiered_fence_skips;
           Alcotest.test_case "owner agrees with Shard_set" `Quick
             tiered_owner_agrees_with_shard_set;
           Alcotest.test_case "owned entry points" `Quick

@@ -4,7 +4,7 @@ DUNE ?= dune
 
 .PHONY: all build release test bench bench-smoke svc-smoke net-smoke \
 	trace-smoke telemetry-smoke mc-stress resume-smoke decompose-smoke \
-	perf-regress perf-baseline check doc clean
+	perfbench-smoke perf-regress perf-baseline check doc clean
 
 all: build
 
@@ -36,6 +36,14 @@ bench-smoke:
 mc-stress: build
 	$(DUNE) exec --no-build test/test_mc_stress.exe -- --repeat 10 --domains 4
 	$(DUNE) exec --no-build test/test_mc_stress.exe -- --repeat 3 --domains 1,2,4
+
+# The repository benchmark (perfbench/, BENCHMARK.json) at tiny
+# sizes: every workload, traced and untraced, with every answer gate
+# (exact mc counts and spill store shape, svc verdicts equal to
+# in-process checks).  Builds its own release binaries into
+# .bench_build; about 15 s once that build is warm.
+perfbench-smoke:
+	python3 perfbench/run.py --self-test
 
 # Kill-and-resume gate for the external-memory spill tier: a
 # spill+checkpoint run is SIGKILLed mid-level and resumed to the
@@ -271,7 +279,8 @@ doc:
 # CI gate: full build, full test suite, and a guard against anyone
 # re-adding build artefacts to the index (PR 1 untracked _build/).
 check: build test bench-smoke svc-smoke net-smoke trace-smoke \
-		telemetry-smoke mc-stress resume-smoke decompose-smoke
+		telemetry-smoke mc-stress resume-smoke decompose-smoke \
+		perfbench-smoke
 	@if git ls-files | grep -E '^_build/|\.install$$|^\.merlin$$' >/dev/null; then \
 	  echo "error: build artefacts are tracked in git (see .gitignore)"; \
 	  git ls-files | grep -E '^_build/|\.install$$|^\.merlin$$' | head; \

@@ -219,7 +219,11 @@ let run ?hint ?init p ~t ~trace =
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let memo_hits = ref 0 in
-  let memo = Memo_key.Memo.create 1024 in
+  (* Sized for the minor heap: a bucket array over 256 words is
+     allocated straight in the major heap, on every call however small
+     the history, and the model checker makes one call per leaf.  The
+     table grows as the search needs it. *)
+  let memo = Memo_key.Memo.create 16 in
   (* One state vector, mutated in place and restored on backtrack; the
      memo snapshots it ([Array.copy]) only when inserting a failure, so
      the hot path allocates nothing per transition. *)
@@ -409,7 +413,7 @@ let final_states ?init p =
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let visited_hits = ref 0 in
-  let visited = Memo_key.Memo.create 1024 in
+  let visited = Memo_key.Memo.create 16 in  (* see [run]'s memo *)
   let states =
     match init with
     | None -> Array.copy init_states

@@ -85,8 +85,9 @@ let finish (a : acc) : t =
    whose encodings fix some low bits would then collapse onto one
    bucket (or one shard).  Remixing gives every consumer an
    independent view; indices that read disjoint ranges of the SAME
-   mixed word never alias. *)
-let mix (z : t) : t =
+   mixed word never alias.  Inlined, so a consumer that only carves
+   bits out of the mixed word allocates no box for it. *)
+let[@inline] mix (z : t) : t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
   Int64.logxor z (Int64.shift_right_logical z 33)

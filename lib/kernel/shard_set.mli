@@ -1,11 +1,12 @@
 (** Owner-partitioned set of 64-bit fingerprints: the search's visited
-    set.  Each shard is a plain lock-free-because-single-owner
-    [Hashtbl]; a fingerprint's shard is the pure function {!owner} of
-    its value, and the caller's routing (SPSC handoff + barrier
-    phases) guarantees only the owning domain ever touches a shard.
-    The owner index reads the {e high} bits of {!Fingerprint.mix},
-    leaving the low bits of the same mixed word uniform within every
-    shard. *)
+    set and the spill tier's hot tier.  Each shard is an unboxed
+    {!Fp_table}, lock-free because it has a single owner; a
+    fingerprint's shard is the pure function {!owner} of its value, and
+    the caller's routing (SPSC handoff + barrier phases) guarantees
+    only the owning domain ever touches a shard.  The owner index reads
+    the {e high} bits of {!Fingerprint.mix}, leaving the low bits of
+    the same mixed word, which the shard's slot index reads, uniform
+    within every shard. *)
 
 type t
 
@@ -29,6 +30,13 @@ val mem : t -> shard:int -> int64 -> bool
 
 (** Members of one shard (owning domain, or quiescence). *)
 val shard_cardinal : t -> int -> int
+
+(** [iter t ~shard f] — [f] on every member of [shard] once, in no
+    particular order (owning domain; [f] must not change the shard). *)
+val iter : t -> shard:int -> (int64 -> unit) -> unit
+
+(** Empties [shard], keeping its capacity (owning domain). *)
+val clear : t -> shard:int -> unit
 
 (** Total members; quiescent callers only (end-of-search stats). *)
 val cardinal : t -> int

@@ -14,11 +14,11 @@
     process-wide pool, so domains are spawned once per process, not
     once per search (with [domains = 1] the single worker runs on the
     calling domain).  Each owns a fixed shard of the fingerprint space
-    (a plain per-domain [Hashtbl], no lock on the hot path), expands
-    the frontier states it owns, and routes generated successors to
-    their owner in fixed-size batches over SPSC queues; levels
-    synchronize at a two-phase epoch barrier.  See the long comment
-    above [bfs].
+    (an unboxed per-domain fingerprint table, no lock on the hot path),
+    expands the frontier states it owns, and routes generated
+    successors to their owner in fixed-size batches over SPSC queues;
+    levels synchronize at a two-phase epoch barrier.  See the long
+    comment above [bfs].
 
     {2 Determinism contract}
 
@@ -258,10 +258,11 @@ let read_verdicts (type v) sp ~seq ~writer : v list =
 
 (* Each domain {e owns} a fixed shard of the fingerprint space
    outright ({!Elin_kernel.Shard_set.owner}): it holds that shard's
-   slice of the visited set in a plain [Hashtbl] (no lock ever touches
-   the hot path), expands exactly the frontier states it owns, and
-   routes generated successors to their owner's inbox in fixed-size
-   batches over per-(src,dst) SPSC queues.  Domains are spawned once
+   slice of the visited set in an unboxed {!Elin_kernel.Fp_table} (no
+   lock ever touches the hot path), expands exactly the frontier
+   states it owns, and routes generated successors to their owner's
+   inbox in fixed-size batches over per-(src,dst) SPSC queues.  Its
+   levels live in two reused {!Level} buffers.  Domains are spawned once
    per process ([Workers]); levels synchronize at a two-phase epoch
    (blocking {!Elin_kernel.Barrier}), which is all that
    level-stratified dedup — and dedup-under-POR's [merge] — need to
@@ -298,6 +299,47 @@ let handoff_batch = 64
 
 let m_handoff_batches = Elin_obs.Metrics.counter "mc.handoff_batches"
 let m_handoff_states = Elin_obs.Metrics.counter "mc.handoff_states"
+
+(* One domain's share of a BFS level: the first [n] entries of
+   [states], in first-arrival order, with their fingerprints at the
+   same index of [fps] (8 bytes each, unboxed).  A worker keeps two,
+   the frontier it expands and the level it builds, and swaps them at
+   each level boundary: they double when full and never shrink, so a
+   level costs no allocation once the widest one has been seen.
+   [clear] overwrites the used prefix with [filler] (any live state) so
+   that an expanded level's states can be collected. *)
+module Level = struct
+  type 's t = {
+    mutable states : 's array;
+    mutable fps : Bytes.t;
+    mutable n : int;
+  }
+
+  let of_array states =
+    let n = Array.length states in
+    { states; fps = Bytes.create (8 * n); n }
+
+  let push t ~filler fp s =
+    if t.n = Array.length t.states then begin
+      let cap = max 64 (2 * t.n) in
+      let states = Array.make cap filler in
+      Array.blit t.states 0 states 0 t.n;
+      let fps = Bytes.create (8 * cap) in
+      Bytes.blit t.fps 0 fps 0 (8 * t.n);
+      t.states <- states;
+      t.fps <- fps
+    end;
+    t.states.(t.n) <- s;
+    Bytes.set_int64_le t.fps (8 * t.n) fp;
+    t.n <- t.n + 1
+
+  let fp t i = Bytes.get_int64_le t.fps (8 * i)
+  let to_array t = Array.sub t.states 0 t.n
+
+  let clear t ~filler =
+    Array.fill t.states 0 t.n filler;
+    t.n <- 0
+end
 
 (* The helper domains, shared by every search in the process.  A
    search checks [domains - 1] of them out for its whole run and hands
@@ -484,10 +526,13 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     let leaves = ref 0 and cut = ref 0 in
     let all_found = ref [] and level_found = ref [] in
     let levels = ref 0 and peak = ref 0 in
-    let next_acc = ref [] in
-    (* merge-mode level table: fp -> first copy carrying the merge *)
-    let pending = Hashtbl.create 257 in
-    let pending_order = ref [] in
+    let frontier =
+      ref (Level.of_array (if root_owner = d then [| root |] else [||]))
+    in
+    let next = ref (Level.of_array [||]) in
+    (* merge mode: each of the level's fingerprints -> its index in
+       [!next], where the first-arrived copy carries the merge *)
+    let slots = Fp_table.create () in
     let bufs = Array.make n_domains [] in
     let buf_counts = Array.make n_domains 0 in
     let m_worker =
@@ -532,20 +577,19 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
        drained from a peer's batch): the single point where dedup and
        merge decisions are made — single-threaded per fingerprint. *)
     let process_kept fp s =
+      let lv = !next in
       match vops, merge with
-      | None, _ -> next_acc := s :: !next_acc
+      | None, _ -> Level.push lv ~filler:root fp s
       | Some v, None ->
-        if v.vadd fp then next_acc := s :: !next_acc else incr hits
-      | Some v, Some merge_fn -> (
+        if v.vadd fp then Level.push lv ~filler:root fp s else incr hits
+      | Some v, Some merge_fn ->
         if v.vmem fp then incr hits
-        else
-          match Hashtbl.find_opt pending fp with
-          | None ->
-            Hashtbl.add pending fp s;
-            pending_order := fp :: !pending_order
-          | Some s0 ->
-            incr hits;
-            Hashtbl.replace pending fp (merge_fn s0 s))
+        else if Fp_table.add slots fp lv.n then Level.push lv ~filler:root fp s
+        else begin
+          incr hits;
+          let i = Fp_table.find slots fp in
+          lv.states.(i) <- merge_fn lv.states.(i) s
+        end
     in
     let route s' =
       let fp = fingerprint s' in
@@ -574,7 +618,6 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
         incr cut;
         Option.iter (fun v -> level_found := v :: !level_found) v
     in
-    let frontier = ref (if root_owner = d then [| root |] else [||]) in
     let global_size = ref 1 in
     (match manifest, sp_opt with
     | Some m, Some sp ->
@@ -593,8 +636,10 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       peak := m.totals.t_peak;
       if d = 0 then sp.sp_restore_aux m.totals.t_aux;
       all_found := read_verdicts sp ~seq:m.seq ~writer:d;
-      frontier := read_frontier_slice sp ~dedup ~seq:m.seq ~writer:d ~fingerprint;
-      next_sizes.(d) <- Array.length !frontier;
+      frontier :=
+        Level.of_array
+          (read_frontier_slice sp ~dedup ~seq:m.seq ~writer:d ~fingerprint);
+      next_sizes.(d) <- !frontier.n;
       Barrier.await barrier;
       let total = ref 0 in
       for o = 0 to n_domains - 1 do
@@ -619,7 +664,11 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
         Elin_obs.Metrics.Gauge.set g_level !levels
       end;
       let hits0 = !hits and states0 = !states and leaves0 = !leaves in
-      Array.iter expand_state !frontier;
+      let lv = !frontier in
+      for i = 0 to lv.n - 1 do
+        expand_state lv.states.(i)
+      done;
+      Level.clear lv ~filler:root;
       for o = 0 to n_domains - 1 do
         flush o
       done;
@@ -637,26 +686,17 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
         in
         drain ()
       done;
-      let next =
-        match vops, merge with
-        | Some v, Some _ ->
-          let survivors =
-            List.rev_map
-              (fun fp ->
-                ignore (v.vadd fp);
-                Hashtbl.find pending fp)
-              !pending_order
-          in
-          Hashtbl.reset pending;
-          pending_order := [];
-          Array.of_list survivors
-        | _ ->
-          let arr = Array.of_list (List.rev !next_acc) in
-          next_acc := [];
-          arr
-      in
-      kept := !kept + Array.length next;
-      next_sizes.(d) <- Array.length next;
+      let lv = !next in
+      (match vops, merge with
+      | Some v, Some _ ->
+        (* The level's survivors enter the visited set newest first. *)
+        for i = lv.n - 1 downto 0 do
+          ignore (v.vadd (Level.fp lv i))
+        done;
+        Fp_table.clear slots
+      | _ -> ());
+      kept := !kept + lv.n;
+      next_sizes.(d) <- lv.n;
       found_counts.(d) <- List.length !level_found;
       (match g_shard, visited with
       | Some g, Some visited ->
@@ -696,7 +736,9 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       incr levels;
       if (stop_early && !any_found) || !total_next = 0 then stop := true
       else begin
-        frontier := next;
+        let expanded = !frontier in
+        frontier := !next;
+        next := expanded;
         global_size := !total_next;
         match sp_opt with
         | Some sp when sp.sp_every > 0 && !levels mod sp.sp_every = 0 ->
@@ -711,7 +753,8 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
           (match tiered with
           | Some tv -> Elin_store.Tiered_set.flush_shard tv d
           | None -> ());
-          write_frontier_slice sp ~dedup ~seq ~writer:d ~fingerprint next;
+          write_frontier_slice sp ~dedup ~seq ~writer:d ~fingerprint
+            (Level.to_array !frontier);
           write_verdicts sp ~seq ~writer:d !all_found;
           ck_states.(d) <- !states;
           ck_hits.(d) <- !hits;

@@ -1,18 +1,16 @@
-(* Hot Hashtbl per shard + sealed sorted segments.  Invariant: within
-   a shard, hot and every segment are pairwise disjoint sets, so
-   membership = hot hit or any-segment probe hit, and a flush is a
-   pure representation change.  Shard routing duplicates
-   Shard_set.owner's bit carving (high bits of Fingerprint.mix);
-   test_store pins the two functions together. *)
+(* Hot tier (one Shard_set shard per shard) + sealed sorted segments.
+   Invariant: within a shard, hot and every segment are pairwise
+   disjoint sets, so membership = hot hit or any-segment probe hit,
+   and a flush is a pure representation change.  Shards are routed by
+   the hot tier's own Shard_set.owner. *)
 
-module Fingerprint = Elin_kernel.Fingerprint
+module Shard_set = Elin_kernel.Shard_set
 module Metrics = Elin_obs.Metrics
 module Trace = Elin_obs.Trace
 module Recorder = Elin_obs.Recorder
 module Jsonl = Elin_obs.Jsonl
 
 type shard_state = {
-  hot : (int64, unit) Hashtbl.t;
   mutable readers : Segment.reader list;
   mutable seq : int;  (* next segment sequence number *)
   mutable spilled : int;
@@ -23,8 +21,8 @@ type shard_state = {
 
 type t = {
   dir : string;
+  hot : Shard_set.t;
   shard_states : shard_state array;
-  n_shards : int;
   hot_capacity : int;
   m_flushes : Metrics.Counter.t;
   m_spilled : Metrics.Counter.t;
@@ -43,7 +41,6 @@ let parse_seg_name name =
 
 let fresh_shard () =
   {
-    hot = Hashtbl.create 1024;
     readers = [];
     seq = 0;
     spilled = 0;
@@ -58,8 +55,8 @@ let make ~dir ~shards ~hot_capacity =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   {
     dir;
+    hot = Shard_set.create ~shards ();
     shard_states = Array.init shards (fun _ -> fresh_shard ());
-    n_shards = shards;
     hot_capacity;
     m_flushes = Metrics.counter "store.flushes";
     m_spilled = Metrics.counter "store.spilled";
@@ -106,13 +103,9 @@ let open_existing ~dir ~shards ~hot_capacity ~segments () =
     t.shard_states;
   t
 
-let shards t = t.n_shards
+let shards t = Shard_set.shards t.hot
 
-let owner t fp =
-  (* Must stay bit-identical to Shard_set.owner: high 31 bits of the
-     mixed word, mod shard count. *)
-  Int64.to_int (Int64.shift_right_logical (Fingerprint.mix fp) 33)
-  mod t.n_shards
+let owner t fp = Shard_set.owner t.hot fp
 
 (* Probe the sealed segments of [s] for [fp].  Caller owns the shard.
    [disk_probes] counts calls, not the segments a call visits; most
@@ -135,7 +128,7 @@ let probe_disk t s fp =
 
 (* Seal [s]'s hot tier as one sorted segment.  Caller owns the shard. *)
 let seal t shard_idx s =
-  let n = Hashtbl.length s.hot in
+  let n = Shard_set.shard_cardinal t.hot shard_idx in
   if n > 0 then begin
     (* Seal span: sort + write + fsync + reopen — the whole stall the
        spilling domain takes.  Per flush (cold), plus a recorder note
@@ -143,11 +136,9 @@ let seal t shard_idx s =
     let span_ts = Trace.begin_ns () in
     let records = Array.make n (0L, 0L) in
     let i = ref 0 in
-    Hashtbl.iter
-      (fun fp () ->
+    Shard_set.iter t.hot ~shard:shard_idx (fun fp ->
         records.(!i) <- (fp, 0L);
-        incr i)
-      s.hot;
+        incr i);
     Array.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) records;
     let name = seg_name ~shard:shard_idx ~seq:s.seq in
     Segment.write ~dir:t.dir ~name records;
@@ -156,7 +147,7 @@ let seal t shard_idx s =
     s.seq <- s.seq + 1;
     s.spilled <- s.spilled + n;
     s.flushes <- s.flushes + 1;
-    Hashtbl.reset s.hot;
+    Shard_set.clear t.hot ~shard:shard_idx;
     Metrics.Counter.incr t.m_flushes;
     Metrics.Counter.add t.m_spilled n;
     if Metrics.on () then begin
@@ -182,19 +173,19 @@ let check_owned t ~shard fp fn =
 let add_owned t ~shard fp =
   check_owned t ~shard fp "add_owned";
   let s = t.shard_states.(shard) in
-  if Hashtbl.mem s.hot fp then false
+  if Shard_set.mem t.hot ~shard fp then false
   else if probe_disk t s fp then false
   else begin
-    Hashtbl.add s.hot fp ();
+    ignore (Shard_set.add t.hot ~shard fp);
     if Metrics.on () then Metrics.Gauge.add t.g_hot 1;
-    if Hashtbl.length s.hot >= t.hot_capacity then seal t shard s;
+    if Shard_set.shard_cardinal t.hot shard >= t.hot_capacity then
+      seal t shard s;
     true
   end
 
 let mem_owned t ~shard fp =
   check_owned t ~shard fp "mem_owned";
-  let s = t.shard_states.(shard) in
-  Hashtbl.mem s.hot fp || probe_disk t s fp
+  Shard_set.mem t.hot ~shard fp || probe_disk t t.shard_states.(shard) fp
 
 let flush_shard t shard = seal t shard t.shard_states.(shard)
 
@@ -204,9 +195,8 @@ let segment_names t =
   |> List.sort compare
 
 let cardinal t =
-  Array.fold_left
-    (fun acc s -> acc + s.spilled + Hashtbl.length s.hot)
-    0 t.shard_states
+  Shard_set.cardinal t.hot
+  + Array.fold_left (fun acc s -> acc + s.spilled) 0 t.shard_states
 
 type stats = {
   segments : int;
@@ -219,15 +209,15 @@ type stats = {
   block_reads : int;
 }
 
-let stats t =
+let stats (t : t) =
   let sum f readers = List.fold_left (fun acc r -> acc + f r) 0 readers in
   Array.fold_left
     (fun acc s ->
       {
+        acc with
         segments = acc.segments + List.length s.readers;
         disk_bytes = acc.disk_bytes + sum Segment.file_bytes s.readers;
         spilled = acc.spilled + s.spilled;
-        hot = acc.hot + Hashtbl.length s.hot;
         flushes = acc.flushes + s.flushes;
         disk_probes = acc.disk_probes + s.disk_probes;
         disk_probe_hits = acc.disk_probe_hits + s.disk_probe_hits;
@@ -237,7 +227,7 @@ let stats t =
       segments = 0;
       disk_bytes = 0;
       spilled = 0;
-      hot = 0;
+      hot = Shard_set.cardinal t.hot;
       flushes = 0;
       disk_probes = 0;
       disk_probe_hits = 0;

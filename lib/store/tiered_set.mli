@@ -1,5 +1,6 @@
-(** Two-tier visited set: an in-RAM hot [Hashtbl] per shard that spills
-    sealed, sorted {!Segment}s to disk when it reaches capacity.
+(** Two-tier visited set: an in-RAM hot tier, one
+    {!Elin_kernel.Shard_set} shard per shard, that spills sealed,
+    sorted {!Segment}s to disk when it reaches capacity.
 
     Dedup semantics are {e exactly} those of {!Elin_kernel.Shard_set}:
     a fingerprint is a member iff some
@@ -10,7 +11,7 @@
     representation change — verdicts, counts, and lex-min
     counterexamples are bit-identical across spill on/off.
 
-    Sharding uses the {e same} owner function as {!Shard_set.owner}
+    Sharding is the hot tier's own {!Elin_kernel.Shard_set.owner}
     (high bits of [Fingerprint.mix]), so in the search the tiered
     shard of a fingerprint coincides with its owning domain: every
     entry point is owner-discipline — one domain per shard — and takes
@@ -44,7 +45,7 @@ val open_existing :
 
 val shards : t -> int
 
-(** Same partition as {!Elin_kernel.Shard_set.owner}. *)
+(** {!Elin_kernel.Shard_set.owner} of the hot tier. *)
 val owner : t -> int64 -> int
 
 (** Owner-discipline [add] — [true] iff [fp] was not yet a member.

@@ -258,6 +258,38 @@ let memo_hits_counted () =
   Alcotest.(check bool) "memo explores strictly less" true
     (v.Engine.nodes_explored < v'.Engine.nodes_explored)
 
+(* Words this domain allocated straight into the major heap while [f]
+   ran: major words minus the ones promoted from the minor heap. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
+
+(* The model checker runs one check per leaf (122 158 of them on
+   fai/board 2x4 d26), so a small history's check must stay in the
+   minor heap.  A memo created at 1 024 buckets put 1 025 words
+   straight into the major heap on every call. *)
+let no_major_allocation_per_check () =
+  let rng = Elin_kernel.Prng.create 0xa110c in
+  let hists =
+    List.init 1000 (fun _ ->
+        Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:8 ())
+  in
+  let prepared = List.map (Engine.prepare fcfg) hists in
+  let per_call what f =
+    let words = direct_major_words f /. 1000. in
+    if words >= 1. then
+      Alcotest.failf "%s: %.2f words allocated in the major heap per call" what
+        words
+  in
+  per_call "Engine.linearizable" (fun () ->
+      List.iter (fun h -> assert (Engine.linearizable fcfg h)) hists);
+  per_call "Engine.final_states" (fun () ->
+      List.iter
+        (fun p -> assert (snd (Engine.final_states p)).Engine.ok)
+        prepared)
+
 (* Property: generated linearizable histories always pass. *)
 let generated_pass =
   Support.seeded_prop ~count:100 "generated histories linearizable" (fun rng ->
@@ -396,6 +428,8 @@ let () =
           Support.quick "unified budget exception" unified_budget_exception;
           Support.quick "memo hits" memo_hits_counted;
           Support.quick "verdict stats" verdict_counts_nodes;
+          Support.quick "no major-heap allocation per check"
+            no_major_allocation_per_check;
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;

@@ -224,6 +224,174 @@ let fingerprint_collision_smoke () =
   let b = family 0x736d6f6bL in
   Alcotest.(check int) "family sizes" (Hashtbl.length a) (Hashtbl.length b)
 
+(* --- Fp_table --- *)
+
+(* A full-width random fingerprint: [Prng.bits] gives 62 bits. *)
+let random_fp rng =
+  Int64.logxor
+    (Int64.of_int (Prng.bits rng))
+    (Int64.shift_left (Int64.of_int (Prng.bits rng)) 31)
+
+let specials = [ 0L; -1L; Int64.min_int; Int64.max_int; 1L ]
+
+(* 10^5 random operations over a pool of 3x10^4 keys (so most keys
+   recur), with the keys the empty-slot sentinel could confuse mixed
+   in, against a [Hashtbl] model. *)
+let fp_table_differential () =
+  let rng = Prng.create 0xf7ab in
+  let pool =
+    Array.append (Array.of_list specials)
+      (Array.init 30_000 (fun _ -> random_fp rng))
+  in
+  let t = Fp_table.create () and model = Hashtbl.create 1024 in
+  for step = 1 to 100_000 do
+    let k = pool.(Prng.int rng (Array.length pool)) in
+    let expect = Hashtbl.find_opt model k in
+    match Prng.int rng 4 with
+    | 0 ->
+      Alcotest.(check bool) "add" (expect = None) (Fp_table.add t k step);
+      if expect = None then Hashtbl.replace model k step
+    | 1 ->
+      Fp_table.replace t k step;
+      Hashtbl.replace model k step
+    | 2 -> Alcotest.(check bool) "mem" (expect <> None) (Fp_table.mem t k)
+    | _ ->
+      Alcotest.(check (option int)) "find" expect
+        (match Fp_table.find t k with v -> Some v | exception Not_found -> None)
+  done;
+  Alcotest.(check int) "length" (Hashtbl.length model) (Fp_table.length t);
+  let seen = ref 0 in
+  Fp_table.iter
+    (fun k v ->
+      incr seen;
+      Alcotest.(check (option int))
+        "iter payload" (Hashtbl.find_opt model k) (Some v))
+    t;
+  Alcotest.(check int) "iter count" (Hashtbl.length model) !seen
+
+(* 0L is the empty-slot pattern, -1L and min_int are the sign-bit
+   extremes: all are ordinary members. *)
+let fp_table_special_keys () =
+  let t = Fp_table.create () in
+  List.iter
+    (fun k -> Alcotest.(check bool) "absent at first" false (Fp_table.mem t k))
+    specials;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool) "fresh" true (Fp_table.add t k (i - 2));
+      Alcotest.(check bool) "duplicate" false (Fp_table.add t k 99))
+    specials;
+  Alcotest.(check int) "length" (List.length specials) (Fp_table.length t);
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool) "member" true (Fp_table.mem t k);
+      Alcotest.(check int) "payload" (i - 2) (Fp_table.find t k))
+    specials;
+  Alcotest.check_raises "non-member" Not_found (fun () ->
+      ignore (Fp_table.find t 2L))
+
+(* Keys whose mixed words agree on their low 12 bits share one home
+   slot at every capacity up to 4096, so they form one long probe
+   chain; keys of that home that were never added must still miss. *)
+let fp_table_colliding_low_bits () =
+  let same_home =
+    Seq.ints 1
+    |> Seq.map Int64.of_int
+    |> Seq.filter (fun k -> Int64.to_int (Fingerprint.mix k) land 0xfff = 0)
+    |> Seq.take 200 |> List.of_seq
+  in
+  let members = List.filteri (fun i _ -> i mod 2 = 0) same_home in
+  let absent = List.filteri (fun i _ -> i mod 2 = 1) same_home in
+  let t = Fp_table.create () in
+  List.iteri
+    (fun i k -> Alcotest.(check bool) "fresh" true (Fp_table.add t k i))
+    members;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool) "member" true (Fp_table.mem t k);
+      Alcotest.(check int) "payload" i (Fp_table.find t k);
+      Alcotest.(check bool) "duplicate" false (Fp_table.add t k 0))
+    members;
+  List.iter
+    (fun k -> Alcotest.(check bool) "never added" false (Fp_table.mem t k))
+    absent;
+  Alcotest.(check int) "length" (List.length members) (Fp_table.length t)
+
+(* The capacity is a power of two and doubles when an insert takes the
+   table past half full, i.e. at the (2^j + 1)-th member; after each of
+   those inserts every earlier key must still be found. *)
+let fp_table_mem_after_doubling () =
+  let rng = Prng.create 0xd0b1 in
+  let t = Fp_table.create () in
+  let keys = Array.init ((1 lsl 15) + 1) (fun _ -> random_fp rng) in
+  keys.(5) <- 0L;
+  Array.iteri
+    (fun n k ->
+      ignore (Fp_table.add t k n);
+      let count = n + 1 in
+      if count > 2 && (count - 1) land (count - 2) = 0 then
+        for i = 0 to n do
+          if not (Fp_table.mem t keys.(i)) then
+            Alcotest.failf "key %d lost at %d members" i count;
+          Alcotest.(check int) "payload" i (Fp_table.find t keys.(i))
+        done)
+    keys
+
+let fp_table_iter_once () =
+  let rng = Prng.create 0x17e2 in
+  let t = Fp_table.create () in
+  let keys = 0L :: -1L :: List.init 5000 (fun _ -> random_fp rng) in
+  List.iter (fun k -> ignore (Fp_table.add t k 7)) keys;
+  let visits = Hashtbl.create 1024 in
+  Fp_table.iter
+    (fun k v ->
+      Alcotest.(check int) "payload" 7 v;
+      let n = Option.value ~default:0 (Hashtbl.find_opt visits k) in
+      Hashtbl.replace visits k (n + 1))
+    t;
+  List.iter
+    (fun k ->
+      Alcotest.(check (option int))
+        "visited once" (Some 1) (Hashtbl.find_opt visits k))
+    keys;
+  Alcotest.(check int)
+    "nothing else" (Fp_table.length t) (Hashtbl.length visits)
+
+let fp_table_clear () =
+  let rng = Prng.create 0xc1ea in
+  let t = Fp_table.create () in
+  let keys = 0L :: List.init 3000 (fun _ -> random_fp rng) in
+  List.iter (fun k -> ignore (Fp_table.add t k 1)) keys;
+  Fp_table.clear t;
+  Alcotest.(check int) "empty" 0 (Fp_table.length t);
+  Fp_table.iter (fun _ _ -> Alcotest.fail "iter after clear") t;
+  List.iter
+    (fun k -> Alcotest.(check bool) "gone" false (Fp_table.mem t k))
+    keys;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool) "re-add is fresh" true (Fp_table.add t k i))
+    keys;
+  List.iteri
+    (fun i k -> Alcotest.(check int) "new payload" i (Fp_table.find t k))
+    keys;
+  Alcotest.(check int) "length" (List.length keys) (Fp_table.length t)
+
+let fp_table_replace () =
+  let t = Fp_table.create () in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "add" true (Fp_table.add t k 1);
+      Alcotest.(check bool)
+        "add keeps the old payload" false (Fp_table.add t k 2);
+      Alcotest.(check int) "old payload" 1 (Fp_table.find t k);
+      Fp_table.replace t k 3;
+      Alcotest.(check int) "replaced" 3 (Fp_table.find t k))
+    [ 0L; 42L ];
+  Fp_table.replace t 43L (-5);
+  Alcotest.(check int) "replace inserts" (-5) (Fp_table.find t 43L);
+  Alcotest.(check int) "length" 3 (Fp_table.length t)
+
 (* --- Shard_set --- *)
 
 let shard_add_mem () =
@@ -238,6 +406,34 @@ let shard_add_mem () =
   Alcotest.(check bool) "mem" true (Shard_set.mem s ~shard:sh fp);
   Alcotest.(check int) "shard cardinal" 1 (Shard_set.shard_cardinal s sh);
   Alcotest.(check int) "cardinal" 1 (Shard_set.cardinal s)
+
+(* [iter] and [clear] see one shard only: what the spill tier's seal
+   reads and empties. *)
+let shard_iter_clear () =
+  let s = Shard_set.create ~shards:3 () in
+  let fps = List.init 300 Int64.of_int in
+  List.iter
+    (fun fp -> ignore (Shard_set.add s ~shard:(Shard_set.owner s fp) fp))
+    fps;
+  let owned sh = List.filter (fun fp -> Shard_set.owner s fp = sh) fps in
+  let members sh =
+    let acc = ref [] in
+    Shard_set.iter s ~shard:sh (fun fp -> acc := fp :: !acc);
+    List.sort compare !acc
+  in
+  for sh = 0 to 2 do
+    Alcotest.(check (list int64)) "iter = owned members" (owned sh) (members sh)
+  done;
+  Shard_set.clear s ~shard:1;
+  Alcotest.(check int) "cleared shard" 0 (Shard_set.shard_cardinal s 1);
+  Alcotest.(check (list int64)) "other shards kept" (owned 2) (members 2);
+  Alcotest.(check int) "cardinal"
+    (List.length (owned 0) + List.length (owned 2))
+    (Shard_set.cardinal s);
+  List.iter
+    (fun fp ->
+      Alcotest.(check bool) "re-add" true (Shard_set.add s ~shard:1 fp))
+    (owned 1)
 
 let shard_owner_uniform () =
   let shards = 4 in
@@ -478,9 +674,21 @@ let () =
           Support.quick "collision smoke (10^5 x 2 seeds)"
             fingerprint_collision_smoke;
         ] );
+      ( "fp_table",
+        [
+          Support.quick "differential vs Hashtbl (10^5 ops)"
+            fp_table_differential;
+          Support.quick "0L, -1L and min_int are members" fp_table_special_keys;
+          Support.quick "colliding low bits" fp_table_colliding_low_bits;
+          Support.quick "mem after each doubling" fp_table_mem_after_doubling;
+          Support.quick "iter visits each member once" fp_table_iter_once;
+          Support.quick "clear empties and stays usable" fp_table_clear;
+          Support.quick "payload replace" fp_table_replace;
+        ] );
       ( "shard_set",
         [
           Support.quick "add/mem/owner" shard_add_mem;
+          Support.quick "per-shard iter/clear" shard_iter_clear;
           Support.quick "owner dispersion" shard_owner_uniform;
           Support.quick "owner/stripe bit disjointness"
             shard_owner_keeps_stripes_uniform;

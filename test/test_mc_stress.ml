@@ -17,6 +17,11 @@
       in the wrong place or order shows up as a verdict diff, not just
       a count diff.
 
+    Every space also runs a second time with one reached state's
+    fingerprint replaced by [0L] — the word the visited set and the
+    level tables use for an empty slot — so the search must keep [0L]
+    as an ordinary member in every mode.
+
     Runs standalone under [dune runtest] (3 quick repeats) and as
     [test_mc_stress.exe --repeat N --domains 1,2,4 --seed S] from the
     Makefile. *)
@@ -99,11 +104,50 @@ let check_equal ~what ~cfg (v0, (s0 : Search.stats)) (v1, (s1 : Search.stats))
   field "levels" s0.Search.levels s1.Search.levels;
   field "frontier_peak" s0.Search.frontier_peak s1.Search.frontier_peak
 
-let space_fns sp ~merge =
-  if merge then (fp_shape sp, Some merge_meta) else (fp_full sp, None)
+(* The fingerprint a zero-key variant replaces by [0L]: of the
+   fingerprints of levels 1-5, the one that arrives most often (the
+   smallest on ties), so the search meets [0L] as a duplicate as well
+   as a fresh state.  A pure function of the space, so the space stream
+   of the other variants is unchanged. *)
+let zero_target sp fingerprint =
+  let arrivals = Hashtbl.create 256 in
+  let rec level d states =
+    if d <= 5 && states <> [] then begin
+      let next =
+        List.concat_map
+          (fun s -> match expand sp s with Search.Children cs -> cs | _ -> [])
+          states
+      in
+      List.iter
+        (fun c ->
+          let f = fingerprint c in
+          Hashtbl.replace arrivals f
+            (1 + Option.value ~default:0 (Hashtbl.find_opt arrivals f)))
+        next;
+      level (d + 1) (List.sort_uniq Stdlib.compare next)
+    end
+  in
+  level 1 [ root ];
+  Hashtbl.fold
+    (fun f n (bf, bn) ->
+      if n > bn || (n = bn && Int64.compare f bf < 0) then (f, n) else (bf, bn))
+    arrivals (fingerprint root, 0)
+  |> fst
 
-let run_one sp ~domains ~dedup ~merge =
-  let fingerprint, merge_fn = space_fns sp ~merge in
+(* Under [zero], every state fingerprinted [zero_target] gets [0L]
+   instead. *)
+let space_fns sp ~merge ~zero =
+  let fingerprint, merge_fn =
+    if merge then (fp_shape sp, Some merge_meta) else (fp_full sp, None)
+  in
+  if not zero then (fingerprint, merge_fn)
+  else
+    let z = zero_target sp fingerprint in
+    let fp s = if Int64.equal (fingerprint s) z then 0L else fingerprint s in
+    (fp, merge_fn)
+
+let run_one sp ~domains ~dedup ~merge ~zero =
+  let fingerprint, merge_fn = space_fns sp ~merge ~zero in
   Search.bfs ~domains ~dedup ~stop_early:false ?merge:merge_fn ~fingerprint
     ~expand:(expand sp) ~compare:Stdlib.compare root
 
@@ -111,8 +155,8 @@ let run_one sp ~domains ~dedup ~merge =
    deduplicated against every earlier level and against each other;
    under [merge] a duplicate folds its meta into the surviving copy.
    Only the fields [check_equal] compares are filled in. *)
-let reference_bfs sp ~dedup ~merge =
-  let fingerprint, merge_fn = space_fns sp ~merge in
+let reference_bfs sp ~dedup ~merge ~zero =
+  let fingerprint, merge_fn = space_fns sp ~merge ~zero in
   let visited = Hashtbl.create 1024 in
   let states = ref 0 and hits = ref 0 and kept = ref 0 and peak = ref 0 in
   let leaves = ref 0 and cut = ref 0 and levels = ref 0 and found = ref [] in
@@ -168,21 +212,25 @@ let stress ~repeat ~domain_counts ~seed =
   let total = ref 0 in
   for r = 1 to repeat do
     let sp = random_space rng in
-    (* (dedup, merge): plain tree, plain dedup, and the Tag/merge path. *)
+    (* (dedup, merge): plain tree, plain dedup, and the Tag/merge path;
+       each as is and with a zero fingerprint. *)
     List.iter
-      (fun (dedup, merge) ->
-        let reference = reference_bfs sp ~dedup ~merge in
+      (fun ((dedup, merge), zero) ->
+        let reference = reference_bfs sp ~dedup ~merge ~zero in
         total := !total + (snd reference).Search.states;
         List.iter
           (fun domains ->
             let cfg =
-              Printf.sprintf "repeat=%d seed=0x%Lx domains=%d dedup=%b merge=%b"
-                r sp.seed domains dedup merge
+              Printf.sprintf
+                "repeat=%d seed=0x%Lx domains=%d dedup=%b merge=%b zero=%b" r
+                sp.seed domains dedup merge zero
             in
             check_equal ~what:"search vs reference BFS" ~cfg reference
-              (run_one sp ~domains ~dedup ~merge))
+              (run_one sp ~domains ~dedup ~merge ~zero))
           domain_counts)
-      [ (false, false); (true, false); (true, true) ]
+      (List.concat_map
+         (fun mode -> [ (mode, false); (mode, true) ])
+         [ (false, false); (true, false); (true, true) ])
   done;
   !total
 
@@ -210,8 +258,9 @@ let () =
   match stress ~repeat:!repeat ~domain_counts:!domains ~seed:!seed with
   | total ->
     Printf.printf
-      "mc-stress: OK — %d repeats x {tree, dedup, merge} x domains [%s] \
-       agree with the reference BFS (%d reference states)\n"
+      "mc-stress: OK — %d repeats x {tree, dedup, merge} x {as is, one \
+       state fingerprinted 0L} x domains [%s] agree with the reference BFS \
+       (%d reference states)\n"
       !repeat
       (String.concat "; " (List.map string_of_int !domains))
       total

@@ -354,22 +354,6 @@ let tiered_matches_model () =
     (s.Tiered_set.spilled + s.Tiered_set.hot);
   Tiered_set.close t
 
-(* The tiered partition must coincide with [Shard_set.owner]: in the
-   sharded engine the same fingerprint must route to the same domain
-   whether the visited tier is RAM or disk. *)
-let tiered_owner_agrees_with_shard_set () =
-  let dir = fresh_dir () in
-  let t = Tiered_set.create ~dir ~shards:4 ~hot_capacity:64 () in
-  let s = Elin_kernel.Shard_set.create ~shards:4 () in
-  for i = 0 to 2000 do
-    let fp = fp_of i in
-    Alcotest.(check int)
-      (Printf.sprintf "owner of %s" (Fp.to_hex fp))
-      (Elin_kernel.Shard_set.owner s fp)
-      (Tiered_set.owner t fp)
-  done;
-  Tiered_set.close t
-
 let tiered_owned_entry_points () =
   let dir = fresh_dir () in
   let t = Tiered_set.create ~dir ~shards:2 ~hot_capacity:8 () in
@@ -583,8 +567,6 @@ let () =
       ( "tiered",
         [
           Alcotest.test_case "matches model" `Quick tiered_matches_model;
-          Alcotest.test_case "owner agrees with Shard_set" `Quick
-            tiered_owner_agrees_with_shard_set;
           Alcotest.test_case "owned entry points" `Quick
             tiered_owned_entry_points;
           Alcotest.test_case "reopen from segments" `Quick

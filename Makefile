@@ -145,7 +145,8 @@ decompose-smoke: build
 # --connect` (exit code must be 3 and the verdict stream byte-identical
 # to the svc golden — the wire adds nothing and loses nothing), then
 # SIGTERMs the server and asserts a clean drain: exit 0, a final
-# metrics snapshot on stderr, and the socket file unlinked.
+# metrics snapshot on stderr counting all 50 jobs submitted and
+# completed, and the socket file unlinked.
 net-smoke: build
 	@mkdir -p _build/net-smoke
 	@rm -f _build/net-smoke/sock
@@ -180,6 +181,10 @@ net-smoke: build
 	grep -q '"final":true' _build/net-smoke/serve.err \
 	  || { echo "net-smoke: no final metrics snapshot on server stderr"; \
 	       exit 1; }; \
+	for count in '"submitted":50' '"completed":50'; do \
+	  grep '"final":true' _build/net-smoke/serve.err | grep -q "$$count" \
+	    || { echo "net-smoke: final snapshot lacks $$count"; exit 1; }; \
+	done; \
 	if [ -e _build/net-smoke/sock ]; then \
 	  echo "net-smoke: socket file not unlinked on drain"; exit 1; \
 	fi

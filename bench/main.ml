@@ -24,8 +24,7 @@
       search + certification + derivation) for a sweep of stabilization
       parameters k;
     - B5 [svc-throughput]: the lib/svc checking service — jobs/s of a
-      50-job batch vs worker-domain count, with and without
-      prepared-history reuse.
+      50-job batch vs worker-domain count.
 
     Every workload is deterministic (seeded); numbers are ns per
     whole-scenario run, with per-op normalization printed where the
@@ -650,10 +649,8 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock of whole batches (not bechamel): the quantity of
-   interest is end-to-end jobs/s through the pool, channels and
-   batcher included.  10 histories x 5 checker kinds = 50 jobs; the 5
-   checks per history are exactly what prepared-history reuse is
-   for. *)
+   interest is end-to-end jobs/s through the pool, channels included.
+   10 histories x 5 checker kinds = 50 jobs. *)
 let b5 () =
   let open Elin_svc in
   let fai = Faicounter.spec () in
@@ -679,13 +676,13 @@ let b5 () =
              [ Job.Linearizable; Job.T_lin 2; Job.Min_t; Job.Weak; Job.Full ]))
   in
   let n = List.length jobs in
-  let throughput ~domains ~reuse =
+  let throughput ~domains =
     (* Best of 3: batches are deterministic, so the best run is the
        least-perturbed one. *)
     let best = ref infinity in
     for _ = 1 to 3 do
       let t0 = Elin_obs.Clock.now_s () in
-      let vs = Pool.run_batch ~reuse ~domains jobs in
+      let vs = Pool.run_batch ~domains jobs in
       let dt = Elin_obs.Clock.now_s () -. t0 in
       assert (List.length vs = n);
       assert (
@@ -695,14 +692,12 @@ let b5 () =
     float_of_int n /. !best
   in
   Printf.printf "\n== B5: checking-service throughput (%d jobs) ==\n" n;
-  Printf.printf "%-10s %18s %18s\n" "domains" "jobs/s (reuse)"
-    "jobs/s (no reuse)";
+  Printf.printf "%-10s %10s\n" "domains" "jobs/s";
   let rows =
     List.map
       (fun domains ->
-        let r = throughput ~domains ~reuse:true in
-        let nr = throughput ~domains ~reuse:false in
-        Printf.printf "%-10d %18.0f %18.0f\n" domains r nr;
+        let r = throughput ~domains in
+        Printf.printf "%-10d %10.0f\n" domains r;
         flush stdout;
         let open Jsonl in
         Obj
@@ -710,8 +705,7 @@ let b5 () =
             ("name", Str (Printf.sprintf "svc/domains %d" domains));
             ("domains", Int domains);
             ("jobs", Int n);
-            ("jobs_per_s_reuse", jnum r);
-            ("jobs_per_s_no_reuse", jnum nr);
+            ("jobs_per_s", jnum r);
           ])
       [ 1; 2; 4; 8 ]
   in

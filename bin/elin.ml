@@ -9,7 +9,7 @@
     elin mc         — parallel fingerprint-dedup model checking
     elin experiments— run the experiment suite and print the report
     elin batch      — run a JSONL job stream through the checking service
-    elin serve      — watch a spool directory of *.jobs files
+    elin serve      — serve checking jobs over a socket
     elin trace      — validate recorded trace / metrics files
     v}
 
@@ -1232,12 +1232,6 @@ let timeout_ms_arg =
            ~doc:"Default wall-clock timeout per job, in milliseconds \
                  (jobs may override).")
 
-let no_reuse_arg =
-  Arg.(value & flag
-       & info [ "no-reuse" ]
-           ~doc:"Disable prepared-history reuse across jobs sharing a \
-                 (spec, history) pair.")
-
 let svc_stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
@@ -1253,7 +1247,7 @@ let read_all_lines ic =
   in
   go []
 
-(* Graceful-shutdown signals for the serving modes: SIGINT (operator
+(* Graceful-shutdown signals for `elin serve`: SIGINT (operator
    Ctrl-C) and SIGTERM (init systems, `kill`, CI harnesses) both
    request a stop instead of killing the process, so in-flight work
    finishes and the final metrics line is flushed.  Returns the stop
@@ -1277,25 +1271,6 @@ let install_stop_signals () =
   in
   (stop_requested, restore)
 
-(* Fold the pool-level snapshot into the obs registry (counters by
-   dotted name) so the --metrics file is ONE vocabulary: engine/kernel
-   counters collected live during the run plus the svc totals. *)
-let mirror_svc_snapshot (s : Elin_svc.Metrics.snapshot) =
-  let c name v = Obs.Metrics.Counter.add (Obs.Metrics.counter name) v in
-  c "svc.submitted" s.Elin_svc.Metrics.submitted;
-  c "svc.completed" s.Elin_svc.Metrics.completed;
-  c "svc.pass" s.Elin_svc.Metrics.pass;
-  c "svc.violations" s.Elin_svc.Metrics.violations;
-  c "svc.budget_exhausted" s.Elin_svc.Metrics.budget_exhausted;
-  c "svc.timed_out" s.Elin_svc.Metrics.timed_out;
-  c "svc.cancelled" s.Elin_svc.Metrics.cancelled;
-  c "svc.busy" s.Elin_svc.Metrics.busy;
-  c "svc.bad_jobs" s.Elin_svc.Metrics.bad_jobs;
-  c "svc.failed" s.Elin_svc.Metrics.failed;
-  c "svc.nodes" s.Elin_svc.Metrics.nodes;
-  c "svc.prepare_hits" s.Elin_svc.Metrics.prepare_hits;
-  c "svc.prepare_misses" s.Elin_svc.Metrics.prepare_misses
-
 let metrics_out_arg =
   Arg.(
     value
@@ -1303,35 +1278,16 @@ let metrics_out_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write a metrics snapshot of the run to $(docv) as JSONL (one \
-           metric per line, sorted by name): pool totals plus live \
-           engine/kernel/svc counters and latency histograms.")
+           metric per line, sorted by name): the svc totals plus live \
+           engine/kernel counters and latency histograms.")
 
-(* Client mode of `elin batch`: parse lines locally (unparseable lines
-   stay local bad_job verdicts, same as the pool driver), pipeline the
-   good jobs to a server, and merge everything back in submission
-   order.  Canonical verdict lines re-serialize byte-identically, so
-   the output matches a local run against the same pool settings. *)
-let batch_over_socket addr lines stats =
-  let parsed = Elin_svc.Pool.parse_jobs lines in
-  let jobs =
-    List.filter_map (function `Job j -> Some j | `Bad _ -> None) parsed
-  in
-  let bad =
-    List.filter_map (function `Bad v -> Some v | `Job _ -> None) parsed
-  in
-  let remote = Elin_net.Client.run_jobs addr jobs in
-  let verdicts =
-    List.sort
-      (fun a b -> compare a.Elin_svc.Verdict.seq b.Elin_svc.Verdict.seq)
-      (bad @ remote)
-  in
-  List.iter
-    (fun v -> print_endline (Elin_svc.Verdict.to_line ~stats v))
-    verdicts;
-  verdicts
-
-let do_batch domains job_budget timeout_ms no_reuse stats metrics_out connect
-    decompose trace flight input =
+(* `elin batch`: parse the lines, answer bad ones locally, run the
+   jobs through the pool (or a socket server with --connect: canonical
+   verdict lines re-serialize byte-identically, so the output matches
+   a local run against the same pool settings), and print every
+   verdict in submission order. *)
+let do_batch domains job_budget timeout_ms stats metrics_out connect decompose
+    trace flight input =
   if domains < 1 then
     `Error (false, Printf.sprintf "--domains must be >= 1, got %d" domains)
   else
@@ -1346,13 +1302,22 @@ let do_batch domains job_budget timeout_ms no_reuse stats metrics_out connect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> read_all_lines ic)
     in
+    let print verdicts =
+      List.iter
+        (fun v -> print_endline (Elin_svc.Verdict.to_line ~stats v))
+        verdicts
+    in
     match connect with
     | Some addr_s -> (
       match Elin_net.Addr.of_string addr_s with
       | Error e -> `Error (false, e)
       | Ok addr -> (
-        match batch_over_socket addr lines stats with
-        | verdicts -> ok_exit (Exit_code.of_verdicts verdicts)
+        match
+          Elin_svc.Pool.run_lines ~run:(Elin_net.Client.run_jobs addr) lines
+        with
+        | verdicts ->
+          print verdicts;
+          ok_exit (Exit_code.of_verdicts verdicts)
         | exception Failure m ->
           Printf.eprintf "elin batch --connect %s: %s\n%!" addr_s m;
           ok_exit Exit_code.Usage
@@ -1362,25 +1327,22 @@ let do_batch domains job_budget timeout_ms no_reuse stats metrics_out connect
           ok_exit Exit_code.Usage))
     | None ->
       if metrics_out <> None then Obs.Metrics.enable ();
-      let metrics = Elin_svc.Metrics.create () in
       let run =
-        if decompose then Elin_svc.Split.run_lines else Elin_svc.Pool.run_lines
+        if decompose then
+          Elin_svc.Split.run_batch ?default_budget:job_budget
+            ?default_timeout_ms:timeout_ms ~domains
+        else
+          Elin_svc.Pool.run_batch ?default_budget:job_budget
+            ?default_timeout_ms:timeout_ms ~domains
       in
-      let verdicts =
-        run ?queue_capacity:None ?default_budget:job_budget
-          ?default_timeout_ms:timeout_ms ?reuse:(Some (not no_reuse))
-          ?resolve:None ~metrics ~domains lines
-      in
-      List.iter
-        (fun v -> print_endline (Elin_svc.Verdict.to_line ~stats v))
-        verdicts;
+      let verdicts = Elin_svc.Pool.run_lines ~run lines in
+      print verdicts;
       if stats then
         Format.eprintf "%a@." Elin_svc.Metrics.pp_snapshot
-          (Elin_svc.Metrics.snapshot metrics);
+          (Elin_svc.Metrics.snapshot ());
       (match metrics_out with
       | None -> ()
       | Some path ->
-        mirror_svc_snapshot (Elin_svc.Metrics.snapshot metrics);
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
@@ -1395,8 +1357,8 @@ let connect_arg =
         ~doc:
           "Send the jobs to a running $(b,elin serve --listen) server at \
            $(docv) (unix:PATH or tcp:HOST:PORT) instead of checking \
-           locally.  Pool options (--domains, --job-budget, --timeout-ms, \
-           --no-reuse) are the server's business and are ignored here.")
+           locally.  Pool options (--domains, --job-budget, --timeout-ms) \
+           are the server's business and are ignored here.")
 
 let batch_cmd =
   let input =
@@ -1423,53 +1385,23 @@ let batch_cmd =
     Term.(
       ret
         (const do_batch $ domains_svc_arg $ job_budget_arg $ timeout_ms_arg
-       $ no_reuse_arg $ svc_stats_arg $ metrics_out_arg $ connect_arg
-       $ decompose $ trace_arg $ flight_arg $ input))
+       $ svc_stats_arg $ metrics_out_arg $ connect_arg $ decompose
+       $ trace_arg $ flight_arg $ input))
 
-(* The final metrics line both serve modes flush on shutdown. *)
-let print_final_metrics ?queue_depth metrics =
+(* The final metrics line `elin serve` flushes on shutdown. *)
+let print_final_metrics () =
   Printf.eprintf "%s\n%!"
     (Elin_svc.Jsonl.to_string
        (Elin_svc.Jsonl.Obj
           [
             ("final", Elin_svc.Jsonl.Bool true);
             ( "metrics",
-              Elin_svc.Metrics.snapshot_to_json
-                (Elin_svc.Metrics.snapshot ?queue_depth metrics) );
+              Elin_svc.Metrics.snapshot_to_json (Elin_svc.Metrics.snapshot ())
+            );
           ]))
 
-let serve_spool domains job_budget timeout_ms no_reuse stats dir once poll_ms =
-  if once then begin
-    let n =
-      Elin_svc.Spool.scan_once ?default_budget:job_budget
-        ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~domains
-        ~dir ()
-    in
-    Printf.printf "processed %d job file(s)\n" n;
-    ok_exit Exit_code.Ok
-  end
-  else begin
-    Printf.printf "watching %s (poll every %dms; Ctrl-C to stop)\n%!" dir
-      poll_ms;
-    (* SIGINT/SIGTERM request a stop (checked between scans) instead
-       of killing the process, so the metrics accumulated across every
-       processed file are flushed, not dropped. *)
-    let stop_requested, restore_signals = install_stop_signals () in
-    let metrics = Elin_svc.Metrics.create () in
-    (try
-       Elin_svc.Spool.watch ?default_budget:job_budget
-         ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~metrics
-         ~poll_ms
-         ~stop:(fun () -> Atomic.get stop_requested)
-         ~domains ~dir ()
-     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    restore_signals ();
-    print_final_metrics metrics;
-    ok_exit Exit_code.Ok
-  end
-
-let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
-    queue test_specs telemetry_s =
+let serve_socket domains job_budget timeout_ms stats addr_s admission queue
+    test_specs telemetry_s =
   match Elin_net.Addr.of_string addr_s with
   | Error e -> `Error (false, e)
   | Ok addr -> (
@@ -1484,14 +1416,13 @@ let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
     match telemetry_addr with
     | Error e -> `Error (false, Printf.sprintf "--telemetry: %s" e)
     | Ok telemetry_addr -> (
-      let metrics = Elin_svc.Metrics.create () in
       let resolve =
         if test_specs then Some Elin_net.Load.test_resolve else None
       in
       match
         Elin_net.Server.start ~domains ?default_budget:job_budget
-          ?default_timeout_ms:timeout_ms ~reuse:(not no_reuse) ~stats ~metrics
-          ~admission ~queue_capacity:queue ?resolve addr
+          ?default_timeout_ms:timeout_ms ~stats ~admission
+          ~queue_capacity:queue ?resolve addr
       with
       | exception Failure m -> `Error (false, m)
       | exception Unix.Unix_error (err, fn, _) ->
@@ -1566,51 +1497,22 @@ let serve_socket domains job_budget timeout_ms no_reuse stats addr_s admission
         Elin_net.Server.stop srv;
         Option.iter Elin_net.Telemetry.stop telemetry;
         restore_signals ();
-        print_final_metrics metrics;
+        print_final_metrics ();
         ok_exit Exit_code.Ok))
 
-let do_serve domains job_budget timeout_ms no_reuse stats dir once poll_ms
-    listen admission queue test_specs telemetry trace flight =
+let do_serve domains job_budget timeout_ms stats listen admission queue
+    test_specs telemetry trace flight =
   if domains < 1 then
     `Error (false, Printf.sprintf "--domains must be >= 1, got %d" domains)
   else
-    match (listen, dir) with
-    | Some _, Some _ -> `Error (true, "--listen and --watch are exclusive")
-    | None, None -> `Error (true, "one of --watch or --listen is required")
-    | Some addr_s, None ->
-      with_flight flight @@ fun () ->
-      with_trace ~proc:"serve" trace @@ fun () ->
-      serve_socket domains job_budget timeout_ms no_reuse stats addr_s
-        admission queue test_specs telemetry
-    | None, Some dir ->
-      if telemetry <> None then
-        `Error (true, "--telemetry requires --listen (socket mode)")
-      else if not (Sys.file_exists dir && Sys.is_directory dir) then
-        `Error (false, Printf.sprintf "--watch %s: not a directory" dir)
-      else
-        with_flight flight @@ fun () ->
-        with_trace ~proc:"serve" trace @@ fun () ->
-        serve_spool domains job_budget timeout_ms no_reuse stats dir once
-          poll_ms
+    with_flight flight @@ fun () ->
+    with_trace ~proc:"serve" trace @@ fun () ->
+    serve_socket domains job_budget timeout_ms stats listen admission queue
+      test_specs telemetry
 
 let serve_cmd =
-  let dir =
-    Arg.(value & opt (some dir) None
-         & info [ "watch" ] ~docv:"DIR"
-             ~doc:"Spool directory: NAME.jobs files are answered with \
-                   NAME.verdicts files (written atomically).")
-  in
-  let once =
-    Arg.(value & flag
-         & info [ "once" ]
-             ~doc:"Process pending job files once and exit (spool mode).")
-  in
-  let poll_ms =
-    Arg.(value & opt int 200
-         & info [ "poll-ms" ] ~doc:"Idle polling interval (spool mode).")
-  in
   let listen =
-    Arg.(value & opt (some string) None
+    Arg.(required & opt (some string) None
          & info [ "listen" ] ~docv:"ADDR"
              ~doc:"Serve checking jobs over a socket at $(docv) (unix:PATH \
                    or tcp:HOST:PORT; tcp port 0 picks an ephemeral port).  \
@@ -1625,15 +1527,14 @@ let serve_cmd =
                   ("busy", Elin_net.Server.Busy) ])
              Elin_net.Server.Block
          & info [ "admission" ] ~docv:"POLICY"
-             ~doc:"What a full job queue does to new submissions (socket \
-                   mode): $(b,block) applies backpressure to the client's \
-                   writes; $(b,busy) refuses immediately with a busy \
-                   verdict.")
+             ~doc:"What a full job queue does to new submissions: \
+                   $(b,block) applies backpressure to the client's writes; \
+                   $(b,busy) refuses immediately with a busy verdict.")
   in
   let queue =
     Arg.(value & opt int 64
          & info [ "queue" ] ~docv:"N"
-             ~doc:"Bounded job-queue capacity (socket mode).")
+             ~doc:"Bounded job-queue capacity.")
   in
   let test_specs =
     Arg.(value & flag
@@ -1651,19 +1552,16 @@ let serve_cmd =
                    exposition of the live registry, GET /healthz returns \
                    drain state, queue depth, connections and worker count \
                    (200 while serving, 503 while draining).  No auth, no \
-                   TLS — bind to loopback unless the network is trusted.  \
-                   Socket mode only.")
+                   TLS — bind to loopback unless the network is trusted.")
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Serve checking jobs: from a spool directory (--watch) or over \
-             a socket (--listen)")
+       ~doc:"Serve checking jobs over a socket (--listen)")
     Term.(
       ret
         (const do_serve $ domains_svc_arg $ job_budget_arg $ timeout_ms_arg
-       $ no_reuse_arg $ svc_stats_arg $ dir $ once $ poll_ms $ listen
-       $ admission $ queue $ test_specs $ telemetry $ trace_arg
-       $ flight_arg))
+       $ svc_stats_arg $ listen $ admission $ queue $ test_specs $ telemetry
+       $ trace_arg $ flight_arg))
 
 (* ------------------------------------------------------------------ *)
 (* elin load                                                          *)

@@ -139,15 +139,6 @@ let prepare cfg h =
 
 let history_length p = p.len
 
-(** [rebudget p ~node_budget ~poll] — the same prepared history with
-    the per-run budget accounting replaced: the serving layer's
-    prepared-reuse hook.  One [prepare] (shared, read-only — each run
-    builds its own cut tables, memo, and state vector, so concurrent
-    runs against one [prepared] are safe) serves jobs with different
-    budgets, deadlines, and cancellation hooks. *)
-let rebudget p ~node_budget ~poll =
-  { p with cfg = { p.cfg with node_budget; poll } }
-
 (* Cut-dependent tables.  At cut [t], op j is a real-time predecessor
    of op i iff j's response index r_j and i's invocation index both
    survive the cut (>= t) and r_j < inv_i.  We store predecessor

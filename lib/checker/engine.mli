@@ -81,15 +81,6 @@ val prepare : config -> History.t -> prepared
 (** Event count of the underlying history (the maximal useful cut). *)
 val history_length : prepared -> int
 
-(** [rebudget p ~node_budget ~poll] — the same prepared history with
-    the per-run budget/poll configuration replaced (a cheap record
-    update): the serving layer's prepared-reuse hook, letting one
-    {!prepare} serve many jobs with per-job budgets and deadlines.  A
-    [prepared] is read-only during runs, so it may be shared across
-    domains; each {!check_at} builds its own mutable search state. *)
-val rebudget :
-  prepared -> node_budget:int option -> poll:(unit -> unit) option -> prepared
-
 (** [check_at ?hint ?init p ~t] — full verdict at cut [t] against a
     prepared history.
 

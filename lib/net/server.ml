@@ -43,12 +43,12 @@ type t = {
   stats : bool;
   max_frame : int;
   outbox_capacity : int;
-  metrics : Metrics.t option;
   conns : (int, conn) Hashtbl.t;
-  conns_m : Mutex.t;  (* also guards [readers]/[writers]; never taken
-                         while holding a [conn.m] *)
-  mutable readers : Thread.t list;
-  mutable writers : Thread.t list;
+  conns_m : Mutex.t;  (* also guards [sessions]; never taken while
+                         holding a [conn.m] *)
+  sessions : (int, Thread.t * Thread.t) Hashtbl.t;
+      (* (reader, writer) of each connection whose writer is still
+         running: the writer removes its entry as its last act *)
   next_cid : int Atomic.t;
   (* Enqueue timestamps (and the job's trace-context id) by internal
      id, for the net.job span and latency histogram (queue wait +
@@ -116,7 +116,7 @@ let send_line conn line =
          with Unix.Unix_error _ -> ())
 
 let send_verdict srv conn (v : Verdict.t) =
-  Option.iter (fun m -> Metrics.verdict_done m v) srv.metrics;
+  Metrics.verdict_done v;
   Obs.Metrics.Counter.incr m_replies;
   send_line conn (Verdict.to_line ~stats:srv.stats v)
 
@@ -277,7 +277,10 @@ let reader_loop srv conn =
 (* Sole owner of the connection's write side and of closing the fd:
    the outbox is closed only once the reader is done AND in_flight is
    zero, so closing here can never race a live read or a pending
-   verdict. *)
+   verdict.  The connection leaves [conns] before its fd is closed (the
+   dispatcher must never shut down a reused fd number) and leaves
+   [sessions] last, so a long-lived server holds nothing per closed
+   connection. *)
 let writer_loop srv conn =
   let rec drain () =
     match Chan.take conn.outbox with
@@ -305,7 +308,10 @@ let writer_loop srv conn =
   (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
   if Obs.Metrics.on () then
-    Obs.Metrics.Gauge.add g_conns (-1)
+    Obs.Metrics.Gauge.add g_conns (-1);
+  Mutex.lock srv.conns_m;
+  Hashtbl.remove srv.sessions conn.cid;
+  Mutex.unlock srv.conns_m
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher: pool verdicts → per-connection outboxes                *)
@@ -392,12 +398,13 @@ let spawn_session srv fd =
   if Obs.Metrics.on () then Obs.Metrics.Gauge.add g_conns 1;
   Obs.Trace.instant ~cat:"net" "net.accept"
     ~args:[ ("conn", Obs.Jsonl.Int cid) ];
+  (* Both threads start under [conns_m], so the writer cannot remove
+     its [sessions] entry before it is added. *)
   Mutex.lock srv.conns_m;
   Hashtbl.replace srv.conns cid conn;
   let r = Thread.create (fun () -> reader_loop srv conn) () in
   let w = Thread.create (fun () -> writer_loop srv conn) () in
-  srv.readers <- r :: srv.readers;
-  srv.writers <- w :: srv.writers;
+  Hashtbl.replace srv.sessions cid (r, w);
   Mutex.unlock srv.conns_m
 
 let accept_loop srv =
@@ -460,14 +467,13 @@ let bind_listen addr =
   fd
 
 let start ?(domains = 1) ?(queue_capacity = 64) ?default_budget
-    ?default_timeout_ms ?(reuse = true) ?resolve ?metrics
-    ?(admission = Block) ?(outbox_capacity = 1024)
+    ?default_timeout_ms ?resolve ?(admission = Block) ?(outbox_capacity = 1024)
     ?(max_frame = Frame.default_max_frame) ?(stats = false) addr =
   Lazy.force ignore_sigpipe;
   let listen_fd = bind_listen addr in
   let pool =
-    Pool.create ~queue_capacity ?default_budget ?default_timeout_ms ~reuse
-      ?resolve ?metrics ~domains ()
+    Pool.create ~queue_capacity ?default_budget ?default_timeout_ms ?resolve
+      ~domains ()
   in
   let srv =
     {
@@ -479,11 +485,9 @@ let start ?(domains = 1) ?(queue_capacity = 64) ?default_budget
       stats;
       max_frame;
       outbox_capacity;
-      metrics;
       conns = Hashtbl.create 16;
       conns_m = Mutex.create ();
-      readers = [];
-      writers = [];
+      sessions = Hashtbl.create 16;
       next_cid = Atomic.make 0;
       enq_ts = Hashtbl.create 256;
       enq_m = Mutex.create ();
@@ -519,7 +523,9 @@ let output_depth srv = Pool.output_depth srv.pool
    4. join the dispatcher — it routes every remaining verdict and sees
       end-of-stream; by now each outbox has been closed by whichever
       of {reader, dispatcher} finished that connection last;
-   5. join the writers — each flushes its outbox and closes its fd. *)
+   5. join the writers — each flushes its outbox and closes its fd.
+   Steps 2 and 5 join the sessions still open at that step; a closed
+   session's threads have already finished. *)
 let stop srv =
   let fresh =
     Mutex.lock srv.stop_m;
@@ -536,22 +542,14 @@ let stop srv =
     | Addr.Unix_sock path -> (
         try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
     | Addr.Tcp _ -> ());
-    let readers =
+    let open_sessions pick =
       Mutex.lock srv.conns_m;
-      let r = srv.readers in
-      srv.readers <- [];
+      let ts = Hashtbl.fold (fun _ rw acc -> pick rw :: acc) srv.sessions [] in
       Mutex.unlock srv.conns_m;
-      r
+      ts
     in
-    List.iter Thread.join readers;
+    List.iter Thread.join (open_sessions fst);
     Pool.shutdown srv.pool;
     Option.iter Thread.join srv.dispatcher;
-    let writers =
-      Mutex.lock srv.conns_m;
-      let w = srv.writers in
-      srv.writers <- [];
-      Mutex.unlock srv.conns_m;
-      w
-    in
-    List.iter Thread.join writers
+    List.iter Thread.join (open_sessions snd)
   end

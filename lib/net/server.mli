@@ -46,7 +46,6 @@
     unanswered. *)
 
 open Elin_spec
-open Elin_svc
 
 type admission = Block | Busy
 
@@ -55,8 +54,10 @@ type t
 (** [start addr] — bind, listen, and serve until {!stop}.
 
     - [domains], [queue_capacity], [default_budget],
-      [default_timeout_ms], [reuse], [resolve], [metrics] configure
-      the underlying {!Pool} (same defaults).
+      [default_timeout_ms], [resolve] configure the underlying
+      {!Elin_svc.Pool} (same defaults).  Verdicts the server answers
+      itself (busy, malformed payload) are counted in
+      {!Elin_svc.Metrics} like the pool's.
     - [admission] — see above (default [Block]).
     - [outbox_capacity] (default 1024) bounds each connection's reply
       queue; a client that stops reading past that is disconnected
@@ -73,9 +74,7 @@ val start :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   ?admission:admission ->
   ?outbox_capacity:int ->
   ?max_frame:int ->

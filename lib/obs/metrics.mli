@@ -55,9 +55,10 @@ end
 module Histogram : sig
   type t
 
-  (** A standalone (unregistered) histogram, for per-pool or per-run
-      populations that shouldn't live in the process-wide registry.
-      Same sharding and bucket algebra as registered ones. *)
+  (** A standalone (unregistered) histogram, for per-run populations
+      that shouldn't live in the process-wide registry (an [elin load]
+      run's client-side latencies).  Same sharding and bucket algebra
+      as registered ones. *)
   val create : unit -> t
 
   (** [observe h v] — count [v] into its log2 bucket and add it to the

@@ -1,72 +1,38 @@
-(** Per-pool service metrics. *)
+(* The service's counters, read back from the Obs.Metrics registry. *)
 
-type t = {
-  submitted : int Atomic.t;
-  completed : int Atomic.t;
-  pass : int Atomic.t;
-  violations : int Atomic.t;
-  budget_exhausted : int Atomic.t;
-  timed_out : int Atomic.t;
-  cancelled : int Atomic.t;
-  busy : int Atomic.t;
-  bad_jobs : int Atomic.t;
-  failed : int Atomic.t;
-  nodes : int Atomic.t;
-  prepare_hits : int Atomic.t;
-  prepare_misses : int Atomic.t;
-  (* Latency population lives in an [Obs.Metrics] log2 histogram (µs)
-     — the one percentile implementation in the repo — plus an exact
-     maximum, which bucket upper edges would coarsen. *)
-  lat_us : Elin_obs.Metrics.Histogram.t;
-  max_us : int Atomic.t;
-}
+module M = Elin_obs.Metrics
 
-let create () =
-  {
-    submitted = Atomic.make 0;
-    completed = Atomic.make 0;
-    pass = Atomic.make 0;
-    violations = Atomic.make 0;
-    budget_exhausted = Atomic.make 0;
-    timed_out = Atomic.make 0;
-    cancelled = Atomic.make 0;
-    busy = Atomic.make 0;
-    bad_jobs = Atomic.make 0;
-    failed = Atomic.make 0;
-    nodes = Atomic.make 0;
-    prepare_hits = Atomic.make 0;
-    prepare_misses = Atomic.make 0;
-    lat_us = Elin_obs.Metrics.Histogram.create ();
-    max_us = Atomic.make 0;
-  }
+let submitted = M.counter "svc.submitted"
+let completed = M.counter "svc.completed"
+let pass = M.counter "svc.pass"
+let violations = M.counter "svc.violations"
+let budget_exhausted = M.counter "svc.budget_exhausted"
+let timed_out = M.counter "svc.timed_out"
+let cancelled = M.counter "svc.cancelled"
+let busy = M.counter "svc.busy"
+let bad_jobs = M.counter "svc.bad_jobs"
+let failed = M.counter "svc.failed"
+let nodes = M.counter "svc.nodes"
+let latency_us = M.histogram "svc.latency_us"
 
-let incr a = Atomic.incr a
-let add a n = ignore (Atomic.fetch_and_add a n)
+(* Per-job bumps are cold next to a checker run, so they skip the
+   [M.on ()] guard (the registry's cost contract). *)
+let job_submitted () = M.Counter.incr submitted
 
-let job_submitted t = incr t.submitted
-let prepare_hit t = incr t.prepare_hits
-let prepare_miss t = incr t.prepare_misses
-
-let verdict_done t (v : Verdict.t) =
-  incr t.completed;
-  (match v.Verdict.status with
-  | Verdict.Pass -> incr t.pass
-  | Verdict.Violation -> incr t.violations
-  | Verdict.Budget_exhausted -> incr t.budget_exhausted
-  | Verdict.Timed_out -> incr t.timed_out
-  | Verdict.Cancelled -> incr t.cancelled
-  | Verdict.Busy -> incr t.busy
-  | Verdict.Bad_job _ -> incr t.bad_jobs
-  | Verdict.Failed _ -> incr t.failed);
-  add t.nodes v.Verdict.nodes;
-  let us = int_of_float (v.Verdict.wall_ms *. 1000.) in
-  Elin_obs.Metrics.Histogram.observe t.lat_us us;
-  let rec bump_max () =
-    let cur = Atomic.get t.max_us in
-    if us > cur && not (Atomic.compare_and_set t.max_us cur us) then
-      bump_max ()
-  in
-  bump_max ()
+let verdict_done (v : Verdict.t) =
+  M.Counter.incr completed;
+  M.Counter.incr
+    (match v.Verdict.status with
+    | Verdict.Pass -> pass
+    | Verdict.Violation -> violations
+    | Verdict.Budget_exhausted -> budget_exhausted
+    | Verdict.Timed_out -> timed_out
+    | Verdict.Cancelled -> cancelled
+    | Verdict.Busy -> busy
+    | Verdict.Bad_job _ -> bad_jobs
+    | Verdict.Failed _ -> failed);
+  M.Counter.add nodes v.Verdict.nodes;
+  M.Histogram.observe latency_us (int_of_float (v.Verdict.wall_ms *. 1000.))
 
 type snapshot = {
   submitted : int;
@@ -80,40 +46,30 @@ type snapshot = {
   bad_jobs : int;
   failed : int;
   nodes : int;
-  prepare_hits : int;
-  prepare_misses : int;
-  queue_depth : int;
   p50_ms : float;
   p99_ms : float;
   max_ms : float;
 }
 
-let snapshot ?(queue_depth = 0) t =
-  (* Percentiles come from the shared [Obs.Metrics.quantile] over the
-     merged log2 buckets: upper-edge answers, honest about the
-     histogram's resolution.  The maximum is tracked exactly. *)
-  let count, _sum, buckets = Elin_obs.Metrics.Histogram.merged t.lat_us in
-  let pq q =
-    float_of_int (Elin_obs.Metrics.quantile ~count ~buckets q) /. 1000.
-  in
+let snapshot () =
+  let count, _sum, buckets = M.Histogram.merged latency_us in
+  let ms q = float_of_int (M.quantile ~count ~buckets q) /. 1000. in
+  let v = M.Counter.value in
   {
-    submitted = Atomic.get t.submitted;
-    completed = Atomic.get t.completed;
-    pass = Atomic.get t.pass;
-    violations = Atomic.get t.violations;
-    budget_exhausted = Atomic.get t.budget_exhausted;
-    timed_out = Atomic.get t.timed_out;
-    cancelled = Atomic.get t.cancelled;
-    busy = Atomic.get t.busy;
-    bad_jobs = Atomic.get t.bad_jobs;
-    failed = Atomic.get t.failed;
-    nodes = Atomic.get t.nodes;
-    prepare_hits = Atomic.get t.prepare_hits;
-    prepare_misses = Atomic.get t.prepare_misses;
-    queue_depth;
-    p50_ms = pq 0.5;
-    p99_ms = pq 0.99;
-    max_ms = float_of_int (Atomic.get t.max_us) /. 1000.;
+    submitted = v submitted;
+    completed = v completed;
+    pass = v pass;
+    violations = v violations;
+    budget_exhausted = v budget_exhausted;
+    timed_out = v timed_out;
+    cancelled = v cancelled;
+    busy = v busy;
+    bad_jobs = v bad_jobs;
+    failed = v failed;
+    nodes = v nodes;
+    p50_ms = ms 0.5;
+    p99_ms = ms 0.99;
+    max_ms = ms 1.0;
   }
 
 let snapshot_to_json s =
@@ -131,9 +87,6 @@ let snapshot_to_json s =
       ("bad_jobs", Int s.bad_jobs);
       ("failed", Int s.failed);
       ("nodes", Int s.nodes);
-      ("prepare_hits", Int s.prepare_hits);
-      ("prepare_misses", Int s.prepare_misses);
-      ("queue_depth", Int s.queue_depth);
       ("p50_ms", Float s.p50_ms);
       ("p99_ms", Float s.p99_ms);
       ("max_ms", Float s.max_ms);
@@ -142,8 +95,7 @@ let snapshot_to_json s =
 let pp_snapshot ppf s =
   Format.fprintf ppf
     "jobs %d/%d done (pass %d, violations %d, budget %d, timeout %d, \
-     cancelled %d, busy %d, bad %d, failed %d)  nodes %d  prepare \
-     hits/misses %d/%d  queue %d  latency p50 %.2fms p99 %.2fms max %.2fms"
+     cancelled %d, busy %d, bad %d, failed %d)  nodes %d  latency p50 \
+     %.2fms p99 %.2fms max %.2fms"
     s.completed s.submitted s.pass s.violations s.budget_exhausted s.timed_out
-    s.cancelled s.busy s.bad_jobs s.failed s.nodes s.prepare_hits
-    s.prepare_misses s.queue_depth s.p50_ms s.p99_ms s.max_ms
+    s.cancelled s.busy s.bad_jobs s.failed s.nodes s.p50_ms s.p99_ms s.max_ms

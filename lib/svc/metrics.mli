@@ -1,24 +1,19 @@
-(** Per-pool service metrics: lock-free counters bumped by worker
-    domains, plus a latency record, snapshotted on demand.
+(** The checking service's counters: a view of the process-wide
+    [Obs.Metrics] registry under the [svc.] names.
 
-    A snapshot is a consistent-enough (each field individually atomic)
-    view for operational logging; {!snapshot_to_json} renders it as
-    one JSONL line — the pool's structured log record ([elin batch
-    --metrics], one line per spool file under [elin serve]). *)
+    The pool bumps them once per submitted and once per finished job,
+    the socket server once per verdict it answers locally (busy,
+    malformed payload).  {!snapshot} reads them back; {!snapshot_to_json}
+    renders one as a JSONL object — the pool's structured log record
+    ([elin batch --stats], the final line of [elin serve]).  Counts
+    are per process: [Obs.Metrics.reset] zeroes them. *)
 
-type t
+(** A job entered the pool's queue. *)
+val job_submitted : unit -> unit
 
-val create : unit -> t
-
-(** Counter bumps (called by the pool; safe from any domain). *)
-val job_submitted : t -> unit
-
-val prepare_hit : t -> unit
-val prepare_miss : t -> unit
-
-(** [verdict_done m v] — accounts completion, per-status counters,
+(** [verdict_done v] — accounts completion, the per-status counter,
     explored nodes, and the job latency [v.wall_ms]. *)
-val verdict_done : t -> Verdict.t -> unit
+val verdict_done : Verdict.t -> unit
 
 type snapshot = {
   submitted : int;
@@ -32,17 +27,14 @@ type snapshot = {
   bad_jobs : int;
   failed : int;
   nodes : int;              (** total DFS expansions across jobs *)
-  prepare_hits : int;       (** Batcher reuses of a prepared history *)
-  prepare_misses : int;
-  queue_depth : int;        (** jobs waiting at snapshot time *)
   p50_ms : float;           (** latency percentiles over completed jobs,
-                                from the shared [Obs.Metrics] log2
-                                histogram (bucket-upper-edge answers);
-                                [max_ms] is exact *)
+                                from the [svc.latency_us] log2 histogram
+                                (bucket-upper-edge answers); [max_ms] is
+                                the upper edge of the top bucket *)
   p99_ms : float;
   max_ms : float;
 }
 
-val snapshot : ?queue_depth:int -> t -> snapshot
+val snapshot : unit -> snapshot
 val pp_snapshot : Format.formatter -> snapshot -> unit
 val snapshot_to_json : snapshot -> Jsonl.t

@@ -21,24 +21,19 @@ exception Deadline_passed
 exception Cancel_requested
 
 (* Job lifecycle observability: enqueue instants + a span per executed
-   job (worker lane = domain id), queue-depth gauge, and a log2
-   latency histogram in µs.  All per-job (cold next to a checker run),
-   so the handles are bumped whenever the registry is on. *)
+   job (worker lane = domain id) and a queue-depth gauge; the per-job
+   counters and latency histogram are {!Metrics}. *)
 module Obs = Elin_obs
 
 let g_queue = Obs.Metrics.gauge "svc.queue"
-let m_jobs = Obs.Metrics.counter "svc.jobs"
-let h_latency = Obs.Metrics.histogram "svc.latency_us"
 
 type t = {
   input : (Job.t * bool Atomic.t) Chan.t;
   output : Verdict.t Chan.t;
   mutable workers : (unit, exn) result Domain.t array;
-  batcher : Batcher.t option;
   resolve : string -> Spec.t;
   default_budget : int option;
   default_timeout_ms : int option;
-  metrics : Metrics.t option;
   (* Most recent cancellation flag per job id. *)
   cancels : (string, bool Atomic.t) Hashtbl.t;
   cancels_m : Mutex.t;
@@ -92,14 +87,7 @@ let exec pool (job : Job.t) cancel_flag =
       | None -> pool.default_budget
     in
     let engine_prepared () =
-      let p =
-        match pool.batcher with
-        | Some b ->
-          Batcher.prepared b ~spec_name:job.Job.spec
-            ~history_text:job.Job.history_text ~spec h
-        | None -> Engine.prepare (Engine.for_spec spec) h
-      in
-      Engine.rebudget p ~node_budget:budget ~poll:(Some poll)
+      Engine.prepare (Engine.for_spec ?node_budget:budget ~poll spec) h
     in
     match job.Job.check with
     | Job.Linearizable | Job.T_lin _ ->
@@ -165,11 +153,6 @@ let rec worker_loop pool =
     let span_ts = Obs.Trace.begin_ns () in
     Obs.Recorder.note "job.start" ~id:job.Job.id;
     let v = exec pool job cancel_flag in
-    if Obs.Metrics.on () then begin
-      Obs.Metrics.Counter.incr m_jobs;
-      Obs.Metrics.Histogram.observe h_latency
-        (int_of_float (v.Verdict.wall_ms *. 1000.))
-    end;
     let status_s = Verdict.status_to_string v.Verdict.status in
     if Obs.Trace.on () then
       Obs.Trace.complete ~cat:"svc" ~ts:span_ts "svc.job"
@@ -206,12 +189,12 @@ let rec worker_loop pool =
     | Some f when f == cancel_flag -> Hashtbl.remove pool.cancels job.Job.id
     | _ -> ());
     Mutex.unlock pool.cancels_m;
-    Option.iter (fun m -> Metrics.verdict_done m v) pool.metrics;
+    Metrics.verdict_done v;
     Chan.put pool.output v;
     worker_loop pool
 
 let create ?(queue_capacity = 64) ?default_budget ?default_timeout_ms
-    ?(reuse = true) ?(resolve = default_resolve) ?metrics ~domains () =
+    ?(resolve = default_resolve) ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   if queue_capacity < 1 then
     invalid_arg "Pool.create: queue_capacity must be >= 1";
@@ -220,11 +203,9 @@ let create ?(queue_capacity = 64) ?default_budget ?default_timeout_ms
       input = Chan.create ~capacity:queue_capacity ();
       output = Chan.create ~capacity:queue_capacity ();
       workers = [||];
-      batcher = (if reuse then Some (Batcher.create ?metrics ()) else None);
       resolve;
       default_budget;
       default_timeout_ms;
-      metrics;
       cancels = Hashtbl.create 64;
       cancels_m = Mutex.create ();
       shut_down = false;
@@ -246,7 +227,7 @@ let submit pool (job : Job.t) =
   if Obs.Metrics.on () then Obs.Metrics.Gauge.set g_queue (Chan.length pool.input);
   Obs.Trace.instant ~cat:"svc" "svc.enqueue"
     ~args:[ ("id", Obs.Jsonl.Str job.Job.id) ];
-  Option.iter Metrics.job_submitted pool.metrics
+  Metrics.job_submitted ()
 
 let try_submit pool (job : Job.t) =
   let flag = Atomic.make false in
@@ -258,7 +239,7 @@ let try_submit pool (job : Job.t) =
       Obs.Metrics.Gauge.set g_queue (Chan.length pool.input);
     Obs.Trace.instant ~cat:"svc" "svc.enqueue"
       ~args:[ ("id", Obs.Jsonl.Str job.Job.id) ];
-    Option.iter Metrics.job_submitted pool.metrics;
+    Metrics.job_submitted ();
     true
   end
   else begin
@@ -308,11 +289,11 @@ let shutdown pool =
 (* Batch driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?metrics ~domains jobs =
+let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+    ~domains jobs =
   let pool =
-    create ?queue_capacity ?default_budget ?default_timeout_ms ?reuse ?resolve
-      ?metrics ~domains ()
+    create ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+      ~domains ()
   in
   (* Feed from a separate domain so the main domain can drain verdicts
      concurrently: with both channels bounded, feeding and draining
@@ -377,20 +358,13 @@ let parse_jobs lines =
              ])
        lines)
 
-let run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?metrics ~domains lines =
+let run_lines ~run lines =
   let entries = parse_jobs lines in
   let jobs = List.filter_map (function `Job j -> Some j | `Bad _ -> None) entries in
   let bads =
     List.filter_map (function `Bad v -> Some v | `Job _ -> None) entries
   in
-  (match metrics with
-  | Some m -> List.iter (fun v -> Metrics.verdict_done m v) bads
-  | None -> ());
-  let done_ =
-    run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-      ?resolve ?metrics ~domains jobs
-  in
+  List.iter Metrics.verdict_done bads;
   List.sort
     (fun a b -> compare a.Verdict.seq b.Verdict.seq)
-    (bads @ done_)
+    (bads @ run jobs)

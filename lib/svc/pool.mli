@@ -50,19 +50,16 @@ type t
       block when the service is saturated.
     - [default_budget] / [default_timeout_ms] apply to jobs that carry
       none of their own.
-    - [reuse] (default true) routes engine checks through a
-      {!Batcher}.
     - [resolve] maps job spec names to specs (default: the
       {!Elin_spec.Zoo} by name); exceptions it raises surface as
       [bad_job].
-    - [metrics] receives per-job accounting. *)
+
+    Every submitted and every finished job is counted in {!Metrics}. *)
 val create :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   unit ->
   t
@@ -106,9 +103,7 @@ val run_batch :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   Job.t list ->
   Verdict.t list
@@ -119,16 +114,11 @@ val run_batch :
 val parse_jobs :
   string list -> [ `Job of Job.t | `Bad of Verdict.t ] list
 
-(** [run_lines ~domains lines] — {!parse_jobs} + {!run_batch}, with
-    the bad-line verdicts merged back in submission order: the engine
-    behind [elin batch] and the spool. *)
+(** [run_lines ~run lines] — {!parse_jobs}, then [run] over the
+    parsed jobs, with the bad-line verdicts (counted in {!Metrics})
+    merged back in submission order: the engine behind [elin batch].
+    [run] is {!run_batch}, [Split.run_batch] or a socket client's
+    batch driver; it must return one verdict per job, each carrying
+    its job's [seq]. *)
 val run_lines :
-  ?queue_capacity:int ->
-  ?default_budget:int ->
-  ?default_timeout_ms:int ->
-  ?reuse:bool ->
-  ?resolve:(string -> Spec.t) ->
-  ?metrics:Metrics.t ->
-  domains:int ->
-  string list ->
-  Verdict.t list
+  run:(Job.t list -> Verdict.t list) -> string list -> Verdict.t list

@@ -1,8 +1,6 @@
 (* Client-side decomposition of multi-object jobs: one per-object
    sub-history becomes one pool job, so a single multi-object check
-   parallelizes across worker domains, and the [Batcher] prepared
-   cache is keyed by the (much smaller) sub-history texts.  The
-   composed verdict equals the monolithic one by the same arguments as
+   parallelizes across worker domains.  The composed verdict equals the monolithic one by the same arguments as
    [Elin_checker.Decompose] (Lemmas 7–8): statuses combine by
    severity, [min_t] through [Locality.compose_min_t], node counts by
    summation.  Sits entirely in front of [Pool] — the pool itself is
@@ -119,8 +117,8 @@ let compose ~job ~hist ~objs (subs : Verdict.t list) : Verdict.t =
    pool over the union, then fold each split job's sub-verdicts back.
    Output is in original submission order, deterministic for any
    [domains]. *)
-let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?metrics ~domains jobs =
+let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?resolve
+    ~domains jobs =
   let slots = List.map expand jobs in
   let next = ref 0 in
   let fresh j =
@@ -136,8 +134,8 @@ let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
       slots
   in
   let verdicts =
-    Pool.run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-      ?resolve ?metrics ~domains submitted
+    Pool.run_batch ?queue_capacity ?default_budget ?default_timeout_ms
+      ?resolve ~domains submitted
   in
   (* run_batch returns them sorted by the fresh seqs = slot order. *)
   let rec fold slots verdicts acc =
@@ -162,23 +160,3 @@ let run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
   in
   let composed = fold slots verdicts [] in
   List.sort (fun a b -> compare a.Verdict.seq b.Verdict.seq) composed
-
-(* parse + run + merge bad lines: the decomposed twin of
-   [Pool.run_lines] (the engine behind [elin batch --decompose]). *)
-let run_lines ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-    ?resolve ?metrics ~domains lines =
-  let entries = Pool.parse_jobs lines in
-  let jobs =
-    List.filter_map (function `Job j -> Some j | `Bad _ -> None) entries
-  in
-  let bads =
-    List.filter_map (function `Bad v -> Some v | `Job _ -> None) entries
-  in
-  (match metrics with
-  | Some m -> List.iter (fun v -> Metrics.verdict_done m v) bads
-  | None -> ());
-  let done_ =
-    run_batch ?queue_capacity ?default_budget ?default_timeout_ms ?reuse
-      ?resolve ?metrics ~domains jobs
-  in
-  List.sort (fun a b -> compare a.Verdict.seq b.Verdict.seq) (bads @ done_)

@@ -20,22 +20,7 @@ val run_batch :
   ?queue_capacity:int ->
   ?default_budget:int ->
   ?default_timeout_ms:int ->
-  ?reuse:bool ->
   ?resolve:(string -> Elin_spec.Spec.t) ->
-  ?metrics:Metrics.t ->
   domains:int ->
   Job.t list ->
-  Verdict.t list
-
-(** The decomposed twin of [Pool.run_lines]: parse, run, merge
-    bad-line verdicts back in submission order. *)
-val run_lines :
-  ?queue_capacity:int ->
-  ?default_budget:int ->
-  ?default_timeout_ms:int ->
-  ?reuse:bool ->
-  ?resolve:(string -> Elin_spec.Spec.t) ->
-  ?metrics:Metrics.t ->
-  domains:int ->
-  string list ->
   Verdict.t list

@@ -49,7 +49,7 @@ val to_json : ?stats:bool -> t -> Jsonl.t
 
 val to_line : ?stats:bool -> t -> string
 
-(** Parses what {!to_json} emits (used by tests and spool readers). *)
+(** Parses what {!to_json} emits (the socket client and tests). *)
 val of_json : seq:int -> Jsonl.t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

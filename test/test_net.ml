@@ -2,7 +2,9 @@
     malformed-input containment, address parsing, loopback end-to-end
     equivalence with the in-process pool on the committed corpus,
     pipelined out-of-order completion, busy admission under a stalled
-    worker, and graceful drain with no accepted job left unanswered. *)
+    worker, graceful drain with no accepted job left unanswered, and a
+    soak gate: a long-lived server's heap and open fds stay flat over
+    hundreds of connections and thousands of distinct jobs. *)
 
 open Elin_spec
 open Elin_svc
@@ -181,26 +183,15 @@ let test_corpus_equivalence () =
   List.iter
     (fun domains ->
       let local =
-        List.map Verdict.to_line (Pool.run_lines ~domains lines)
+        List.map Verdict.to_line
+          (Pool.run_lines ~run:(Pool.run_batch ~domains) lines)
       in
       Alcotest.(check (list string))
         (Printf.sprintf "local run matches golden (domains %d)" domains)
         golden local;
       let remote =
         with_server ~domains (fun addr _srv ->
-            let jobs, bad =
-              List.fold_left
-                (fun (jobs, bad) item ->
-                  match item with
-                  | `Job j -> (j :: jobs, bad)
-                  | `Bad v -> (jobs, v :: bad))
-                ([], [])
-                (Pool.parse_jobs lines)
-            in
-            let remote = Client.run_jobs addr (List.rev jobs) in
-            List.sort
-              (fun a b -> compare a.Verdict.seq b.Verdict.seq)
-              (List.rev_append bad remote))
+            Pool.run_lines ~run:(Client.run_jobs addr) lines)
       in
       Alcotest.(check (list string))
         (Printf.sprintf "socket run matches golden (domains %d)" domains)
@@ -444,6 +435,90 @@ let test_malformed_payload_is_bad_job () =
             v2.Verdict.job_id))
 
 (* ------------------------------------------------------------------ *)
+(* Soak: a long-lived server keeps its memory and fds flat            *)
+(* ------------------------------------------------------------------ *)
+
+let conns_per_round = 200
+let jobs_per_conn = 5
+
+(* [n] distinct 8-op fai histories: one Prng stream, duplicates
+   skipped, so every job is a different history text. *)
+let distinct_fai_texts n =
+  let rng = Elin_kernel.Prng.create 2024 in
+  let seen = Hashtbl.create n in
+  let rec go acc k =
+    if k = n then Array.of_list (List.rev acc)
+    else
+      let text =
+        Elin_history.Textio.to_string
+          (Elin_history.Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:8 ())
+      in
+      if Hashtbl.mem seen text then go acc k
+      else begin
+        Hashtbl.add seen text ();
+        go (text :: acc) (k + 1)
+      end
+  in
+  go [] 0
+
+let count_entries dir = Array.length (Sys.readdir dir)
+
+(* Three rounds of fresh connections, each pipelining distinct jobs
+   through [Client.run_jobs].  After each round the server has closed
+   every connection (its fd count is back to the one it had before
+   round 1) and the heap is compacted; from the end of round 1 (all
+   one-time allocation done) to the end of round 3, the live heap may
+   not grow by a per-job or per-connection amount, and the fd count
+   must not move. *)
+let test_soak_flat () =
+  let texts =
+    distinct_fai_texts (3 * conns_per_round * jobs_per_conn)
+  in
+  with_server ~domains:2 (fun addr srv ->
+      let fds0 = count_entries "/proc/self/fd" in
+      let settle () =
+        Alcotest.(check bool) "every connection closed" true
+          (wait_for ~timeout_s:30.0 (fun () ->
+               Server.connections srv = 0
+               && count_entries "/proc/self/fd" <= fds0));
+        Gc.full_major ();
+        ((Gc.stat ()).Gc.live_words, count_entries "/proc/self/fd")
+      in
+      let round r =
+        for c = 0 to conns_per_round - 1 do
+          let jobs =
+            List.init jobs_per_conn (fun k ->
+                let i = (((r * conns_per_round) + c) * jobs_per_conn) + k in
+                {
+                  (job ~id:(Printf.sprintf "soak-%d" i) ~spec:"fetch&increment")
+                  with
+                  Job.seq = k;
+                  history_text = texts.(i);
+                })
+          in
+          List.iter
+            (fun v ->
+              if v.Verdict.status <> Verdict.Pass then
+                Alcotest.failf "%s: %s" v.Verdict.job_id
+                  (Verdict.status_to_string v.Verdict.status))
+            (Client.run_jobs addr jobs)
+        done;
+        settle ()
+      in
+      let words1, fds1 = round 0 in
+      ignore (round 1);
+      let words3, fds3 = round 2 in
+      (* Keep the job texts reachable through the last measurement, so
+         both measured heaps hold them. *)
+      ignore (Sys.opaque_identity texts);
+      if words3 - words1 >= 1_000 then
+        Alcotest.failf
+          "live heap grew %d words over %d connections and %d jobs"
+          (words3 - words1) (2 * conns_per_round)
+          (2 * conns_per_round * jobs_per_conn);
+      Alcotest.(check int) "open fds unchanged" fds1 fds3)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "net"
@@ -483,5 +558,10 @@ let () =
         [
           Support.quick "trace ids survive internal id rewriting"
             test_trace_id_roundtrip;
+        ] );
+      ( "soak",
+        [
+          Support.quick "heap and fds flat over 600 connections"
+            test_soak_flat;
         ] );
     ]

@@ -3,8 +3,8 @@
     schemas (JSONL key order, Chrome trace-event shape) under a
     deterministic clock, the zero-interference contract (mc verdicts,
     counterexamples and counts are bit-identical with tracing on or
-    off, across domain counts and POR modes), and the accumulated
-    spool metrics that back [elin serve]'s shutdown snapshot. *)
+    off, across domain counts and POR modes), OpenMetrics exposition,
+    the flight recorder, and the trace tools. *)
 
 open Elin_spec
 open Elin_runtime
@@ -300,63 +300,6 @@ let test_mc_determinism_under_tracing () =
           | _ -> Alcotest.fail (label "counterexample presence differs"))
         [ false; true ])
     [ 1; 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Spool: accumulated metrics across files (the serve flush path)     *)
-(* ------------------------------------------------------------------ *)
-
-let sample_history_text =
-  "inv 0 0 fetch&inc\nres 0 0 0\ninv 1 0 fetch&inc\nres 1 0 1\n"
-
-let mk_job id =
-  {
-    Job.id;
-    seq = 0;
-    spec = "fetch&increment";
-    check = Job.Linearizable;
-    node_budget = None;
-    timeout_ms = None;
-    history_text = sample_history_text;
-    trace = None;
-    parent = None;
-  }
-
-(* [elin serve --watch] flushes one final snapshot on SIGINT; what
-   makes that snapshot meaningful is a single caller-owned registry
-   accumulating across every processed file.  Regression: two files
-   through [watch] with a shared [metrics] must count both. *)
-let test_spool_metrics_accumulate () =
-  let dir = "obs_spool_test" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  List.iter
-    (fun name ->
-      let oc = open_out (Filename.concat dir (name ^ ".jobs")) in
-      output_string oc (Job.to_line (mk_job (name ^ "-1")) ^ "\n");
-      close_out oc)
-    [ "a"; "b" ];
-  let metrics = Metrics.create () in
-  (* Watch until the spool settles: [stop] is checked once per scan. *)
-  Spool.watch ~domains:1 ~dir ~metrics ~poll_ms:1
-    ~stop:(fun () -> Spool.pending ~dir = [])
-    ();
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "submitted accumulates across files" 2
-    s.Metrics.submitted;
-  Alcotest.(check int) "completed accumulates across files" 2
-    s.Metrics.completed;
-  Alcotest.(check int) "both passed" 2 s.Metrics.pass;
-  (* And without a shared registry each file still counts alone: a
-     fresh scan over a re-pending spool starts from zero. *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".verdicts" then
-        Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  let fresh = Metrics.create () in
-  ignore (Spool.process_file ~domains:1 ~dir ~metrics:fresh "a");
-  Alcotest.(check int) "fresh registry counts one file" 1
-    (Metrics.snapshot fresh).Metrics.submitted
 
 (* ------------------------------------------------------------------ *)
 (* OpenMetrics exposition                                             *)
@@ -667,11 +610,6 @@ let () =
         [
           Support.quick "mc verdict identical with tracing on/off"
             test_mc_determinism_under_tracing;
-        ] );
-      ( "spool",
-        [
-          Support.quick "shared registry accumulates across files"
-            test_spool_metrics_accumulate;
         ] );
       ( "openmetrics",
         [

@@ -417,48 +417,8 @@ let test_cancellation () =
             other))
 
 (* ------------------------------------------------------------------ *)
-(* Batcher and metrics                                                *)
+(* Metrics                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let test_batcher_reuse_counts () =
-  (* 2 distinct histories x 3 engine checks each: exactly 2 prepares,
-     4 hits.  (Weak/Full don't route through the batcher.) *)
-  let rng = Elin_kernel.Prng.create 77 in
-  let texts =
-    List.init 2 (fun _ ->
-        Textio.to_string (Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:6 ()))
-  in
-  let jobs =
-    List.concat
-      (List.mapi
-         (fun i text ->
-           List.mapi
-             (fun j check ->
-               {
-                 Job.id = Printf.sprintf "r%d-%d" i j;
-                 seq = (i * 3) + j;
-                 spec = "fetch&increment";
-                 check;
-                 node_budget = None;
-                 timeout_ms = None;
-                 history_text = text;
-                 trace = None;
-                 parent = None;
-               })
-             [ Job.Linearizable; Job.T_lin 1; Job.Min_t ])
-         texts)
-  in
-  let metrics = Metrics.create () in
-  let vs = Pool.run_batch ~metrics ~domains:1 jobs in
-  Alcotest.(check int) "all pass" 6
-    (List.length
-       (List.filter (fun v -> v.Verdict.status = Verdict.Pass) vs));
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "prepare misses = distinct keys" 2
-    s.Metrics.prepare_misses;
-  Alcotest.(check int) "prepare hits = the rest" 4 s.Metrics.prepare_hits;
-  Alcotest.(check int) "submitted" 6 s.Metrics.submitted;
-  Alcotest.(check int) "completed" 6 s.Metrics.completed
 
 let test_metrics_statuses () =
   let jobs =
@@ -469,16 +429,21 @@ let test_metrics_statuses () =
         with Job.history_text = unsat_reg_text };
     ]
   in
-  let metrics = Metrics.create () in
-  ignore (Pool.run_batch ~resolve ~metrics ~domains:1 jobs);
-  let s = Metrics.snapshot metrics in
+  (* The counters live in the process-wide registry: zero it, run,
+     read the snapshot back. *)
+  Elin_obs.Metrics.reset ();
+  ignore (Pool.run_batch ~resolve ~domains:1 jobs);
+  let s = Metrics.snapshot () in
+  Alcotest.(check int) "submitted" 3 s.Metrics.submitted;
+  Alcotest.(check int) "completed" 3 s.Metrics.completed;
   Alcotest.(check int) "pass" 1 s.Metrics.pass;
   Alcotest.(check int) "bad_jobs" 1 s.Metrics.bad_jobs;
   Alcotest.(check int) "budget_exhausted" 1 s.Metrics.budget_exhausted;
-  Alcotest.(check bool) "p50 <= p99" true (s.Metrics.p50_ms <= s.Metrics.p99_ms)
+  Alcotest.(check bool) "p50 <= p99 <= max" true
+    (s.Metrics.p50_ms <= s.Metrics.p99_ms && s.Metrics.p99_ms <= s.Metrics.max_ms)
 
 (* ------------------------------------------------------------------ *)
-(* run_lines and the spool                                            *)
+(* run_lines                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_lines_bad_lines () =
@@ -486,7 +451,7 @@ let test_run_lines_bad_lines () =
     Job.to_line (job ~id:"g" ~seq:0 ~spec:"fetch&increment" Job.Linearizable)
   in
   let lines = [ "# comment"; good; "   "; "{oops"; good ] in
-  let vs = Pool.run_lines ~domains:1 lines in
+  let vs = Pool.run_lines ~run:(Pool.run_batch ~domains:1) lines in
   Alcotest.(check int) "three verdicts (blank/comment skipped)" 3
     (List.length vs);
   match vs with
@@ -499,33 +464,6 @@ let test_run_lines_bad_lines () =
     | st -> Alcotest.failf "expected bad_job, got %s" (Verdict.status_to_string st));
     Alcotest.(check bool) "second good" true (c.Verdict.status = Verdict.Pass)
   | _ -> Alcotest.fail "unreachable"
-
-let test_spool_scan () =
-  let dir = "svc_spool_test" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
-  let oc = open_out (Filename.concat dir "a.jobs") in
-  output_string oc
-    (Job.to_line (job ~id:"s1" ~seq:0 ~spec:"fetch&increment" Job.Linearizable)
-     ^ "\n" ^ "{corrupt\n");
-  close_out oc;
-  Alcotest.(check (list string)) "pending before" [ "a" ] (Spool.pending ~dir);
-  let n = Spool.scan_once ~domains:1 ~dir () in
-  Alcotest.(check int) "one file processed" 1 n;
-  Alcotest.(check (list string)) "nothing pending after" []
-    (Spool.pending ~dir);
-  let ic = open_in (Filename.concat dir "a.verdicts") in
-  let rec lines acc =
-    match input_line ic with
-    | l -> lines (l :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let out = lines [] in
-  close_in ic;
-  Alcotest.(check int) "two verdict lines" 2 (List.length out);
-  Alcotest.(check int) "idempotent" 0 (Spool.scan_once ~domains:1 ~dir ())
 
 (* ------------------------------------------------------------------ *)
 (* Trace context on the wire; flight recorder dumps                   *)
@@ -636,7 +574,6 @@ let () =
         ] );
       ( "batcher-metrics",
         [
-          Support.quick "prepare hit/miss accounting" test_batcher_reuse_counts;
           Support.quick "status counters and percentiles"
             test_metrics_statuses;
         ] );
@@ -653,7 +590,5 @@ let () =
         [
           Support.quick "bad lines become bad_job verdicts"
             test_run_lines_bad_lines;
-          Support.quick "spool scan_once processes and settles"
-            test_spool_scan;
         ] );
     ]

@@ -51,24 +51,40 @@ let initial_config (impl : Impl.t) ~workloads ?locals () =
     invocations = 0;
   }
 
-let history c = History.of_events (List.rev c.events_rev)
+(* [events_rev] holds [n_events] events, newest first: fill the array
+   from its last slot down. *)
+let rec fill_rev a i = function
+  | [] -> ()
+  | e :: rest ->
+    a.(i) <- e;
+    fill_rev a (i - 1) rest
 
-let runnable c =
-  List.filter
-    (fun p ->
-      let pr = c.procs.(p) in
-      Option.is_some pr.running || pr.todo <> [])
-    (List.init (Array.length c.procs) (fun p -> p))
+let history c =
+  match c.events_rev with
+  | [] -> History.empty
+  | e :: _ ->
+    let a = Array.make c.n_events e in
+    fill_rev a (c.n_events - 1) c.events_rev;
+    History.of_events_array a
+
+let is_runnable pr = Option.is_some pr.running || pr.todo <> []
+
+let rec runnable_upto procs p acc =
+  if p < 0 then acc
+  else
+    runnable_upto procs (p - 1) (if is_runnable procs.(p) then p :: acc else acc)
+
+let runnable c = runnable_upto c.procs (Array.length c.procs - 1) []
 
 let is_quiescent c =
   Array.for_all (fun pr -> Option.is_none pr.running) c.procs
 
-let is_done c = runnable c = []
+let is_done c = not (Array.exists is_runnable c.procs)
 
-let set_proc c p pr =
+let with_proc c p pr =
   let procs = Array.copy c.procs in
   procs.(p) <- pr;
-  { c with procs }
+  procs
 
 (** [access_choices impl c p] — the (response, next-state) choices of
     the base access process [p] is poised on.  Raises when [p]'s next
@@ -103,10 +119,10 @@ let step ?choices (impl : Impl.t) c p =
           running = Some (impl.Impl.program ~proc:p ~local:pr.local op);
         }
       in
-      let c' = set_proc c p pr' in
       [
         {
-          c' with
+          procs = with_proc c p pr';
+          bases = c.bases;
           events_rev = Event.invoke ~proc:p ~obj:0 op :: c.events_rev;
           n_events = c.n_events + 1;
           steps = c.steps + 1;
@@ -115,10 +131,10 @@ let step ?choices (impl : Impl.t) c p =
       ])
   | Some (Program.Return (resp, local')) ->
     let pr' = { pr with local = local'; running = None } in
-    let c' = set_proc c p pr' in
     [
       {
-        c' with
+        c with
+        procs = with_proc c p pr';
         events_rev = Event.respond ~proc:p ~obj:0 resp :: c.events_rev;
         n_events = c.n_events + 1;
         steps = c.steps + 1;
@@ -135,8 +151,7 @@ let step ?choices (impl : Impl.t) c p =
         let bases = Array.copy c.bases in
         bases.(obj) <- state';
         let pr' = { pr with running = Some (k resp) } in
-        let c' = set_proc c p pr' in
-        { c' with bases; steps = c.steps + 1 })
+        { c with procs = with_proc c p pr'; bases; steps = c.steps + 1 })
       choices
 
 (** [successors impl c] — every configuration one step away. *)

@@ -30,55 +30,63 @@ let pp_error ppf = function
 
 exception Ill_formed of error
 
-(** [of_events events] validates well-formedness and builds the
-    history.  O(events). *)
-let of_events events =
-  let events = Array.of_list events in
+(* The record of the operation invoked at event [inv], an invocation. *)
+let operation (events : Event.t array) id inv resp =
+  let e = events.(inv) in
+  match e.payload with
+  | Invoke op -> { Operation.id; proc = e.proc; obj = e.obj; op; inv; resp }
+  | Respond _ -> assert false
+
+let no_op =
+  { Operation.id = 0; proc = 0; obj = 0; op = Op.read; inv = 0; resp = None }
+
+(** [of_events_array events] validates well-formedness and builds the
+    history around [events] itself (not a copy).  O(events): operation
+    ids are numbered in invocation order, and [pending.(p)] is the
+    invocation index of [p]'s open operation, or [-1]. *)
+let of_events_array events =
   let n = Array.length events in
   let op_of_event = Array.make n (-1) in
-  (* pending.(p) = Some (op id) while process p has an open operation *)
   let max_proc = Array.fold_left (fun m (e : Event.t) -> max m e.proc) (-1) events in
-  let pending = Array.make (max_proc + 1) None in
-  let ops = ref [] in
-  let n_ops = ref 0 in
-  (* Operations under construction, keyed by id. *)
-  let inv_info = Hashtbl.create 16 in
-  Array.iteri
-       (fun i (e : Event.t) ->
-         match e.payload with
-         | Invoke op ->
-           (match pending.(e.proc) with
-           | Some _ -> raise (Ill_formed (Invocation_while_pending i))
-           | None ->
-             let id = !n_ops in
-             incr n_ops;
-             pending.(e.proc) <- Some id;
-             Hashtbl.replace inv_info id (e.proc, e.obj, op, i);
-             op_of_event.(i) <- id)
-         | Respond v ->
-           (match pending.(e.proc) with
-           | None -> raise (Ill_formed (Response_without_invocation i))
-           | Some id ->
-             let proc, obj, op, inv = Hashtbl.find inv_info id in
-             if obj <> e.obj then raise (Ill_formed (Mismatched_response i));
-             pending.(e.proc) <- None;
-             op_of_event.(i) <- id;
-             ops :=
-               { Operation.id; proc; obj; op; inv; resp = Some (v, i) } :: !ops))
-       events;
-  (* Left-over pending operations. *)
-  Array.iteri
-    (fun _p -> function
-      | None -> ()
-      | Some id ->
-        let proc, obj, op, inv = Hashtbl.find inv_info id in
-        ops := { Operation.id; proc; obj; op; inv; resp = None } :: !ops)
-    pending;
-  let ops_arr = Array.make !n_ops
-      { Operation.id = 0; proc = 0; obj = 0; op = Op.read; inv = 0; resp = None }
+  let pending = Array.make (max_proc + 1) (-1) in
+  let n_ops =
+    Array.fold_left
+      (fun k (e : Event.t) -> if Event.is_invoke e then k + 1 else k)
+      0 events
   in
-  List.iter (fun (o : Operation.t) -> ops_arr.(o.id) <- o) !ops;
-  { events; ops = ops_arr; op_of_event }
+  let ops = Array.make n_ops no_op in
+  let next_id = ref 0 in
+  for i = 0 to n - 1 do
+    let e = events.(i) in
+    match e.payload with
+    | Invoke _ ->
+      if pending.(e.proc) >= 0 then
+        raise (Ill_formed (Invocation_while_pending i));
+      pending.(e.proc) <- i;
+      op_of_event.(i) <- !next_id;
+      incr next_id
+    | Respond v ->
+      let inv = pending.(e.proc) in
+      if inv < 0 then raise (Ill_formed (Response_without_invocation i));
+      if events.(inv).obj <> e.obj then
+        raise (Ill_formed (Mismatched_response i));
+      pending.(e.proc) <- -1;
+      let id = op_of_event.(inv) in
+      op_of_event.(i) <- id;
+      ops.(id) <- operation events id inv (Some (v, i))
+  done;
+  (* Left-over pending operations. *)
+  for p = 0 to max_proc do
+    let inv = pending.(p) in
+    if inv >= 0 then
+      let id = op_of_event.(inv) in
+      ops.(id) <- operation events id inv None
+  done;
+  { events; ops; op_of_event }
+
+(** [of_events events] validates well-formedness and builds the
+    history. *)
+let of_events events = of_events_array (Array.of_list events)
 
 let of_events_result events =
   match of_events events with

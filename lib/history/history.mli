@@ -19,6 +19,12 @@ exception Ill_formed of error
     operation records.  Raises {!Ill_formed}. *)
 val of_events : Event.t list -> t
 
+(** [of_events_array events] — {!of_events} over an array, which the
+    history keeps (no copy): the caller must not mutate it afterwards.
+    Same result, and the same {!Ill_formed} error at the same event
+    index. *)
+val of_events_array : Event.t array -> t
+
 val of_events_result : Event.t list -> (t, error) result
 val well_formed : Event.t list -> bool
 

@@ -43,28 +43,61 @@ open Elin_explore
 module Fp = Elin_kernel.Fingerprint
 
 (* ------------------------------------------------------------------ *)
-(* Absorbing the vocabulary types into a fingerprint accumulator.      *)
+(* Absorbing the vocabulary types into a buffer-backed accumulator     *)
+(* (word [i] of [b]): a recursive walk that allocates nothing.         *)
 (* ------------------------------------------------------------------ *)
 
-let rec value acc (v : Value.t) =
+let rec value b i (v : Value.t) =
   match v with
-  | Value.Unit -> Fp.byte acc 0
-  | Value.Bool b -> Fp.bool (Fp.byte acc 1) b
-  | Value.Int n -> Fp.int (Fp.byte acc 2) n
-  | Value.Str s -> Fp.string (Fp.byte acc 3) s
-  | Value.Pair (a, b) -> value (value (Fp.byte acc 4) a) b
-  | Value.List xs -> Fp.list value (Fp.byte acc 5) xs
+  | Value.Unit -> Fp.byte_at b i 0
+  | Value.Bool x ->
+    Fp.byte_at b i 1;
+    Fp.bool_at b i x
+  | Value.Int n ->
+    Fp.byte_at b i 2;
+    Fp.int_at b i n
+  | Value.Str s ->
+    Fp.byte_at b i 3;
+    Fp.string_at b i s
+  | Value.Pair (x, y) ->
+    Fp.byte_at b i 4;
+    value b i x;
+    value b i y
+  | Value.List xs ->
+    Fp.byte_at b i 5;
+    Fp.int_at b i (List.length xs);
+    values b i xs
 
-let op acc (o : Op.t) = Fp.list value (Fp.string acc (Op.name o)) (Op.args o)
+and values b i = function
+  | [] -> ()
+  | v :: rest ->
+    value b i v;
+    values b i rest
 
-(* [rename] maps old process ids to canonical ones (identity when no
+let op b i (o : Op.t) =
+  Fp.string_at b i (Op.name o);
+  let args = Op.args o in
+  Fp.int_at b i (List.length args);
+  values b i args
+
+let rec ops b i = function
+  | [] -> ()
+  | o :: rest ->
+    op b i o;
+    ops b i rest
+
+(* [proc] is the event's process id after renaming (its own id when no
    symmetry reduction is in play). *)
-let event ~rename acc (e : Event.t) =
-  let acc = Fp.int acc (rename e.Event.proc) in
-  let acc = Fp.int acc e.Event.obj in
+let event b i ~proc (e : Event.t) =
+  Fp.int_at b i proc;
+  Fp.int_at b i e.Event.obj;
   match e.Event.payload with
-  | Event.Invoke o -> op (Fp.byte acc 0) o
-  | Event.Respond v -> value (Fp.byte acc 1) v
+  | Event.Invoke o ->
+    Fp.byte_at b i 0;
+    op b i o
+  | Event.Respond v ->
+    Fp.byte_at b i 1;
+    value b i v
 
 (* ------------------------------------------------------------------ *)
 (* Continuation digests.                                               *)
@@ -74,24 +107,42 @@ let event ~rename acc (e : Event.t) =
    reduction identity must not leak into the digest, and without it
    the digest's position in the per-process array carries identity. *)
 
-let digest_invoke ~op:o ~local =
-  Fp.finish (value (op (Fp.byte (Fp.start ()) 1) o) local)
+(* Word [d] of [b] becomes the digest of invoking [o] from [local]. *)
+let digest_invoke b d ~op:o ~local =
+  Fp.start_at b d;
+  Fp.byte_at b d 1;
+  op b d o;
+  value b d local;
+  Fp.finish_at b d
 
-let digest_access prev ~obj ~op:o ~resp =
-  Fp.finish
-    (value (op (Fp.int (Fp.byte (Fp.int64 (Fp.start ()) prev) 2) obj) o) resp)
+(* Word [d] of [b] becomes the digest [prev] (word [j] of [src], which
+   must be another word) extended by one consumed base response. *)
+let digest_access_at b d src j ~obj ~op:o ~resp =
+  Fp.start_at b d;
+  Fp.word_at b d src j;
+  Fp.byte_at b d 2;
+  Fp.int_at b d obj;
+  op b d o;
+  value b d resp;
+  Fp.finish_at b d
 
-(* Absorb one process's visible state: todo, local, continuation
-   digest.  Shared by the packed per-process summaries and the
-   symmetry-mode full encoding. *)
-let proc_state acc (pr : Explore.proc_state) digest =
-  let acc = Fp.list op acc pr.Explore.todo in
-  let acc = value acc pr.Explore.local in
+(* Absorb one process's visible state: todo, local, and its
+   continuation digest (word [j] of [src]).  Shared by the packed
+   per-process summaries and the symmetry-mode full encoding. *)
+let proc_state b i (pr : Explore.proc_state) src j =
+  Fp.int_at b i (List.length pr.Explore.todo);
+  ops b i pr.Explore.todo;
+  value b i pr.Explore.local;
   match pr.Explore.running with
-  | None -> Fp.byte acc 0
-  | Some (Program.Return _) -> Fp.int64 (Fp.byte acc 1) digest
+  | None -> Fp.byte_at b i 0
+  | Some (Program.Return _) ->
+    Fp.byte_at b i 1;
+    Fp.word_at b i src j
   | Some (Program.Access (obj, o, _)) ->
-    op (Fp.int (Fp.int64 (Fp.byte acc 2) digest) obj) o
+    Fp.byte_at b i 2;
+    Fp.word_at b i src j;
+    Fp.int_at b i obj;
+    op b i o
 
 (* ------------------------------------------------------------------ *)
 (* Search nodes.                                                       *)
@@ -99,19 +150,25 @@ let proc_state acc (pr : Explore.proc_state) digest =
 
 (* Besides the continuation digests, a node carries {e packed} state
    summaries so the (non-symmetry) fingerprint is computed from flat
-   arrays without re-walking any structured value:
+   words without re-walking any structured value.  All of them live in
+   one unboxed buffer, [summary], of 2n+m+1 words for n processes and
+   m base objects:
 
-   - [proc_fps.(p)]: digest of process [p]'s full visible state (todo,
-     local, continuation digest) — only the stepped process's entry is
+   - words [0, n): the continuation digests, [0L] when idle or still
+     inside the operation that was running at the search root;
+   - words [n, 2n): digest of each process's full visible state (todo,
+     local, continuation digest) — only the stepped process's word is
      recomputed per step;
-   - [base_fps.(i)]: digest of base object [i]'s state value — only
-     the accessed object's entry is recomputed per step;
-   - [events_acc]: a running accumulator over the chronological event
-     log — one event absorbed per invoke/return step, never a walk of
-     the whole history.
+   - words [2n, 2n+m): digest of each base object's state value — only
+     the accessed object's word is recomputed per step;
+   - word 2n+m: a running (unfinished) accumulator over the
+     chronological event log — one event absorbed per invoke/return
+     step, never a walk of the whole history.
 
-   The packed encoding distinguishes exactly the same configurations
-   as a full structural walk (each summary is injective modulo 64-bit
+   A successor copies its parent's buffer once and overwrites those
+   words in place, using its own words as the running states.  The
+   packed encoding distinguishes exactly the same configurations as a
+   full structural walk (each summary is injective modulo 64-bit
    collision), so dedup classes — and every count the experiments
    record — are unchanged.
 
@@ -123,20 +180,23 @@ let proc_state acc (pr : Explore.proc_state) digest =
 
 type node = {
   config : Explore.config;
-  digests : int64 array;  (* per-process continuation digests; 0L idle *)
-  depth : int;            (* steps taken from the search root *)
-  sleep : int;            (* sleep set as a process bitmask *)
-  proc_fps : int64 array; (* packed per-process state summaries *)
-  base_fps : int64 array; (* packed per-object state summaries *)
-  events_acc : Fp.acc;    (* running digest of the chronological log *)
+  sleep : int;  (* sleep set as a process bitmask *)
+  summary : Bytes.t;  (* digests, process, object and event-log words *)
 }
 
-let proc_fp pr digest =
-  Fp.finish (proc_state (Fp.start ~seed:0x7070L (* "pp" *) ()) pr digest)
+(* Word [n + p] becomes the summary of process [p]'s state [pr]; its
+   continuation digest is word [p] of the same buffer. *)
+let proc_summary b n p pr =
+  let w = n + p in
+  Fp.start_at ~seed:0x7070L (* "pp" *) b w;
+  proc_state b w pr b p;
+  Fp.finish_at b w
 
-let base_fp v = Fp.finish (value (Fp.start ~seed:0x6273L (* "bs" *) ()) v)
-
-let no_rename p = p
+(* Word [w] becomes the summary of a base object's state [v]. *)
+let base_summary b w v =
+  Fp.start_at ~seed:0x6273L (* "bs" *) b w;
+  value b w v;
+  Fp.finish_at b w
 
 (** [root config] — digests start at [0L]: within one search, a process
     still inside the operation it was running at the root holds the
@@ -145,72 +205,61 @@ let no_rename p = p
     of its existing history here; every later step absorbs only its
     own event. *)
 let root config =
-  let n = Array.length config.Explore.procs in
-  {
-    config;
-    digests = Array.make n 0L;
-    depth = 0;
-    sleep = 0;
-    proc_fps = Array.init n (fun p -> proc_fp config.Explore.procs.(p) 0L);
-    base_fps = Array.map base_fp config.Explore.bases;
-    events_acc =
-      List.fold_left (event ~rename:no_rename)
-        (Fp.start ~seed:0x6576L (* "ev" *) ())
-        (List.rev config.Explore.events_rev);
-  }
+  let procs = config.Explore.procs and bases = config.Explore.bases in
+  let n = Array.length procs and m = Array.length bases in
+  let b = Bytes.create (8 * ((2 * n) + m + 1)) in
+  for p = 0 to n - 1 do
+    Fp.set_word b p 0L;
+    proc_summary b n p procs.(p)
+  done;
+  Array.iteri (fun i v -> base_summary b ((2 * n) + i) v) bases;
+  let ev = (2 * n) + m in
+  Fp.start_at ~seed:0x6576L (* "ev" *) b ev;
+  List.iter
+    (fun (e : Event.t) -> event b ev ~proc:e.Event.proc e)
+    (List.rev config.Explore.events_rev);
+  { config; sleep = 0; summary = b }
 
-(* One successor: refresh the stepped process's digest and packed
-   summary, the touched object's summary (if any), and absorb the
-   appended event (if any).  Successors are born with an empty sleep
-   set; {!successors} overwrites it under reduction. *)
-let succ node p ?obj c' d =
-  let digests = Array.copy node.digests in
-  digests.(p) <- d;
-  let proc_fps = Array.copy node.proc_fps in
-  proc_fps.(p) <- proc_fp c'.Explore.procs.(p) d;
-  let base_fps =
-    match obj with
-    | None -> node.base_fps
-    | Some i ->
-      let b = Array.copy node.base_fps in
-      b.(i) <- base_fp c'.Explore.bases.(i);
-      b
-  in
-  let events_acc =
-    if c'.Explore.n_events > node.config.Explore.n_events then
-      event ~rename:no_rename node.events_acc (List.hd c'.Explore.events_rev)
-    else node.events_acc
-  in
-  {
-    config = c';
-    digests;
-    depth = node.depth + 1;
-    sleep = 0;
-    proc_fps;
-    base_fps;
-    events_acc;
-  }
+(* The successor [c'] of [node] by process [p], whose new continuation
+   digest is already in word [p] of [b] (a copy of [node.summary]):
+   refresh [p]'s summary, the touched object's ([obj], or [-1]) and
+   the event-log word if [c'] appended an event. *)
+let child node p ~sleep ~obj c' b =
+  let n = Array.length c'.Explore.procs in
+  proc_summary b n p c'.Explore.procs.(p);
+  if obj >= 0 then base_summary b ((2 * n) + obj) c'.Explore.bases.(obj);
+  (if c'.Explore.n_events > node.config.Explore.n_events then
+     match c'.Explore.events_rev with
+     | (e : Event.t) :: _ ->
+       event b ((2 * n) + Array.length c'.Explore.bases) ~proc:e.Event.proc e
+     | [] -> assert false);
+  { config = c'; sleep; summary = b }
 
-(** [step impl node p] — [Explore.step] on the underlying
-    configuration, with digests and packed summaries updated from the
-    transition's label.  [?choices] must be
-    [Explore.access_choices impl node.config p] when given (footprint
-    computation already paid for it). *)
-let step ?choices (impl : Impl.t) node p =
+(* [node]'s successors by process [p], with sleep set [sleep], in front
+   of [tail]. *)
+let children ?choices ~sleep (impl : Impl.t) node p tail =
   let c = node.config in
   let pr = c.Explore.procs.(p) in
   match pr.Explore.running with
   | None -> (
     match pr.Explore.todo with
-    | [] -> []
+    | [] -> tail
     | o :: _ ->
-      List.map
-        (fun c' -> succ node p c' (digest_invoke ~op:o ~local:pr.Explore.local))
-        (Explore.step impl c p))
+      List.fold_right
+        (fun c' tail ->
+          let b = Bytes.copy node.summary in
+          digest_invoke b p ~op:o ~local:pr.Explore.local;
+          child node p ~sleep ~obj:(-1) c' b :: tail)
+        (Explore.step impl c p) tail)
   | Some (Program.Return _) ->
     (* The response and new local state become visible in the config;
        the continuation is gone. *)
-    List.map (fun c' -> succ node p c' 0L) (Explore.step impl c p)
+    List.fold_right
+      (fun c' tail ->
+        let b = Bytes.copy node.summary in
+        Fp.set_word b p 0L;
+        child node p ~sleep ~obj:(-1) c' b :: tail)
+      (Explore.step impl c p) tail
   | Some (Program.Access (obj, o, _)) ->
     (* Enumerate the (pure) base transition once to label each branch
        with the response the continuation consumed. *)
@@ -219,11 +268,23 @@ let step ?choices (impl : Impl.t) node p =
       | Some cs -> cs
       | None -> Explore.access_choices impl c p
     in
-    List.map2
-      (fun (resp, _) c' ->
-        succ node p ~obj c' (digest_access node.digests.(p) ~obj ~op:o ~resp))
+    List.fold_right2
+      (fun (resp, _) c' tail ->
+        let b = Bytes.copy node.summary in
+        digest_access_at b p node.summary p ~obj ~op:o ~resp;
+        child node p ~sleep ~obj c' b :: tail)
       choices
       (Explore.step ~choices impl c p)
+      tail
+
+(** [step ?choices ?sleep impl node p] — [Explore.step] on the
+    underlying configuration, with the summary buffer updated from the
+    transition's label and every successor born with sleep set [sleep]
+    (default empty).  [?choices] must be
+    [Explore.access_choices impl node.config p] when given (footprint
+    computation already paid for it). *)
+let step ?choices ?(sleep = 0) impl node p =
+  children ?choices ~sleep impl node p []
 
 (** [successors ?por ?pruned impl node] — every configuration one step
     away.  With [~por:true], sleep-set pruning: processes in
@@ -242,45 +303,53 @@ let m_pruned = Elin_obs.Metrics.counter "mc.por_pruned"
 let successors ?(por = false) ?pruned (impl : Impl.t) node =
   let c = node.config in
   let enabled = Explore.runnable c in
-  if not por then List.concat_map (fun p -> step impl node p) enabled
+  if not por then
+    List.fold_right (fun p tail -> children ~sleep:0 impl node p tail)
+      enabled []
   else begin
-    let foots = List.map (fun q -> (q, Indep.of_explore impl c q)) enabled in
-    (* Slept processes stay enabled (only a process's own steps change
+    (* Each enabled process's footprint, computed once into its slot.
+       Slept processes stay enabled (only a process's own steps change
        its program state), and their footprints are recomputed fresh
        here, so inherited independence is judged in the current
        configuration — no staleness. *)
-    let slept =
-      List.filter_map
-        (fun (q, (fq, _)) ->
-          if node.sleep land (1 lsl q) <> 0 then Some (q, fq) else None)
-        foots
+    let n = Array.length c.Explore.procs in
+    let foots = Array.make n Indep.Log in
+    let choices = Array.make n None in
+    let enabled_mask =
+      List.fold_left
+        (fun mask q ->
+          let f, cs = Indep.of_explore impl c q in
+          foots.(q) <- f;
+          choices.(q) <- cs;
+          mask lor (1 lsl q))
+        0 enabled
     in
-    let rec go acc explored = function
-      | [] -> List.concat (List.rev acc)
-      | (p, (fp_p, choices)) :: rest ->
+    (* [explored]: the non-slept processes before [p], already
+       expanded.  [p]'s successors sleep on every enabled process that
+       is slept or explored and whose step commutes with [p]'s. *)
+    let rec go explored = function
+      | [] -> []
+      | p :: rest ->
         if node.sleep land (1 lsl p) <> 0 then begin
           (match pruned with Some a -> Atomic.incr a | None -> ());
           if Elin_obs.Metrics.on () then
             Elin_obs.Metrics.Counter.incr m_pruned;
-          go acc explored rest
+          go explored rest
         end
         else begin
-          let inherit_mask m (q, fq) =
-            if Indep.independent fq fp_p then m lor (1 lsl q) else m
-          in
-          let sleep' =
-            List.fold_left inherit_mask
-              (List.fold_left inherit_mask 0 slept)
-              explored
-          in
-          let ss =
-            List.map (fun s -> { s with sleep = sleep' })
-              (step ?choices impl node p)
-          in
-          go (ss :: acc) ((p, fp_p) :: explored) rest
+          let candidates = (node.sleep lor explored) land enabled_mask in
+          let sleep = ref 0 in
+          for q = 0 to n - 1 do
+            if
+              candidates land (1 lsl q) <> 0
+              && Indep.independent foots.(q) foots.(p)
+            then sleep := !sleep lor (1 lsl q)
+          done;
+          children ?choices:choices.(p) ~sleep:!sleep impl node p
+            (go (explored lor (1 lsl p)) rest)
         end
     in
-    go [] [] foots
+    go 0 enabled
   end
 
 (** Sleep-set merge for dedup under reduction: when several surviving
@@ -296,24 +365,49 @@ let merge_sleep a b = { a with sleep = a.sleep land b.sleep }
 (* Fingerprints.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [old_of_new] lists, for each canonical position, the original
-   process id placed there; [rename] is its inverse. *)
-let encode node ~old_of_new ~rename =
+(* The identity-renaming fingerprint, from the packed summaries: flat
+   words plus three scalars — no structured value is walked.  Covers
+   exactly the data the full [encode] walk covers (each summary
+   injective modulo collision), so the dedup classes coincide.  The
+   running state is a one-word scratch buffer. *)
+let encode_packed node =
   let c = node.config in
-  let acc = Fp.start ~seed:0x6D63L (* "mc" *) () in
-  let acc = Fp.int acc c.Explore.steps in
-  let acc = Fp.int acc c.Explore.invocations in
+  let n = Array.length c.Explore.procs and m = Array.length c.Explore.bases in
+  let s = Bytes.create 8 in
+  Fp.start_at ~seed:0x6D63L (* "mc" *) s 0;
+  Fp.int_at s 0 c.Explore.steps;
+  Fp.int_at s 0 c.Explore.invocations;
+  Fp.int_at s 0 c.Explore.n_events;
+  Fp.words_at s 0 node.summary ~pos:n ~len:n;
+  Fp.words_at s 0 node.summary ~pos:(2 * n) ~len:m;
+  Fp.digest_at s 0 node.summary ((2 * n) + m);
+  Fp.finish_at s 0;
+  Fp.word s 0
+
+(* The full structural encoding under one renaming: [old_of_new]
+   lists, for each canonical position, the original process id placed
+   there; [new_of_old] is its inverse.  [s] is a one-word scratch. *)
+let encode node s ~old_of_new ~new_of_old =
+  let c = node.config in
+  Fp.start_at ~seed:0x6D63L (* "mc" *) s 0;
+  Fp.int_at s 0 c.Explore.steps;
+  Fp.int_at s 0 c.Explore.invocations;
   let n = Array.length c.Explore.procs in
-  let acc = ref (Fp.int acc n) in
+  Fp.int_at s 0 n;
   for i = 0 to n - 1 do
     let p = old_of_new.(i) in
-    acc := proc_state !acc c.Explore.procs.(p) node.digests.(p)
+    proc_state s 0 c.Explore.procs.(p) node.summary p
   done;
-  let acc = Fp.array value !acc c.Explore.bases in
-  let acc = Fp.list (event ~rename) acc c.Explore.events_rev in
-  Fp.finish acc
+  Fp.int_at s 0 (Array.length c.Explore.bases);
+  Array.iter (value s 0) c.Explore.bases;
+  Fp.int_at s 0 (List.length c.Explore.events_rev);
+  List.iter
+    (fun (e : Event.t) -> event s 0 ~proc:new_of_old.(e.Event.proc) e)
+    c.Explore.events_rev;
+  Fp.finish_at s 0;
+  Fp.word s 0
 
-(* All permutations of [0..n-1], as [old_of_new] arrays. *)
+(* All permutations of [0..n-1], as [old_of_new] lists. *)
 let rec permutations = function
   | [] -> [ [] ]
   | xs ->
@@ -321,43 +415,38 @@ let rec permutations = function
       (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) xs)))
       xs
 
-(* The identity-renaming fingerprint, from the packed summaries: flat
-   int64 arrays plus three scalars — no structured value is walked.
-   Covers exactly the data the full [encode] walk covers (each summary
-   injective modulo collision), so the dedup classes coincide. *)
-let encode_packed node =
-  let c = node.config in
-  let acc = Fp.start ~seed:0x6D63L (* "mc" *) () in
-  let acc = Fp.int acc c.Explore.steps in
-  let acc = Fp.int acc c.Explore.invocations in
-  let acc = Fp.int acc c.Explore.n_events in
-  let acc = Fp.int64_array acc node.proc_fps in
-  let acc = Fp.int64_array acc node.base_fps in
-  Fp.finish (Fp.int64 acc (Fp.finish node.events_acc))
+let max_symmetric_procs = 6
+
+(* [renamings.(n)]: every permutation of [n] processes as an
+   ([old_of_new], [new_of_old]) pair, built once at module
+   initialisation (eagerly: a lazy table forced from two domains at
+   once raises [Lazy.Undefined]). *)
+let renamings =
+  Array.init (max_symmetric_procs + 1) (fun n ->
+      Array.of_list
+        (List.map
+           (fun perm ->
+             let old_of_new = Array.of_list perm in
+             let new_of_old = Array.make n 0 in
+             Array.iteri (fun nw old -> new_of_old.(old) <- nw) old_of_new;
+             (old_of_new, new_of_old))
+           (permutations (List.init n Fun.id))))
 
 let fingerprint ?(symmetry = false) node =
-  let n = Array.length node.config.Explore.procs in
   if not symmetry then encode_packed node
   else begin
-    if n > 6 then
+    let n = Array.length node.config.Explore.procs in
+    if n > max_symmetric_procs then
       invalid_arg "Canon.fingerprint: symmetry reduction capped at 6 processes";
-    let fp_of perm =
-      let old_of_new = Array.of_list perm in
-      let rename =
-        let inv = Array.make n 0 in
-        Array.iteri (fun nw old -> inv.(old) <- nw) old_of_new;
-        fun p -> inv.(p)
-      in
-      encode node ~old_of_new ~rename
-    in
-    match permutations (List.init n (fun i -> i)) with
-    | [] -> assert false
-    | perm :: perms ->
-      List.fold_left
-        (fun best perm ->
-          let fp = fp_of perm in
-          if Int64.unsigned_compare fp best < 0 then fp else best)
-        (fp_of perm) perms
+    let s = Bytes.create 8 in
+    let perms = renamings.(n) in
+    let best = ref 0L in
+    Array.iteri
+      (fun k (old_of_new, new_of_old) ->
+        let fp = encode node s ~old_of_new ~new_of_old in
+        if k = 0 || Int64.unsigned_compare fp !best < 0 then best := fp)
+      perms;
+    !best
   end
 
 (* ------------------------------------------------------------------ *)
@@ -382,8 +471,13 @@ let compare_event (a : Event.t) (b : Event.t) =
 let compare_history (a : History.t) (b : History.t) =
   List.compare compare_event (History.events a) (History.events b)
 
-(* Re-exported absorbers, so other state-space instantiations
-   ({!Mc_valency}) encode the vocabulary types identically. *)
+(* Re-exported, so other state-space instantiations ({!Mc_valency})
+   encode the vocabulary types and continuations identically. *)
 let absorb_value = value
-let absorb_op = op
+
+let digest_access prev ~obj ~op ~resp =
+  let b = Bytes.create 16 in
+  Fp.set_word b 0 prev;
+  digest_access_at b 1 b 0 ~obj ~op ~resp;
+  Fp.word b 1
 

@@ -18,27 +18,30 @@ open Elin_explore
 
 type node = {
   config : Explore.config;
-  digests : int64 array;
-      (** per-process continuation digests; [0L] when idle or still
-          inside the operation that was running at the search root *)
-  depth : int;  (** steps taken from the search root *)
   sleep : int;
       (** sleep set (partial-order reduction): bitmask of processes
           whose next step was already explored, at an ancestor, in a
           provably commuting order *)
-  proc_fps : int64 array;  (** packed per-process state summaries *)
-  base_fps : int64 array;  (** packed per-object state summaries *)
-  events_acc : Elin_kernel.Fingerprint.acc;
-      (** running digest of the chronological event log *)
+  summary : Bytes.t;
+      (** the packed state summaries, one unboxed buffer of 2n+m+1
+          {!Elin_kernel.Fingerprint} words for n processes and m base
+          objects: per-process continuation digests ([0L] when idle or
+          still inside the operation that was running at the search
+          root), per-process state digests, per-object state digests,
+          and the running accumulator over the chronological event
+          log.  Copied once per successor; never mutated once the node
+          is built. *)
 }
 
 val root : Explore.config -> node
 
-(** [step impl node p] — [Explore.step] with digest and packed-summary
-    maintenance.  [?choices] must be [Explore.access_choices] on the
-    node's configuration when given. *)
+(** [step ?choices ?sleep impl node p] — [Explore.step] with digest and
+    packed-summary maintenance; every successor is born with sleep set
+    [sleep] (default empty).  [?choices] must be
+    [Explore.access_choices] on the node's configuration when given. *)
 val step :
   ?choices:(Elin_spec.Value.t * Elin_spec.Value.t) list ->
+  ?sleep:int ->
   Impl.t ->
   node ->
   int ->
@@ -74,13 +77,11 @@ val compare_event : Event.t -> Event.t -> int
     tie-break for counterexample selection. *)
 val compare_history : History.t -> History.t -> int
 
-(** Absorbers for the vocabulary types, shared by every state-space
-    instantiation so encodings stay consistent. *)
-val absorb_value :
-  Elin_kernel.Fingerprint.acc -> Elin_spec.Value.t -> Elin_kernel.Fingerprint.acc
-
-val absorb_op :
-  Elin_kernel.Fingerprint.acc -> Elin_spec.Op.t -> Elin_kernel.Fingerprint.acc
+(** [absorb_value b i v] absorbs [v] into the buffer-backed
+    accumulator in word [i] of [b] (see {!Elin_kernel.Fingerprint}),
+    allocating nothing; shared by every state-space instantiation so
+    encodings stay consistent. *)
+val absorb_value : Bytes.t -> int -> Elin_spec.Value.t -> unit
 
 (** [digest_access prev ~obj ~op ~resp] — fold one consumed base
     response into a continuation digest. *)

@@ -28,7 +28,12 @@ type node = {
 }
 
 let digest_input input =
-  Fp.finish (Canon.absorb_value (Fp.byte (Fp.start ()) 1) input)
+  let b = Bytes.create 8 in
+  Fp.start_at b 0;
+  Fp.byte_at b 0 1;
+  Canon.absorb_value b 0 input;
+  Fp.finish_at b 0;
+  Fp.word b 0
 
 let root (p : Valency.protocol) ~inputs =
   {
@@ -114,17 +119,24 @@ let merge_sleep a b = { a with sleep = a.sleep land b.sleep }
 
 let fingerprint node =
   let c = node.config in
-  let acc = Fp.start ~seed:0x76616CL (* "val" *) () in
-  let acc = Fp.int acc c.Valency.steps in
+  let b = Bytes.create 8 in
+  Fp.start_at ~seed:0x76616CL (* "val" *) b 0;
+  Fp.int_at b 0 c.Valency.steps;
   let n = Array.length c.Valency.procs in
-  let acc = ref (Fp.int acc n) in
+  Fp.int_at b 0 n;
   for i = 0 to n - 1 do
-    acc :=
-      match c.Valency.procs.(i) with
-      | Valency.Decided v -> Canon.absorb_value (Fp.byte !acc 0) v
-      | Valency.Running _ -> Fp.int64 (Fp.byte !acc 1) node.digests.(i)
+    match c.Valency.procs.(i) with
+    | Valency.Decided v ->
+      Fp.byte_at b 0 0;
+      Canon.absorb_value b 0 v
+    | Valency.Running _ ->
+      Fp.byte_at b 0 1;
+      Fp.int64_at b 0 node.digests.(i)
   done;
-  Fp.finish (Fp.array Canon.absorb_value !acc c.Valency.bases)
+  Fp.int_at b 0 (Array.length c.Valency.bases);
+  Array.iter (Canon.absorb_value b 0) c.Valency.bases;
+  Fp.finish_at b 0;
+  Fp.word b 0
 
 (* Leaf verdicts: a decision vector, or a path cut by the bound. *)
 type leaf = Decision of Value.t array | Truncated

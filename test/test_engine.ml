@@ -290,6 +290,28 @@ let no_major_allocation_per_check () =
         (fun p -> assert (snd (Engine.final_states p)).Engine.ok)
         prepared)
 
+(* Minor-heap words per state of the model checker's work outside the
+   leaf check (successors, fingerprints, dedup, routing): fai/board
+   2x3 d22 at one domain, where the search runs on the calling domain,
+   and [count_states] checks no leaf.  This build ([dune runtest],
+   compiled -opaque) reads 135.5; the bound leaves about 10 %
+   headroom.  A release build allocates less (inlined threaded
+   absorbers), so the figure is specific to this profile. *)
+let mc_minor_words_per_state () =
+  let open Elin_mc in
+  let impl = Elin_runtime.Impls.fai_from_board () in
+  let workloads =
+    Elin_runtime.Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3
+  in
+  let run () = Mc.count_states impl ~workloads ~max_steps:22 ~domains:1 () in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let stats = run () in
+  let words = (Gc.minor_words () -. w0) /. float_of_int stats.Search.states in
+  Alcotest.(check int) "states" 23_951 stats.Search.states;
+  if words >= 150. then
+    Alcotest.failf "%.1f minor words per state (bound 150)" words
+
 (* Property: generated linearizable histories always pass. *)
 let generated_pass =
   Support.seeded_prop ~count:100 "generated histories linearizable" (fun rng ->
@@ -430,6 +452,7 @@ let () =
           Support.quick "verdict stats" verdict_counts_nodes;
           Support.quick "no major-heap allocation per check"
             no_major_allocation_per_check;
+          Support.quick "mc minor words per state" mc_minor_words_per_state;
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;

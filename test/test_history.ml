@@ -168,6 +168,122 @@ let textio_roundtrip_prop =
       let hist' = Textio.of_string (Textio.to_string hist) in
       List.equal Event.equal (History.events hist) (History.events hist'))
 
+(* --- of_events against the Hashtbl construction it replaced ----------- *)
+
+(* [History.of_events] as it was before validation moved to int arrays,
+   kept as the reference: it returns the events, the operations and
+   [op_of_event], or raises the same [History.Ill_formed]. *)
+let reference_of_events events =
+  let events = Array.of_list events in
+  let n = Array.length events in
+  let op_of_event = Array.make n (-1) in
+  let max_proc = Array.fold_left (fun m (e : Event.t) -> max m e.proc) (-1) events in
+  let pending = Array.make (max_proc + 1) None in
+  let ops = ref [] in
+  let n_ops = ref 0 in
+  let inv_info = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (e : Event.t) ->
+      match e.payload with
+      | Invoke op -> (
+        match pending.(e.proc) with
+        | Some _ -> raise (History.Ill_formed (Invocation_while_pending i))
+        | None ->
+          let id = !n_ops in
+          incr n_ops;
+          pending.(e.proc) <- Some id;
+          Hashtbl.replace inv_info id (e.proc, e.obj, op, i);
+          op_of_event.(i) <- id)
+      | Respond v -> (
+        match pending.(e.proc) with
+        | None -> raise (History.Ill_formed (Response_without_invocation i))
+        | Some id ->
+          let proc, obj, op, inv = Hashtbl.find inv_info id in
+          if obj <> e.obj then raise (History.Ill_formed (Mismatched_response i));
+          pending.(e.proc) <- None;
+          op_of_event.(i) <- id;
+          ops := { Operation.id; proc; obj; op; inv; resp = Some (v, i) } :: !ops))
+    events;
+  Array.iteri
+    (fun _p -> function
+      | None -> ()
+      | Some id ->
+        let proc, obj, op, inv = Hashtbl.find inv_info id in
+        ops := { Operation.id; proc; obj; op; inv; resp = None } :: !ops)
+    pending;
+  let ops_arr =
+    Array.make !n_ops
+      { Operation.id = 0; proc = 0; obj = 0; op = Op.read; inv = 0; resp = None }
+  in
+  List.iter (fun (o : Operation.t) -> ops_arr.(o.id) <- o) !ops;
+  (events, ops_arr, op_of_event)
+
+(* A random well-formed event list: up to 4 processes on up to 3
+   objects, each process alternating invocations and matching
+   responses; some operations may be left pending. *)
+let random_events rng =
+  let module R = Elin_kernel.Prng in
+  let procs = 1 + R.int rng 4 and objs = 1 + R.int rng 3 in
+  let open_obj = Array.make procs (-1) in
+  List.init (R.int rng 24) (fun _ ->
+      let p = R.int rng procs in
+      if open_obj.(p) >= 0 then begin
+        let obj = open_obj.(p) in
+        open_obj.(p) <- -1;
+        Event.respond ~proc:p ~obj (Value.int (R.int rng 3))
+      end
+      else begin
+        let obj = R.int rng objs in
+        open_obj.(p) <- obj;
+        Event.invoke ~proc:p ~obj (R.choose rng [ Op.read; Op.write 1; Op.fetch_inc ])
+      end)
+
+(* One random mutation: drop an event, duplicate one, swap two
+   adjacent ones, or move one to another process or object. *)
+let mutate rng events =
+  let module R = Elin_kernel.Prng in
+  let a = Array.of_list events in
+  let n = Array.length a in
+  if n = 0 then events
+  else
+    let i = R.int rng n in
+    let (e : Event.t) = a.(i) in
+    match R.int rng 5 with
+    | 0 -> List.filteri (fun j _ -> j <> i) events
+    | 1 -> List.concat_map (fun (j, e) -> if j = i then [ e; e ] else [ e ]) (List.mapi (fun j e -> (j, e)) events)
+    | 2 when n >= 2 ->
+      let i = min i (n - 2) in
+      let t = a.(i) in
+      a.(i) <- a.(i + 1);
+      a.(i + 1) <- t;
+      Array.to_list a
+    | 3 ->
+      a.(i) <- { e with proc = (e.proc + 1 + R.int rng 3) mod 4 };
+      Array.to_list a
+    | _ ->
+      a.(i) <- { e with obj = (e.obj + 1 + R.int rng 2) mod 3 };
+      Array.to_list a
+
+let of_events_matches_reference =
+  Support.seeded_prop ~count:2000 "of_events = Hashtbl reference" (fun rng ->
+      let events = random_events rng in
+      let events =
+        if Elin_kernel.Prng.bool rng then events else mutate rng events
+      in
+      let outcome f = match f () with x -> Ok x | exception History.Ill_formed e -> Error e in
+      let want = outcome (fun () -> reference_of_events events) in
+      let got =
+        outcome (fun () ->
+            let t = History.of_events events in
+            ( History.events_array t,
+              History.ops_array t,
+              Array.init (History.length t) (History.op_of_event t) ))
+      in
+      if want <> got then
+        QCheck2.Test.fail_reportf "events:@.%a"
+          (Format.pp_print_list Event.pp) events;
+      true)
+
 let () =
   Alcotest.run "history"
     [
@@ -179,6 +295,7 @@ let () =
           Support.quick "orphan response" ill_formed_orphan_response;
           Support.quick "wrong object" ill_formed_wrong_object;
           Support.quick "error rendering" of_events_result_error;
+          of_events_matches_reference;
         ] );
       ( "operations",
         [

@@ -384,53 +384,76 @@ let encode_packed node =
   Fp.finish_at s 0;
   Fp.word s 0
 
-(* The full structural encoding under one renaming: [old_of_new]
-   lists, for each canonical position, the original process id placed
-   there; [new_of_old] is its inverse.  [s] is a one-word scratch. *)
-let encode node s ~old_of_new ~new_of_old =
+(* The full structural encoding under renaming [k] of the table
+   [renamings.(n)] ([old_of_new], [new_of_old]): canonical position
+   [i] holds process [old_of_new.(k*n + i)], and process [p] is renamed
+   [new_of_old.(k*n + p)].  [s] is a one-word scratch. *)
+let encode node s (old_of_new, new_of_old) k =
   let c = node.config in
+  let n = Array.length c.Explore.procs in
+  let base = k * n in
   Fp.start_at ~seed:0x6D63L (* "mc" *) s 0;
   Fp.int_at s 0 c.Explore.steps;
   Fp.int_at s 0 c.Explore.invocations;
-  let n = Array.length c.Explore.procs in
   Fp.int_at s 0 n;
   for i = 0 to n - 1 do
-    let p = old_of_new.(i) in
+    let p = old_of_new.(base + i) in
     proc_state s 0 c.Explore.procs.(p) node.summary p
   done;
   Fp.int_at s 0 (Array.length c.Explore.bases);
   Array.iter (value s 0) c.Explore.bases;
   Fp.int_at s 0 (List.length c.Explore.events_rev);
   List.iter
-    (fun (e : Event.t) -> event s 0 ~proc:new_of_old.(e.Event.proc) e)
+    (fun (e : Event.t) ->
+      event s 0 ~proc:new_of_old.(base + e.Event.proc) e)
     c.Explore.events_rev;
   Fp.finish_at s 0;
   Fp.word s 0
 
-(* All permutations of [0..n-1], as [old_of_new] lists. *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | xs ->
-    List.concat_map
-      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) xs)))
-      xs
+let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
+
+(* [a] becomes the next permutation in lexicographic order; [a] must
+   not be the last (descending) one. *)
+let next_permutation a =
+  let swap x y =
+    let t = a.(x) in
+    a.(x) <- a.(y);
+    a.(y) <- t
+  in
+  let n = Array.length a in
+  let i = ref (n - 2) in
+  while a.(!i) > a.(!i + 1) do decr i done;
+  let j = ref (n - 1) in
+  while a.(!j) < a.(!i) do decr j done;
+  swap !i !j;
+  let lo = ref (!i + 1) and hi = ref (n - 1) in
+  while !lo < !hi do
+    swap !lo !hi;
+    incr lo;
+    decr hi
+  done
 
 let max_symmetric_procs = 6
 
-(* [renamings.(n)]: every permutation of [n] processes as an
-   ([old_of_new], [new_of_old]) pair, built once at module
-   initialisation (eagerly: a lazy table forced from two domains at
-   once raises [Lazy.Undefined]). *)
+(* [renamings.(n)]: the n! renamings of [n] processes, as two flat
+   tables (see [encode]), in lexicographic order of [old_of_new].
+   Built once at module initialisation — eagerly, because a lazy table
+   forced from two domains at once raises [Lazy.Undefined], and flat,
+   because every process that links this module pays for it at
+   start-up. *)
 let renamings =
   Array.init (max_symmetric_procs + 1) (fun n ->
-      Array.of_list
-        (List.map
-           (fun perm ->
-             let old_of_new = Array.of_list perm in
-             let new_of_old = Array.make n 0 in
-             Array.iteri (fun nw old -> new_of_old.(old) <- nw) old_of_new;
-             (old_of_new, new_of_old))
-           (permutations (List.init n Fun.id))))
+      let old_of_new = Array.make (factorial n * n) 0 in
+      let new_of_old = Array.make (factorial n * n) 0 in
+      let cur = Array.init n Fun.id in
+      for k = 0 to factorial n - 1 do
+        if k > 0 then next_permutation cur;
+        for i = 0 to n - 1 do
+          old_of_new.((k * n) + i) <- cur.(i);
+          new_of_old.((k * n) + cur.(i)) <- i
+        done
+      done;
+      (old_of_new, new_of_old))
 
 let fingerprint ?(symmetry = false) node =
   if not symmetry then encode_packed node
@@ -439,13 +462,11 @@ let fingerprint ?(symmetry = false) node =
     if n > max_symmetric_procs then
       invalid_arg "Canon.fingerprint: symmetry reduction capped at 6 processes";
     let s = Bytes.create 8 in
-    let perms = renamings.(n) in
-    let best = ref 0L in
-    Array.iteri
-      (fun k (old_of_new, new_of_old) ->
-        let fp = encode node s ~old_of_new ~new_of_old in
-        if k = 0 || Int64.unsigned_compare fp !best < 0 then best := fp)
-      perms;
+    let best = ref (encode node s renamings.(n) 0) in
+    for k = 1 to factorial n - 1 do
+      let fp = encode node s renamings.(n) k in
+      if Int64.unsigned_compare fp !best < 0 then best := fp
+    done;
     !best
   end
 

@@ -261,6 +261,42 @@ let symmetry_requires_identical_workloads () =
     (fun () ->
       ignore (Mc.count_states impl ~workloads:wl ~max_steps:8 ~symmetry:true ()))
 
+(* The symmetric fingerprint is the minimum over all n! renamings, so
+   stepping a schedule and its image under a renaming [sigma] must
+   give equal symmetric fingerprints (and, with processes at different
+   points, different plain ones) — for every process count up to the
+   cap of 6. *)
+let symmetry_renaming_invariant () =
+  let impl = Impls.fai_from_cas () in
+  let run ~procs schedule =
+    let wl = Run.uniform_workload Op.fetch_inc ~procs ~per_proc:2 in
+    List.fold_left
+      (fun node p -> List.hd (Canon.step impl node p))
+      (Canon.root (Explore.initial_config impl ~workloads:wl ()))
+      schedule
+  in
+  for procs = 2 to 6 do
+    (* Process p takes p + 1 steps, so every process is somewhere else. *)
+    let schedule =
+      List.concat_map (fun p -> List.init (p + 1) (fun _ -> p)) (List.init procs Fun.id)
+    in
+    let node = run ~procs schedule in
+    List.iter
+      (fun (name, sigma) ->
+        let node' = run ~procs (List.map sigma schedule) in
+        let what = Printf.sprintf "%d procs, %s" procs name in
+        Alcotest.(check bool) (what ^ ": plain differs") false
+          (Canon.fingerprint node = Canon.fingerprint node');
+        Alcotest.(check bool) (what ^ ": symmetric equal") true
+          (Canon.fingerprint ~symmetry:true node
+          = Canon.fingerprint ~symmetry:true node'))
+      [
+        ("reverse", fun p -> procs - 1 - p);
+        ("rotate", fun p -> (p + 1) mod procs);
+        ("swap 0 1", fun p -> if p < 2 then 1 - p else p);
+      ]
+  done
+
 (* --- partial-order reduction ------------------------------------- *)
 
 (* The soundness gate: sleep-set POR must leave every observable —
@@ -738,6 +774,8 @@ let () =
             symmetry_reduces_and_preserves_verdict;
           Support.quick "requires identical workloads"
             symmetry_requires_identical_workloads;
+          Support.quick "renaming-invariant up to 6 processes"
+            symmetry_renaming_invariant;
         ] );
       ( "por",
         [

@@ -17,10 +17,11 @@
       (OCaml 5.1, no flambda) boxes an [int64] that crosses a call
       boundary, so each threaded absorb allocates a 3-word box unless
       the call is inlined.  The small absorbers are [@inline]: in a
-      release build a chain of them, loops included, runs in
-      registers.  A dev build ([dune runtest]) compiles with [-opaque]
-      and inlines nothing across modules, so there every threaded
-      absorb called from another module allocates.
+      release build a chain of them, loops included, runs in registers
+      ([start] with a [~seed] boxes once).  A dev build ([dune
+      runtest]) compiles with [-opaque] and inlines nothing across
+      modules, so there every threaded absorb called from another
+      module allocates.
     - buffer-backed ([*_at]): the running state is word [i] (bytes
       [8i .. 8i+7], native order) of a caller-owned [Bytes.t], and the
       absorber returns [unit].  Nothing crosses a call boundary as an
@@ -80,7 +81,13 @@ let[@inline] avalanche (z : int64) =
 (* Threaded accumulators.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] start ?(seed = 0L) () : acc = Int64.logxor offset_basis seed
+(* Its optional argument keeps [start] out of line, so without a seed
+   it returns the preallocated basis rather than a fresh box. *)
+let start ?seed () : acc =
+  match seed with
+  | None -> offset_basis
+  | Some seed -> Int64.logxor offset_basis seed
+
 let[@inline] byte (a : acc) b : acc = step a b
 let[@inline] int64 (a : acc) (x : int64) : acc = step_int64 a x
 let[@inline] int (a : acc) (n : int) : acc = step_int a n

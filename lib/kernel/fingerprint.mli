@@ -12,10 +12,11 @@
     - {b threaded}: an {!acc} passed in and returned.  The [acc] is an
       [int64], and OCaml 5.1 without flambda boxes an [int64] that
       crosses a call.  The small absorbers are inlined, so a release
-      build keeps a chain of them in registers; a dev build
-      ([dune runtest], compiled [-opaque]) inlines nothing across
-      modules, and there each threaded absorb from another module
-      allocates a 3-word box.
+      build keeps a chain of them in registers ([start] with a
+      [~seed] allocates one box); a dev build ([dune runtest],
+      compiled [-opaque]) inlines nothing across modules, and there
+      each threaded absorb from another module allocates a 3-word
+      box.
     - {b buffer-backed} ([*_at]): the running state is word [i] of a
       caller-owned [Bytes.t] (bytes [8i .. 8i+7]) and the absorber
       returns [unit].  These allocate nothing in either build; use them

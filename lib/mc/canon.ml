@@ -277,14 +277,12 @@ let children ?choices ~sleep (impl : Impl.t) node p tail =
       (Explore.step ~choices impl c p)
       tail
 
-(** [step ?choices ?sleep impl node p] — [Explore.step] on the
-    underlying configuration, with the summary buffer updated from the
-    transition's label and every successor born with sleep set [sleep]
-    (default empty).  [?choices] must be
-    [Explore.access_choices impl node.config p] when given (footprint
-    computation already paid for it). *)
-let step ?choices ?(sleep = 0) impl node p =
-  children ?choices ~sleep impl node p []
+(** [step impl node p] — [Explore.step] on the underlying
+    configuration, with the summary buffer updated from the
+    transition's label; successors are born with an empty sleep set.
+    [?choices] must be [Explore.access_choices impl node.config p] when
+    given (footprint computation already paid for it). *)
+let step ?choices impl node p = children ?choices ~sleep:0 impl node p []
 
 (** [successors ?por ?pruned impl node] — every configuration one step
     away.  With [~por:true], sleep-set pruning: processes in

@@ -35,13 +35,11 @@ type node = {
 
 val root : Explore.config -> node
 
-(** [step ?choices ?sleep impl node p] — [Explore.step] with digest and
-    packed-summary maintenance; every successor is born with sleep set
-    [sleep] (default empty).  [?choices] must be
-    [Explore.access_choices] on the node's configuration when given. *)
+(** [step impl node p] — [Explore.step] with digest and packed-summary
+    maintenance.  [?choices] must be [Explore.access_choices] on the
+    node's configuration when given. *)
 val step :
   ?choices:(Elin_spec.Value.t * Elin_spec.Value.t) list ->
-  ?sleep:int ->
   Impl.t ->
   node ->
   int ->

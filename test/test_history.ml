@@ -250,7 +250,7 @@ let mutate rng events =
     let (e : Event.t) = a.(i) in
     match R.int rng 5 with
     | 0 -> List.filteri (fun j _ -> j <> i) events
-    | 1 -> List.concat_map (fun (j, e) -> if j = i then [ e; e ] else [ e ]) (List.mapi (fun j e -> (j, e)) events)
+    | 1 -> List.concat (List.mapi (fun j e -> if j = i then [ e; e ] else [ e ]) events)
     | 2 when n >= 2 ->
       let i = min i (n - 2) in
       let t = a.(i) in
@@ -270,7 +270,9 @@ let of_events_matches_reference =
       let events =
         if Elin_kernel.Prng.bool rng then events else mutate rng events
       in
-      let outcome f = match f () with x -> Ok x | exception History.Ill_formed e -> Error e in
+      let outcome f =
+        match f () with x -> Ok x | exception History.Ill_formed e -> Error e
+      in
       let want = outcome (fun () -> reference_of_events events) in
       let got =
         outcome (fun () ->

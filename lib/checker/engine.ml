@@ -32,6 +32,13 @@
     adjacency, replacing a per-candidate scan of predecessor lists at
     every DFS node.
 
+    A node expansion allocates nothing of its own: the placed set
+    ([Bitset]) and the state vector are mutated in place and undone on
+    backtrack, failures go into one unboxed [Memo_key] table per run,
+    and the per-node loops are [for]/[while] loops or recursive
+    functions defined once per run, never closures built per node.
+    What a node still allocates is [Spec.apply]'s transition list.
+
     Multi-object histories are handled directly (a sequential history
     is legal iff each per-object projection is legal, cf. [11]), which
     the locality experiments (Lemma 7) exploit. *)
@@ -105,30 +112,50 @@ let m_runs = Obs.Metrics.counter "engine.runs"
 let m_nodes = Obs.Metrics.counter "engine.nodes"
 let m_memo_hits = Obs.Metrics.counter "engine.memo_hits"
 
+(* The distinct objects of [ops] in ascending order — the order of
+   [History.objs], which [?init] documents — found in one scan, and
+   each operation's index into them.  Histories touch one object or a
+   few, so a linear lookup beats a hash table. *)
+let rec index_of (objs : int array) o k =
+  if k = Array.length objs then -1
+  else if objs.(k) = o then k
+  else index_of objs o (k + 1)
+
+let object_slots (ops : Operation.t array) =
+  let objs = ref [||] in
+  for i = 0 to Array.length ops - 1 do
+    let o = ops.(i).Operation.obj in
+    if index_of !objs o 0 < 0 then objs := Array.append !objs [| o |]
+  done;
+  let objs = !objs in
+  Array.sort Int.compare objs;
+  ( objs,
+    Array.map (fun (op : Operation.t) -> index_of objs op.Operation.obj 0) ops
+  )
+
 (** [prepare cfg h] — build the cut-independent search structures once;
     {!check_at} / {!witness_at} then decide any cut against them. *)
 let prepare cfg h =
   let ts = Obs.Trace.begin_ns () in
   let ops = History.ops_array h in
-  let objs = Array.of_list (History.objs h) in
-  let obj_slot =
-    let tbl = Hashtbl.create 8 in
-    Array.iteri (fun i o -> Hashtbl.replace tbl o i) objs;
-    fun o -> Hashtbl.find tbl o
-  in
+  let objs, slot = object_slots ops in
+  let specs = Array.map cfg.spec_of_obj objs in
   let completed = Array.map Operation.is_complete ops in
+  let n_completed = ref 0 in
+  for i = 0 to Array.length completed - 1 do
+    if completed.(i) then incr n_completed
+  done;
   let p =
     {
       cfg;
       len = History.length h;
       n = Array.length ops;
       ops;
-      specs = Array.map cfg.spec_of_obj objs;
-      slot = Array.map (fun (o : Operation.t) -> obj_slot o.Operation.obj) ops;
-      init_states = Array.map (fun o -> Spec.initial (cfg.spec_of_obj o)) objs;
+      specs;
+      slot;
+      init_states = Array.map Spec.initial specs;
       completed;
-      n_completed =
-        Array.fold_left (fun acc c -> acc + Bool.to_int c) 0 completed;
+      n_completed = !n_completed;
     }
   in
   if Obs.Metrics.on () then Obs.Metrics.Counter.incr m_prepares;
@@ -160,26 +187,62 @@ let cut_tables p ~t =
   in
   let n_preds = Array.make n 0 in
   let succs = Array.make n [||] in
-  Array.iter
-    (fun (oj : Operation.t) ->
-      match oj.Operation.resp with
-      | Some (_, rj) when rj >= t ->
-        let out = ref [] in
-        for i = n - 1 downto 0 do
-          let oi = ops.(i) in
-          if oi.Operation.inv >= t && rj < oi.Operation.inv then begin
-            n_preds.(i) <- n_preds.(i) + 1;
-            out := i :: !out
-          end
-        done;
-        succs.(oj.Operation.id) <- Array.of_list !out
-      | Some _ | None -> ())
-    ops;
+  for j = 0 to n - 1 do
+    match ops.(j).Operation.resp with
+    | Some (_, rj) when rj >= t ->
+      (* Count j's successors, then fill an array of exactly that
+         size: no intermediate list per run. *)
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let inv = ops.(i).Operation.inv in
+        if inv >= t && rj < inv then incr k
+      done;
+      let out = Array.make !k 0 in
+      k := 0;
+      for i = 0 to n - 1 do
+        let inv = ops.(i).Operation.inv in
+        if inv >= t && rj < inv then begin
+          n_preds.(i) <- n_preds.(i) + 1;
+          out.(!k) <- i;
+          incr k
+        end
+      done;
+      succs.(j) <- out
+    | Some _ | None -> ()
+  done;
   (fixed_resp, n_preds, succs)
 
 (* ------------------------------------------------------------------ *)
 (* The shared DFS core                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* Does the cut let operation [id] return [r]?  [fixed] is its
+   [fixed_resp] entry. *)
+let admits fixed r =
+  match fixed with None -> true | Some f -> Value.equal f r
+
+(* Does [transitions] hold one the cut admits — the filter, without
+   building the filtered list? *)
+let rec any_admitted fixed = function
+  | [] -> false
+  | (r, _) :: rest -> admits fixed r || any_admitted fixed rest
+
+let decr_all missing (out : int array) =
+  for k = 0 to Array.length out - 1 do
+    missing.(out.(k)) <- missing.(out.(k)) - 1
+  done
+
+let incr_all missing (out : int array) =
+  for k = 0 to Array.length out - 1 do
+    missing.(out.(k)) <- missing.(out.(k)) + 1
+  done
+
+let start_states ~who init_states = function
+  | None -> Array.copy init_states
+  | Some s ->
+    if Array.length s <> Array.length init_states then
+      invalid_arg (who ^ ": init state vector has wrong arity");
+    Array.copy s
 
 (* [run p ~t ~trace] — the one DFS behind search AND witness.  When
    [trace] is given, it accumulates the (operation, response) choices
@@ -209,23 +272,14 @@ let run ?hint ?init p ~t ~trace =
      fresh per run, so we mutate [n_preds] in place. *)
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
+  let memoize = cfg.memoize in
   let memo_hits = ref 0 in
-  (* Sized for the minor heap: a bucket array over 256 words is
-     allocated straight in the major heap, on every call however small
-     the history, and the model checker makes one call per leaf.  The
-     table grows as the search needs it. *)
-  let memo = Memo_key.Memo.create 16 in
-  (* One state vector, mutated in place and restored on backtrack; the
-     memo snapshots it ([Array.copy]) only when inserting a failure, so
-     the hot path allocates nothing per transition. *)
-  let states =
-    match init with
-    | None -> Array.copy init_states
-    | Some s ->
-      if Array.length s <> Array.length init_states then
-        invalid_arg "Engine.run: init state vector has wrong arity";
-      Array.copy s
-  in
+  (* The placed set and the state vector of the current DFS node,
+     mutated in place and restored on backtrack; the memo copies them
+     only when inserting a failure. *)
+  let placed = Bitset.create n in
+  let states = start_states ~who:"Engine.run" init_states init in
+  let memo = Memo_key.create ~width:n ~arity:(Array.length states) in
   (* Smart order: a static candidate permutation, earliest response
      first (pending operations last, by invocation), stable-sorted
      under the caller's failure hints.  [None] = scan by id, the
@@ -270,15 +324,7 @@ let run ?hint ?init p ~t ~trace =
       a
   in
   let smart = cfg.order = `Smart in
-  (* Memo lookahead: a child whose (placed set, state vector) failure
-     is already memoized is pruned {e before} expansion, not bumped and
-     re-entered — memoized children cost one table lookup, not a DFS
-     node.  Lookups read the live [states]; [Memo_key.Key.equal]
-     compares contents. *)
-  let memoized placed =
-    cfg.memoize && Memo_key.Memo.mem memo (placed, states)
-  in
-  let rec dfs placed n_placed_completed =
+  let rec dfs n_placed_completed =
     Budget.bump budget;
     if n_placed_completed = n_completed then true
     else begin
@@ -289,50 +335,15 @@ let run ?hint ?init p ~t ~trace =
         let id = match scan with None -> !i | Some a -> a.(!i) in
         incr i;
         if (not (Bitset.mem placed id)) && missing.(id) = 0 then begin
-          let o = ops.(id) in
           let sl = slot.(id) in
-          let transitions = Spec.apply specs.(sl) states.(sl) o.Operation.op in
+          let fixed = fixed_resp.(id) in
           let transitions =
-            match fixed_resp.(id) with
-            | Some r ->
-              List.filter (fun (r', _) -> Value.equal r r') transitions
-            | None -> transitions
+            Spec.apply specs.(sl) states.(sl) ops.(id).Operation.op
           in
-          if transitions <> [] then begin
-            let placed' = Bitset.add placed id in
-            let n' = n_placed_completed + Bool.to_int completed.(id) in
-            let out = succs.(id) in
-            Array.iter (fun s -> missing.(s) <- missing.(s) - 1) out;
-            if smart then slot_left.(sl) <- slot_left.(sl) - 1;
-            let saved = states.(sl) in
-            List.iter
-              (fun (r, q') ->
-                if not !success then begin
-                  states.(sl) <- q';
-                  if memoized placed' then begin
-                    incr memo_hits;
-                    bump_hint id
-                  end
-                  else begin
-                    (match trace with
-                    | Some tr -> tr := (o, r) :: !tr
-                    | None -> ());
-                    if dfs placed' n' then success := true
-                    else begin
-                      bump_hint id;
-                      match trace with
-                      | Some tr -> tr := List.tl !tr
-                      | None -> ()
-                    end
-                  end
-                end)
-              transitions;
-            if not !success then begin
-              states.(sl) <- saved;
-              if smart then slot_left.(sl) <- slot_left.(sl) + 1;
-              Array.iter (fun s -> missing.(s) <- missing.(s) + 1) out
-            end
-          end
+          if any_admitted fixed transitions then
+            success :=
+              place id sl fixed transitions
+                (n_placed_completed + Bool.to_int completed.(id))
           else if smart && completed.(id) && slot_left.(sl) = 1 then
             (* Early rejection: [id] must eventually appear in S (it is
                completed), takes no legal transition from the current
@@ -342,12 +353,55 @@ let run ?hint ?init p ~t ~trace =
             dead := true
         end
       done;
-      if cfg.memoize && not !success then
-        Memo_key.Memo.replace memo (placed, Array.copy states) ();
+      if memoize && not !success then ignore (Memo_key.add memo placed states);
       !success
     end
+  (* Place [id] on slot [sl] and try its admitted transitions; undo
+     everything unless one of them succeeds. *)
+  and place id sl fixed transitions n' =
+    Bitset.set placed id;
+    let out = succs.(id) in
+    decr_all missing out;
+    if smart then slot_left.(sl) <- slot_left.(sl) - 1;
+    let saved = states.(sl) in
+    let ok = try_transitions id sl fixed n' transitions in
+    if not ok then begin
+      states.(sl) <- saved;
+      if smart then slot_left.(sl) <- slot_left.(sl) + 1;
+      incr_all missing out;
+      Bitset.clear placed id
+    end;
+    ok
+  (* Memo lookahead: a child whose (placed set, state vector) failure
+     is already memoized is pruned {e before} expansion, not bumped and
+     re-entered — memoized children cost one table lookup, not a DFS
+     node.  The bit for [id] is already set, so the probe reads the
+     child's key from the live [placed] and [states]. *)
+  and try_transitions id sl fixed n' = function
+    | [] -> false
+    | (r, q') :: rest ->
+      if not (admits fixed r) then try_transitions id sl fixed n' rest
+      else begin
+        states.(sl) <- q';
+        if memoize && Memo_key.mem memo placed states then begin
+          incr memo_hits;
+          bump_hint id;
+          try_transitions id sl fixed n' rest
+        end
+        else begin
+          (match trace with
+          | Some tr -> tr := (ops.(id), r) :: !tr
+          | None -> ());
+          dfs n'
+          || begin
+               bump_hint id;
+               (match trace with Some tr -> tr := List.tl !tr | None -> ());
+               try_transitions id sl fixed n' rest
+             end
+        end
+      end
   in
-  let ok = dfs (Bitset.empty n) 0 in
+  let ok = dfs 0 in
   let v = { ok; nodes_explored = Budget.spent budget; memo_hits = !memo_hits } in
   if Obs.Metrics.on () then begin
     Obs.Metrics.Counter.incr m_runs;
@@ -404,64 +458,53 @@ let final_states ?init p =
   let missing = n_preds in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let visited_hits = ref 0 in
-  let visited = Memo_key.Memo.create 16 in  (* see [run]'s memo *)
-  let states =
-    match init with
-    | None -> Array.copy init_states
-    | Some s ->
-      if Array.length s <> Array.length init_states then
-        invalid_arg "Engine.final_states: init state vector has wrong arity";
-      Array.copy s
-  in
-  let finals = Memo_key.Memo.create 16 in
-  let no_ops = Bitset.empty 0 in
-  let record () =
-    let key = (no_ops, states) in
-    if not (Memo_key.Memo.mem finals key) then
-      Memo_key.Memo.replace finals (no_ops, Array.copy states) ()
-  in
-  let rec dfs placed n_placed_completed =
+  let placed = Bitset.create n in
+  let states = start_states ~who:"Engine.final_states" init_states init in
+  let arity = Array.length states in
+  let visited = Memo_key.create ~width:n ~arity in
+  (* End states, keyed with the empty placed set. *)
+  let finals = Memo_key.create ~width:0 ~arity in
+  let no_ops = Bitset.create 0 in
+  let rec dfs n_placed_completed =
     Budget.bump budget;
     (* Every completed operation placed: this branch is a legal
        linearization (remaining pending ops may be dropped) — record
        its end state, then keep extending with pending ops, whose
        inclusion reaches further states. *)
-    if n_placed_completed = n_completed then record ();
+    if n_placed_completed = n_completed then
+      ignore (Memo_key.add finals no_ops states);
     for id = 0 to n - 1 do
       if (not (Bitset.mem placed id)) && missing.(id) = 0 then begin
-        let o = ops.(id) in
         let sl = slot.(id) in
-        let transitions = Spec.apply specs.(sl) states.(sl) o.Operation.op in
+        let fixed = fixed_resp.(id) in
         let transitions =
-          match fixed_resp.(id) with
-          | Some r -> List.filter (fun (r', _) -> Value.equal r r') transitions
-          | None -> transitions
+          Spec.apply specs.(sl) states.(sl) ops.(id).Operation.op
         in
-        if transitions <> [] then begin
-          let placed' = Bitset.add placed id in
-          let n' = n_placed_completed + Bool.to_int completed.(id) in
+        if any_admitted fixed transitions then begin
+          Bitset.set placed id;
           let out = succs.(id) in
-          Array.iter (fun s -> missing.(s) <- missing.(s) - 1) out;
+          decr_all missing out;
           let saved = states.(sl) in
-          List.iter
-            (fun ((_ : Value.t), q') ->
-              states.(sl) <- q';
-              if Memo_key.Memo.mem visited (placed', states) then
-                incr visited_hits
-              else begin
-                Memo_key.Memo.replace visited (placed', Array.copy states) ();
-                dfs placed' n'
-              end)
+          visit sl fixed
+            (n_placed_completed + Bool.to_int completed.(id))
             transitions;
           states.(sl) <- saved;
-          Array.iter (fun s -> missing.(s) <- missing.(s) + 1) out
+          incr_all missing out;
+          Bitset.clear placed id
         end
       end
     done
+  and visit sl fixed n' = function
+    | [] -> ()
+    | (r, q') :: rest ->
+      if admits fixed r then begin
+        states.(sl) <- q';
+        if Memo_key.add visited placed states then dfs n'
+        else incr visited_hits
+      end;
+      visit sl fixed n' rest
   in
-  dfs (Bitset.empty n) 0;
-  let out = ref [] in
-  Memo_key.Memo.iter (fun (_, s) () -> out := s :: !out) finals;
+  dfs 0;
   let out =
     List.sort
       (fun a b ->
@@ -472,7 +515,7 @@ let final_states ?init p =
             if c <> 0 then c else go (i + 1)
         in
         go 0)
-      !out
+      (Memo_key.states finals)
   in
   let v =
     {

@@ -11,9 +11,14 @@
     (placed-operation set, object-state vector), incremental readiness
     tracking via predecessor counts — serves both {!search} and
     {!witness}, so budget and memoization semantics are identical in
-    both.  {!prepare} builds the cut-independent structures once so
-    that [Eventual.min_t] can probe many cuts against the same
-    history cheaply.  Multi-object histories are handled directly. *)
+    both.  The placed set and the state vector are mutated in place
+    and undone on backtrack, and failures go into one unboxed
+    [Memo_key] table per run, so a node expansion allocates nothing
+    beyond [Spec.apply]'s transition list.  {!prepare} builds the
+    cut-independent structures once so that [Eventual.min_t] can probe
+    many cuts against the same history cheaply; a [prepared] holds no
+    mutable search state, so any domain may probe it.  Multi-object
+    histories are handled directly. *)
 
 open Elin_spec
 open Elin_history
@@ -80,6 +85,12 @@ val prepare : config -> History.t -> prepared
 
 (** Event count of the underlying history (the maximal useful cut). *)
 val history_length : prepared -> int
+
+(** [object_slots ops] — the distinct objects of [ops] in ascending
+    order (the order of [History.objs], which indexes [?init] below),
+    and each operation's index into that array.  Shared with
+    [Weak.op_ok]. *)
+val object_slots : Operation.t array -> int array * int array
 
 (** [check_at ?hint ?init p ~t] — full verdict at cut [t] against a
     prepared history.

@@ -10,14 +10,8 @@
 open Elin_kernel
 open Elin_spec
 
-module Key = struct
-  type t = Bitset.t * Value.t
-
-  let equal (b1, s1) (b2, s2) = Bitset.equal b1 b2 && Value.equal s1 s2
-  let hash (b, s) = Hashtbl.hash (Bitset.hash b, Value.hash s)
-end
-
-module Memo = Hashtbl.Make (Key)
+(* One transition per next state: only the state matters here. *)
+let by_state ((_ : Value.t), q1) ((_ : Value.t), q2) = Value.compare q1 q2
 
 (** [justifiable spec ~pool ~required ~op ~resp] — [required] lists
     indices into [pool] that must be placed before the final [op].
@@ -28,33 +22,46 @@ let justifiable spec ~pool ~required ~op ~resp =
   let is_required = Array.make n false in
   List.iter (fun i -> is_required.(i) <- true) required;
   let n_required = List.length required in
-  let memo = Memo.create 64 in
-  let rec dfs placed state n_placed_required =
-    if n_placed_required = n_required
-       && Spec.is_legal_response spec state op resp
+  (* The placed set and the (one-object) state of the current DFS
+     node, mutated in place and restored on backtrack. *)
+  let placed = Bitset.create n in
+  let state = [| Spec.initial spec |] in
+  let memo = Memo_key.create ~width:n ~arity:1 in
+  let rec dfs n_placed_required =
+    if
+      n_placed_required = n_required
+      && Spec.is_legal_response spec state.(0) op resp
     then true
+    else if Memo_key.mem memo placed state then false
     else begin
-      let key = (placed, state) in
-      if Memo.mem memo key then false
-      else begin
-        let success = ref false in
-        let i = ref 0 in
-        while (not !success) && !i < n do
-          let id = !i in
-          incr i;
-          if not (Bitset.mem placed id) then
-            List.iter
-              (fun (_, q') ->
-                if not !success then
-                  let n' = n_placed_required + Bool.to_int is_required.(id) in
-                  if dfs (Bitset.add placed id) q' n' then success := true)
-              (List.sort_uniq
-                 (fun (_, q1) (_, q2) -> Value.compare q1 q2)
-                 (Spec.apply spec state pool.(id)))
-        done;
-        if not !success then Memo.replace memo key ();
-        !success
-      end
+      let success = ref false in
+      let i = ref 0 in
+      while (not !success) && !i < n do
+        let id = !i in
+        incr i;
+        if not (Bitset.mem placed id) then begin
+          let saved = state.(0) in
+          let transitions =
+            List.sort_uniq by_state (Spec.apply spec saved pool.(id))
+          in
+          Bitset.set placed id;
+          success :=
+            try_transitions
+              (n_placed_required + Bool.to_int is_required.(id))
+              transitions;
+          if not !success then begin
+            state.(0) <- saved;
+            Bitset.clear placed id
+          end
+        end
+      done;
+      if not !success then ignore (Memo_key.add memo placed state);
+      !success
     end
+  and try_transitions n' = function
+    | [] -> false
+    | ((_ : Value.t), q') :: rest ->
+      state.(0) <- q';
+      dfs n' || try_transitions n' rest
   in
-  dfs (Bitset.empty n) (Spec.initial spec) 0
+  dfs 0

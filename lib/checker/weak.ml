@@ -29,7 +29,9 @@ let for_spec ?node_budget ?poll spec =
 
 exception Budget_exceeded = Budget.Exceeded
 
-module Memo = Memo_key.Memo
+(* Sort transitions by next state and keep one per state: other
+   operations' responses are unconstrained, so only the state matters. *)
+let by_state ((_ : Value.t), q1) ((_ : Value.t), q2) = Value.compare q1 q2
 
 (** [op_ok cfg h target] decides Definition 1 for one completed
     operation [target] of [h]. *)
@@ -41,83 +43,82 @@ let op_ok cfg h (target : Operation.t) =
   in
   let ops = History.ops_array h in
   let n = Array.length ops in
-  (* Candidates: invoked before [target]'s response, excluding target. *)
-  let candidate =
-    Array.map
-      (fun (o : Operation.t) ->
-        o.Operation.id <> target.Operation.id && o.Operation.inv < resp_idx)
-      ops
-  in
-  (* Required: same process, precede target in H (their response is
+  (* Candidates: invoked before [target]'s response, excluding target.
+     Required: same process, precede target in H (their response is
      before target's invocation; well-formedness makes them complete). *)
-  let required =
-    Array.to_list ops
-    |> List.filter_map (fun (o : Operation.t) ->
-           if
-             o.Operation.proc = target.Operation.proc
-             && o.Operation.id <> target.Operation.id
-             && o.Operation.inv < target.Operation.inv
-           then Some o.Operation.id
-           else None)
-  in
-  let n_required = List.length required in
-  let objs = Array.of_list (History.objs h) in
-  let obj_slot =
-    let tbl = Hashtbl.create 8 in
-    Array.iteri (fun i o -> Hashtbl.replace tbl o i) objs;
-    fun o -> Hashtbl.find tbl o
-  in
-  let init_states = Array.map (fun o -> Spec.initial (cfg.spec_of_obj o)) objs in
-  let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
-  let bump () = Budget.bump budget in
-  let memo = Memo.create 256 in
+  let candidate = Array.make n false in
   let is_required = Array.make n false in
-  List.iter (fun id -> is_required.(id) <- true) required;
-  let rec dfs placed states n_placed_required =
-    bump ();
+  let n_required = ref 0 in
+  Array.iter
+    (fun (o : Operation.t) ->
+      let id = o.Operation.id in
+      if id <> target.Operation.id then begin
+        candidate.(id) <- o.Operation.inv < resp_idx;
+        if
+          o.Operation.proc = target.Operation.proc
+          && o.Operation.inv < target.Operation.inv
+        then begin
+          is_required.(id) <- true;
+          incr n_required
+        end
+      end)
+    ops;
+  let n_required = !n_required in
+  let objs, slot = Engine.object_slots ops in
+  let specs = Array.map cfg.spec_of_obj objs in
+  let target_slot = slot.(target.Operation.id) in
+  let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
+  (* The placed set and the state vector of the current DFS node,
+     mutated in place and restored on backtrack. *)
+  let placed = Bitset.create n in
+  let states = Array.map Spec.initial specs in
+  let memo = Memo_key.create ~width:n ~arity:(Array.length states) in
+  let rec dfs n_placed_required =
+    Budget.bump budget;
     (* Can we close with the target now? *)
     let closes =
       n_placed_required = n_required
-      &&
-      let slot = obj_slot target.Operation.obj in
-      let spec = cfg.spec_of_obj target.Operation.obj in
-      Spec.is_legal_response spec states.(slot) target.Operation.op resp_value
+      && Spec.is_legal_response specs.(target_slot) states.(target_slot)
+           target.Operation.op resp_value
     in
     if closes then true
+    else if Memo_key.mem memo placed states then false
     else begin
-      let key = (placed, states) in
-      if Memo.mem memo key then false
-      else begin
-        let success = ref false in
-        let i = ref 0 in
-        while (not !success) && !i < n do
-          let id = !i in
-          incr i;
-          if candidate.(id) && not (Bitset.mem placed id) then begin
-            let o = ops.(id) in
-            let slot = obj_slot o.Operation.obj in
-            let spec = cfg.spec_of_obj o.Operation.obj in
-            (* Any legal transition: S need not preserve responses of
-               other operations. *)
-            List.iter
-              (fun ((_ : Value.t), q') ->
-                if not !success then begin
-                  let states' = Array.copy states in
-                  states'.(slot) <- q';
-                  let n' = n_placed_required + Bool.to_int is_required.(id) in
-                  if dfs (Bitset.add placed id) states' n' then success := true
-                end)
-              (List.sort_uniq
-                 (fun (_, q1) (_, q2) -> Value.compare q1 q2)
-                 (Spec.apply spec states.(slot) o.Operation.op))
+      let success = ref false in
+      let i = ref 0 in
+      while (not !success) && !i < n do
+        let id = !i in
+        incr i;
+        if candidate.(id) && not (Bitset.mem placed id) then begin
+          let sl = slot.(id) in
+          let saved = states.(sl) in
+          (* Any legal transition: S need not preserve responses of
+             other operations. *)
+          let transitions =
+            List.sort_uniq by_state
+              (Spec.apply specs.(sl) saved ops.(id).Operation.op)
+          in
+          Bitset.set placed id;
+          success :=
+            try_transitions sl
+              (n_placed_required + Bool.to_int is_required.(id))
+              transitions;
+          if not !success then begin
+            states.(sl) <- saved;
+            Bitset.clear placed id
           end
-        done;
-        if not !success then Memo.replace memo key ();
-        !success
-      end
+        end
+      done;
+      if not !success then ignore (Memo_key.add memo placed states);
+      !success
     end
+  and try_transitions sl n' = function
+    | [] -> false
+    | ((_ : Value.t), q') :: rest ->
+      states.(sl) <- q';
+      dfs n' || try_transitions sl n' rest
   in
-  dfs (Bitset.empty n) init_states 0
+  dfs 0
 
 (** [check cfg h] decides weak consistency of the whole history;
     returns the first violating operation if any. *)

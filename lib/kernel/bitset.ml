@@ -1,9 +1,12 @@
-(** Immutable fixed-width bitsets.
+(** Mutable fixed-width bitsets.
 
-    Used as memoization keys by the linearizability checkers, where the
-    key is "the set of operations already placed in the linearization".
-    Widths are small (tens to a few hundred bits) but exceed 63, so we
-    back the set with an int array.  Values are immutable: [add] copies. *)
+    The linearizability checkers keep "the set of operations already
+    placed" in one of these along the DFS path: [set] when an operation
+    is placed, [clear] on backtrack, so a node expansion allocates no
+    set of its own.  Widths are small (tens to a few hundred bits) but
+    exceed 63, so we back the set with an int array.  The failure memo
+    ([Elin_checker.Memo_key]) copies the live words into its own flat
+    storage through {!word_count} and {!word}. *)
 
 type t = { width : int; words : int array }
 
@@ -11,9 +14,9 @@ let bits_per_word = 62 (* stay clear of the tag bit and sign *)
 
 let nwords width = (width + bits_per_word - 1) / bits_per_word
 
-let empty width =
-  if width < 0 then invalid_arg "Bitset.empty: negative width";
-  { width; words = Array.make (max 1 (nwords width)) 0 }
+let create width =
+  if width < 0 then invalid_arg "Bitset.create: negative width";
+  { width; words = Array.make (nwords width) 0 }
 
 let check_index t i =
   if i < 0 || i >= t.width then
@@ -24,25 +27,18 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
-let add t i =
+let set t i =
   check_index t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
-  if t.words.(w) land (1 lsl b) <> 0 then t
-  else begin
-    let words = Array.copy t.words in
-    words.(w) <- words.(w) lor (1 lsl b);
-    { t with words }
-  end
+  t.words.(w) <- t.words.(w) lor (1 lsl b)
 
-let remove t i =
+let clear t i =
   check_index t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
-  if t.words.(w) land (1 lsl b) = 0 then t
-  else begin
-    let words = Array.copy t.words in
-    words.(w) <- words.(w) land lnot (1 lsl b);
-    { t with words }
-  end
+  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
+
+let word_count t = Array.length t.words
+let word t k = t.words.(k)
 
 let cardinal t =
   let count_word w =
@@ -55,11 +51,12 @@ let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let equal a b = a.width = b.width && a.words = b.words
 
-let compare a b =
-  let c = Stdlib.compare a.width b.width in
-  if c <> 0 then c else Stdlib.compare a.words b.words
-
-let hash t = Hashtbl.hash t.words
+let hash t =
+  let h = ref t.width in
+  for k = 0 to Array.length t.words - 1 do
+    h := (!h * 31) + t.words.(k)
+  done;
+  !h land max_int
 
 (** [is_full t] holds when every index in [0, width) is present. *)
 let is_full t = cardinal t = t.width
@@ -73,7 +70,10 @@ let fold f t init =
 
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 
-let of_list width xs = List.fold_left add (empty width) xs
+let of_list width xs =
+  let t = create width in
+  List.iter (set t) xs;
+  t
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

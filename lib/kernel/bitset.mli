@@ -1,22 +1,31 @@
-(** Immutable fixed-width bitsets.
+(** Mutable fixed-width bitsets.
 
-    Memoization keys for the linearizability checkers ("the set of
-    operations already placed").  Values are immutable: [add] and
-    [remove] copy. *)
+    The placed-operation set of the linearizability checkers' DFS:
+    {!set} on placement and {!clear} on backtrack, in place, so a DFS
+    node allocates no set of its own.  Indices range over [0, width);
+    {!mem}, {!set} and {!clear} raise [Invalid_argument] out of
+    range. *)
 
 type t
 
-(** [empty width] — no members; indices range over [0, width). *)
-val empty : int -> t
+(** [create width] — a fresh set with no members. *)
+val create : int -> t
 
-(** [mem t i] — membership.  Raises [Invalid_argument] out of range. *)
+(** [mem t i] — membership. *)
 val mem : t -> int -> bool
 
-(** [add t i] — [t ∪ {i}]; physically equal to [t] if already present. *)
-val add : t -> int -> t
+(** [set t i] — add [i] to [t] in place (no-op if present). *)
+val set : t -> int -> unit
 
-(** [remove t i] — [t \ {i}]. *)
-val remove : t -> int -> t
+(** [clear t i] — remove [i] from [t] in place (no-op if absent). *)
+val clear : t -> int -> unit
+
+(** The backing words, for tables that store a set's contents
+    unboxed: [word t k] for [k] in [0, word_count t).  Equal sets of
+    equal width have equal words. *)
+val word_count : t -> int
+
+val word : t -> int -> int
 
 val cardinal : t -> int
 val is_empty : t -> bool
@@ -25,7 +34,6 @@ val is_empty : t -> bool
 val is_full : t -> bool
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
@@ -33,7 +41,7 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [to_list t] — members in increasing order. *)
 val to_list : t -> int list
 
-(** [of_list width xs] — the set of [xs]. *)
+(** [of_list width xs] — a fresh set of [xs]. *)
 val of_list : int -> int list -> t
 
 val pp : Format.formatter -> t -> unit

@@ -258,6 +258,26 @@ let memo_hits_counted () =
   Alcotest.(check bool) "memo explores strictly less" true
     (v.Engine.nodes_explored < v'.Engine.nodes_explored)
 
+(* Object slots follow ascending object ids, whatever order the
+   objects first appear in: [?init] vectors are indexed that way. *)
+let object_slots_ascending () =
+  let hist =
+    h
+      [
+        inv ~obj:5 0 (Op.write 1);
+        res ~obj:5 0 Value.unit;
+        inv ~obj:2 1 Op.read;
+        resi ~obj:2 1 0;
+        inv ~obj:9 0 Op.read;
+        inv ~obj:2 1 (Op.write 3);
+      ]
+  in
+  let objs, slot = Engine.object_slots (History.ops_array hist) in
+  Alcotest.(check (array int)) "objs" [| 2; 5; 9 |] objs;
+  Alcotest.(check (list int)) "History.objs order" (History.objs hist)
+    (Array.to_list objs);
+  Alcotest.(check (array int)) "slots" [| 1; 0; 2; 0 |] slot
+
 (* Words this domain allocated straight into the major heap while [f]
    ran: major words minus the ones promoted from the minor heap. *)
 let direct_major_words f =
@@ -289,6 +309,49 @@ let no_major_allocation_per_check () =
       List.iter
         (fun p -> assert (snd (Engine.final_states p)).Engine.ok)
         prepared)
+
+(* Minor-heap words per DFS node of [Eventual.min_t_stats] on 50
+   svc_check-shaped histories (the first 50 of test_checker_pins'
+   family), and per 8-op [Engine.linearizable] check (the model
+   checker's leaf check, prepare included), each after a warm-up pass.
+   A node expansion allocates only [Spec.apply]'s transition list, so
+   what remains is that list and the per-run tables.  This build
+   ([dune runtest], dev profile) reads 34.8 words per node and 292.4
+   per check, against 200.6 and 940.3 before the placed set and the
+   memo went in place; the bounds leave about 15 % headroom. *)
+let checker_minor_words () =
+  let words_per f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    let units = f () in
+    (Gc.minor_words () -. w0) /. float_of_int units
+  in
+  let rng = Elin_kernel.Prng.create 1 in
+  let hists =
+    List.init 50 (fun _ ->
+        fst
+          (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
+             ~suffix_ops:10 ()))
+  in
+  let per_node =
+    words_per (fun () ->
+        List.fold_left
+          (fun acc h -> acc + (snd (Eventual.min_t_stats fcfg h)).Eventual.nodes)
+          0 hists)
+  in
+  let rng = Elin_kernel.Prng.create 0xa110c in
+  let small =
+    List.init 1000 (fun _ -> Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:8 ())
+  in
+  let per_check =
+    words_per (fun () ->
+        List.iter (fun h -> assert (Engine.linearizable fcfg h)) small;
+        1000)
+  in
+  if per_node >= 40. then
+    Alcotest.failf "%.1f minor words per DFS node (bound 40)" per_node;
+  if per_check >= 335. then
+    Alcotest.failf "%.1f minor words per 8-op check (bound 335)" per_check
 
 (* Minor-heap words per state of the model checker's work outside the
    leaf check (successors, fingerprints, dedup, routing): fai/board
@@ -436,6 +499,7 @@ let () =
           Support.quick "queue order" queue_order_violation;
           Support.quick "nondeterministic" nondeterministic_ok;
           Support.quick "multi-object" multi_object;
+          Support.quick "object slots ascending" object_slots_ascending;
         ] );
       ( "witness",
         [
@@ -453,6 +517,7 @@ let () =
           Support.quick "no major-heap allocation per check"
             no_major_allocation_per_check;
           Support.quick "mc minor words per state" mc_minor_words_per_state;
+          Support.quick "checker minor words per node" checker_minor_words;
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;

@@ -138,6 +138,198 @@ let budget_parity =
       in
       s = w)
 
+(* --- Memo_key against a Hashtbl reference ---------------------------- *)
+
+(* The reference has the semantics of the table [Memo_key] replaced:
+   [Hashtbl.Make] over (placed members, state vector), states compared
+   and hashed with [Value.equal] / [Value.hash]. *)
+module Ref_key = struct
+  type t = int list * Value.t array
+
+  let equal (b1, s1) (b2, s2) =
+    b1 = b2
+    && Array.length s1 = Array.length s2
+    && Array.for_all2 Value.equal s1 s2
+
+  let hash (b, s) =
+    Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) (Hashtbl.hash b) s
+    land max_int
+end
+
+module Ref_memo = Hashtbl.Make (Ref_key)
+
+(* A state built afresh from [r] on every call, so rebuilding a key
+   gives a structurally equal but physically distinct one: interned
+   small ints, and ints past the interned range, pairs, lists and
+   strings, none of which are shared.  Injective in [r]. *)
+let fresh_value r =
+  match r mod 5 with
+  | 0 -> Value.int (r / 5)
+  | 1 -> Value.Int (5000 + r)
+  | 2 -> Value.Pair (Value.int r, Value.Str (string_of_int r))
+  | 3 -> Value.List [ Value.Int (2000 + r); Value.unit ]
+  | _ -> Value.Str ("s" ^ string_of_int r)
+
+(* A key recipe: placed members and state seeds; [build] materializes
+   it afresh.  Distinct recipes build distinct keys. *)
+let random_recipe rng ~width ~arity =
+  let members =
+    if width = 0 then []
+    else
+      List.sort_uniq compare
+        (List.init
+           (Elin_kernel.Prng.int rng 4)
+           (fun _ -> Elin_kernel.Prng.int rng width))
+  in
+  (members, List.init arity (fun _ -> Elin_kernel.Prng.int rng 40))
+
+let build ~width (members, seeds) =
+  ( Elin_kernel.Bitset.of_list width members,
+    Array.of_list (List.map fresh_value seeds) )
+
+let widths = [ 0; 62; 63; 125 ]
+
+let sorted_states l = List.sort compare (List.map Array.to_list l)
+
+(* Random adds and lookups, each on a freshly built key: answers,
+   sizes and the stored state vectors agree with the reference. *)
+let memo_matches_reference =
+  Support.seeded_prop ~count:60 "memo = Hashtbl reference" (fun rng ->
+      let width = List.nth widths (Elin_kernel.Prng.int rng 4) in
+      let arity = Elin_kernel.Prng.int rng 4 in
+      let memo = Memo_key.create ~width ~arity in
+      let reference = Ref_memo.create 16 in
+      let seen = ref [] in
+      let agree = ref true in
+      for _ = 1 to 600 do
+        let recipe =
+          if !seen <> [] && Elin_kernel.Prng.int rng 3 = 0 then
+            List.nth !seen (Elin_kernel.Prng.int rng (List.length !seen))
+          else random_recipe rng ~width ~arity
+        in
+        let placed, states = build ~width recipe in
+        let ref_key = (fst recipe, states) in
+        if Elin_kernel.Prng.bool rng then begin
+          let fresh = not (Ref_memo.mem reference ref_key) in
+          Ref_memo.replace reference (fst recipe, Array.copy states) ();
+          seen := recipe :: !seen;
+          agree := !agree && Memo_key.add memo placed states = fresh
+        end
+        else
+          agree :=
+            !agree
+            && Memo_key.mem memo placed states = Ref_memo.mem reference ref_key
+      done;
+      !agree
+      && Memo_key.length memo = Ref_memo.length reference
+      && sorted_states (Memo_key.states memo)
+         = sorted_states
+             (Ref_memo.fold (fun (_, s) () acc -> s :: acc) reference []))
+
+(* Keys whose hashes share their low 6 bits start their probes in a
+   few slots and form long runs; each is still found, and none answers
+   for another. *)
+let memo_colliding_low_bits () =
+  let rng = Elin_kernel.Prng.create 0x10b175 in
+  List.iter
+    (fun width ->
+      let arity = 2 in
+      let recipes =
+        List.sort_uniq compare
+          (List.init 20_000 (fun _ -> random_recipe rng ~width ~arity))
+      in
+      let low r =
+        let placed, states = build ~width r in
+        Memo_key.hash placed states land 63
+      in
+      let target = low (List.hd recipes) in
+      let clash = List.filter (fun r -> low r = target) recipes in
+      let inserted, held_out =
+        List.partition (fun _ -> Elin_kernel.Prng.bool rng) clash
+      in
+      let memo = Memo_key.create ~width ~arity in
+      List.iter
+        (fun r ->
+          let placed, states = build ~width r in
+          Alcotest.(check bool) "fresh key added" true
+            (Memo_key.add memo placed states))
+        inserted;
+      List.iter
+        (fun r ->
+          let placed, states = build ~width r in
+          Alcotest.(check bool) "inserted key found" true
+            (Memo_key.mem memo placed states))
+        inserted;
+      List.iter
+        (fun r ->
+          let placed, states = build ~width r in
+          Alcotest.(check bool) "held-out key absent" false
+            (Memo_key.mem memo placed states))
+        held_out;
+      Alcotest.(check int)
+        (Printf.sprintf "width %d: length" width)
+        (List.length inserted) (Memo_key.length memo))
+    widths
+
+(* Equal, not identical: the hit needs [Value.equal], not [==]. *)
+let memo_structural_hits () =
+  let placed = Elin_kernel.Bitset.of_list 70 [ 3; 64 ] in
+  (* [opaque_identity] keeps the compiler from sharing one static
+     block between the two builds. *)
+  let int n = Value.Int (Sys.opaque_identity n) in
+  let key () =
+    [|
+      int 5000;
+      Value.Pair (int 7000, Value.Str (Sys.opaque_identity "x"));
+      Value.List [ int 9000 ];
+      Value.Str ("st" ^ Sys.opaque_identity "ate");
+    |]
+  in
+  let memo = Memo_key.create ~width:70 ~arity:4 in
+  let k1 = key () and k2 = key () in
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check bool) "equal, distinct blocks" true
+        (Value.equal v k2.(i) && v != k2.(i)))
+    k1;
+  Alcotest.(check bool) "added" true (Memo_key.add memo placed k1);
+  Alcotest.(check bool) "equal key found" true (Memo_key.mem memo placed k2);
+  Alcotest.(check bool) "equal key not re-added" false
+    (Memo_key.add memo placed k2);
+  (* The table copied the key: mutating the caller's arrays changes
+     neither its contents nor its answers. *)
+  k1.(0) <- Value.int 1;
+  Elin_kernel.Bitset.clear placed 64;
+  Alcotest.(check bool) "changed key absent" false (Memo_key.mem memo placed k1);
+  Elin_kernel.Bitset.set placed 64;
+  Alcotest.(check bool) "original still found" true
+    (Memo_key.mem memo placed (key ()));
+  Alcotest.check_raises "shape checked"
+    (Invalid_argument "Memo_key: key shape differs from the table's")
+    (fun () -> ignore (Memo_key.mem memo placed [| Value.unit |]))
+
+(* --- engine vs Faic on 60-70-op histories (two-word placed sets) ---- *)
+
+(* Generated shapes only: corrupted histories of this size can take
+   the DFS into its exponential worst case. *)
+let wide_history rng =
+  let n_ops = 60 + Elin_kernel.Prng.int rng 11 in
+  match Elin_kernel.Prng.int rng 3 with
+  | 0 -> Gen.linearizable rng ~spec:fai ~procs:3 ~n_ops ()
+  | 1 -> Gen.linearizable_with_pending rng ~spec:fai ~procs:3 ~n_ops ()
+  | _ ->
+    fst
+      (Gen.eventually_linearizable rng ~spec:fai ~procs:3 ~prefix_ops:6
+         ~suffix_ops:(n_ops - 6) ())
+
+let wide_vs_faic =
+  Support.seeded_prop ~count:60 "engine = faic at random cuts (60-70 ops)"
+    (fun rng ->
+      let h = wide_history rng in
+      let t = random_cut rng h in
+      Engine.t_linearizable (Engine.for_spec fai) h ~t
+      = Faic.t_linearizable h ~t)
+
 let () =
   Alcotest.run "engine_fuzz"
     [
@@ -155,4 +347,11 @@ let () =
           galloping_matches_binary_random;
         ] );
       ( "budget", [ budget_parity ] );
+      ( "memo",
+        [
+          memo_matches_reference;
+          Support.quick "colliding low bits" memo_colliding_low_bits;
+          Support.quick "structurally equal keys" memo_structural_hits;
+        ] );
+      ("wide", [ wide_vs_faic ]);
     ]

@@ -49,7 +49,7 @@ let prng_float_unit =
 (* --- Bitset --- *)
 
 let bitset_empty () =
-  let b = Bitset.empty 100 in
+  let b = Bitset.create 100 in
   Alcotest.(check int) "cardinal" 0 (Bitset.cardinal b);
   Alcotest.(check bool) "is_empty" true (Bitset.is_empty b);
   for i = 0 to 99 do
@@ -57,33 +57,51 @@ let bitset_empty () =
   done
 
 let bitset_add_mem () =
-  let b = Bitset.empty 130 in
-  let b = Bitset.add b 0 in
-  let b = Bitset.add b 61 in
-  let b = Bitset.add b 62 in
-  let b = Bitset.add b 129 in
+  let b = Bitset.create 130 in
+  List.iter (Bitset.set b) [ 0; 61; 62; 129 ];
   List.iter
     (fun i -> Alcotest.(check bool) (Printf.sprintf "mem %d" i) true (Bitset.mem b i))
     [ 0; 61; 62; 129 ];
   Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check bool) "not mem 63" false (Bitset.mem b 63)
+  Alcotest.(check bool) "not mem 63" false (Bitset.mem b 63);
+  Alcotest.(check int) "words" 3 (Bitset.word_count b)
 
+(* Setting a member again changes nothing; one clear removes it. *)
 let bitset_add_idempotent () =
-  let b = Bitset.add (Bitset.empty 10) 3 in
-  let b' = Bitset.add b 3 in
-  Alcotest.(check bool) "physical equal on re-add" true (b == b')
+  let b = Bitset.create 10 in
+  Bitset.set b 3;
+  Bitset.set b 3;
+  Alcotest.(check (list int)) "set twice" [ 3 ] (Bitset.to_list b);
+  Bitset.clear b 3;
+  Alcotest.(check bool) "one clear" true (Bitset.is_empty b)
 
 let bitset_remove () =
   let b = Bitset.of_list 70 [ 1; 65; 3 ] in
-  let b = Bitset.remove b 65 in
+  Bitset.clear b 65;
   Alcotest.(check bool) "removed" false (Bitset.mem b 65);
-  Alcotest.(check (list int)) "rest" [ 1; 3 ] (Bitset.to_list b)
+  Alcotest.(check (list int)) "rest" [ 1; 3 ] (Bitset.to_list b);
+  Bitset.clear b 65;
+  Alcotest.(check (list int)) "clear absent" [ 1; 3 ] (Bitset.to_list b)
 
-let bitset_immutable () =
-  let b = Bitset.empty 10 in
-  let b' = Bitset.add b 5 in
-  Alcotest.(check bool) "original untouched" false (Bitset.mem b 5);
-  Alcotest.(check bool) "copy has it" true (Bitset.mem b' 5)
+(* The DFS's use: set on placement, clear on backtrack, and the set
+   and its words are back where they started. *)
+let bitset_set_clear_in_place =
+  Support.seeded_prop "set/clear in place" (fun rng ->
+      let width = 1 + Prng.int rng 200 in
+      let b = Bitset.of_list width (List.init 10 (fun _ -> Prng.int rng width)) in
+      let before = Bitset.to_list b in
+      let words = List.init (Bitset.word_count b) (Bitset.word b) in
+      let path =
+        List.filter (fun i -> not (Bitset.mem b i))
+          (List.init 10 (fun _ -> Prng.int rng width))
+        |> List.sort_uniq compare
+      in
+      List.iter (Bitset.set b) path;
+      let all_set = List.for_all (Bitset.mem b) path in
+      List.iter (Bitset.clear b) (List.rev path);
+      all_set
+      && Bitset.to_list b = before
+      && List.init (Bitset.word_count b) (Bitset.word b) = words)
 
 let bitset_equal_hash =
   Support.seeded_prop "equal sets hash equal" (fun rng ->
@@ -100,12 +118,16 @@ let bitset_roundtrip =
 let bitset_full () =
   let b = Bitset.of_list 5 [ 0; 1; 2; 3; 4 ] in
   Alcotest.(check bool) "is_full" true (Bitset.is_full b);
-  Alcotest.(check bool) "not full" false (Bitset.is_full (Bitset.remove b 2))
+  Bitset.clear b 2;
+  Alcotest.(check bool) "not full" false (Bitset.is_full b)
 
 let bitset_out_of_range () =
   Alcotest.check_raises "mem out of width"
     (Invalid_argument "Bitset: index 10 out of width 10") (fun () ->
-      ignore (Bitset.mem (Bitset.empty 10) 10))
+      ignore (Bitset.mem (Bitset.create 10) 10));
+  Alcotest.check_raises "set out of width"
+    (Invalid_argument "Bitset: index -1 out of width 10") (fun () ->
+      Bitset.set (Bitset.create 10) (-1))
 
 (* --- Fingerprint --- *)
 
@@ -660,9 +682,9 @@ let () =
           Support.quick "add/mem across words" bitset_add_mem;
           Support.quick "add idempotent" bitset_add_idempotent;
           Support.quick "remove" bitset_remove;
-          Support.quick "immutability" bitset_immutable;
           Support.quick "is_full" bitset_full;
           Support.quick "out of range" bitset_out_of_range;
+          bitset_set_clear_in_place;
           bitset_equal_hash;
           bitset_roundtrip;
         ] );

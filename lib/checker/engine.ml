@@ -124,11 +124,19 @@ let rec index_of (objs : int array) o k =
 let object_slots (ops : Operation.t array) =
   let objs = ref [||] in
   for i = 0 to Array.length ops - 1 do
-    let o = ops.(i).Operation.obj in
-    if index_of !objs o 0 < 0 then objs := Array.append !objs [| o |]
+    let o = ops.(i).Operation.obj and a = !objs in
+    if index_of a o 0 < 0 then begin
+      (* Insert [o] at its ascending position ([Array.sort] would
+         build its helper closures on every prepare). *)
+      let p = ref 0 in
+      while !p < Array.length a && a.(!p) < o do incr p done;
+      let b = Array.make (Array.length a + 1) o in
+      Array.blit a 0 b 0 !p;
+      Array.blit a !p b (!p + 1) (Array.length a - !p);
+      objs := b
+    end
   done;
   let objs = !objs in
-  Array.sort Int.compare objs;
   ( objs,
     Array.map (fun (op : Operation.t) -> index_of objs op.Operation.obj 0) ops
   )

@@ -316,7 +316,7 @@ let no_major_allocation_per_check () =
    checker's leaf check, prepare included), each after a warm-up pass.
    A node expansion allocates only [Spec.apply]'s transition list, so
    what remains is that list and the per-run tables.  This build
-   ([dune runtest], dev profile) reads 34.8 words per node and 292.4
+   ([dune runtest], dev profile) reads 34.8 words per node and 286.4
    per check, against 200.6 and 940.3 before the placed set and the
    memo went in place; the bounds leave about 15 % headroom. *)
 let checker_minor_words () =
@@ -350,8 +350,8 @@ let checker_minor_words () =
   in
   if per_node >= 40. then
     Alcotest.failf "%.1f minor words per DFS node (bound 40)" per_node;
-  if per_check >= 335. then
-    Alcotest.failf "%.1f minor words per 8-op check (bound 335)" per_check
+  if per_check >= 330. then
+    Alcotest.failf "%.1f minor words per 8-op check (bound 330)" per_check
 
 (* Minor-heap words per state of the model checker's work outside the
    leaf check (successors, fingerprints, dedup, routing): fai/board

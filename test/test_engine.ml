@@ -336,12 +336,14 @@ let checker_minor_words () =
   let per_node =
     words_per (fun () ->
         List.fold_left
-          (fun acc h -> acc + (snd (Eventual.min_t_stats fcfg h)).Eventual.nodes)
+          (fun acc h ->
+            acc + (snd (Eventual.min_t_stats fcfg h)).Eventual.nodes)
           0 hists)
   in
   let rng = Elin_kernel.Prng.create 0xa110c in
   let small =
-    List.init 1000 (fun _ -> Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:8 ())
+    List.init 1000 (fun _ ->
+        Gen.linearizable rng ~spec:fai ~procs:2 ~n_ops:8 ())
   in
   let per_check =
     words_per (fun () ->

@@ -300,7 +300,8 @@ let memo_structural_hits () =
      neither its contents nor its answers. *)
   k1.(0) <- Value.int 1;
   Elin_kernel.Bitset.clear placed 64;
-  Alcotest.(check bool) "changed key absent" false (Memo_key.mem memo placed k1);
+  Alcotest.(check bool) "changed key absent" false
+    (Memo_key.mem memo placed k1);
   Elin_kernel.Bitset.set placed 64;
   Alcotest.(check bool) "original still found" true
     (Memo_key.mem memo placed (key ()));

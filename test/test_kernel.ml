@@ -88,7 +88,9 @@ let bitset_remove () =
 let bitset_set_clear_in_place =
   Support.seeded_prop "set/clear in place" (fun rng ->
       let width = 1 + Prng.int rng 200 in
-      let b = Bitset.of_list width (List.init 10 (fun _ -> Prng.int rng width)) in
+      let b =
+        Bitset.of_list width (List.init 10 (fun _ -> Prng.int rng width))
+      in
       let before = Bitset.to_list b in
       let words = List.init (Bitset.word_count b) (Bitset.word b) in
       let path =

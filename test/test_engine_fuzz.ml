@@ -55,6 +55,18 @@ let vs_faic =
       Engine.t_linearizable (Engine.for_spec fai) h ~t
       = Faic.t_linearizable h ~t)
 
+(* --- Weak against the Lemma-17 weak-consistency test --- *)
+
+(* Beyond the Oracle's micro histories: Definition 1 on 6-10-op fai
+   histories of every [random_history] shape, including corrupted
+   responses, so the in-place placed set and state vector of
+   [Weak.op_ok] backtrack through real refutations. *)
+let weak_vs_faic =
+  Support.seeded_prop ~count:150 "weak = faic weak" (fun rng ->
+      let h = random_history rng fai ~n_ops:(6 + Elin_kernel.Prng.int rng 5) in
+      Weak.is_weakly_consistent (Weak.for_spec fai) h
+      = Faic.weakly_consistent h)
+
 (* --- galloping min_t = binary-search min_t --- *)
 
 (* Plain binary search (the pre-galloping strategy), inlined so the
@@ -340,6 +352,7 @@ let () =
           vs_oracle "register" (Register.spec ());
           vs_oracle "queue" (Fifo.spec ());
           vs_faic;
+          weak_vs_faic;
         ] );
       ( "min_t",
         [

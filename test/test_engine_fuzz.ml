@@ -321,6 +321,32 @@ let memo_structural_hits () =
     (Invalid_argument "Memo_key: key shape differs from the table's")
     (fun () -> ignore (Memo_key.mem memo placed [| Value.unit |]))
 
+(* Keys with equal full hashes: the table must tell them apart by
+   comparing every word and every state.  Placed sets {62..66} and {0}
+   have words (0, 31, 0) and (1, 0, 0), which the polynomial word hash
+   maps to the same value; two 12-element lists that differ past the
+   10 values [Hashtbl.hash] reads hash equal too. *)
+let memo_full_hash_collisions () =
+  let a = Elin_kernel.Bitset.of_list 125 [ 62; 63; 64; 65; 66 ] in
+  let b = Elin_kernel.Bitset.of_list 125 [ 0 ] in
+  let long last =
+    Value.List
+      (List.init 12 (fun i -> Value.Int (if i = 11 then last else i)))
+  in
+  let s = [| long 11 |] and s' = [| long 99 |] in
+  Alcotest.(check int) "placed sets collide"
+    (Memo_key.hash a s) (Memo_key.hash b s);
+  Alcotest.(check int) "states collide"
+    (Memo_key.hash a s) (Memo_key.hash a s');
+  let memo = Memo_key.create ~width:125 ~arity:1 in
+  Alcotest.(check bool) "added" true (Memo_key.add memo a s);
+  Alcotest.(check bool) "other placed set absent" false
+    (Memo_key.mem memo b s);
+  Alcotest.(check bool) "other state absent" false (Memo_key.mem memo a s');
+  Alcotest.(check bool) "other placed set added" true (Memo_key.add memo b s);
+  Alcotest.(check bool) "other state added" true (Memo_key.add memo a s');
+  Alcotest.(check int) "three keys" 3 (Memo_key.length memo)
+
 (* --- engine vs Faic on 60-70-op histories (two-word placed sets) ---- *)
 
 (* Generated shapes only: corrupted histories of this size can take
@@ -366,6 +392,7 @@ let () =
           memo_matches_reference;
           Support.quick "colliding low bits" memo_colliding_low_bits;
           Support.quick "structurally equal keys" memo_structural_hits;
+          Support.quick "full-hash collisions" memo_full_hash_collisions;
         ] );
       ("wide", [ wide_vs_faic ]);
     ]

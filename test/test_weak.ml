@@ -73,6 +73,26 @@ let fai_own_regression_rejected () =
   Alcotest.(check bool) "own regression" false
     (Weak.is_weakly_consistent wfai hist)
 
+(* A response past every usable operation: two concurrent increments
+   can justify at most 2, never 3.  The search tries both orders of the
+   two candidates, so this fails if a failed branch leaves its state
+   behind for the next candidate. *)
+let fai_beyond_candidates_rejected () =
+  let hist =
+    h
+      [
+        inv 0 Op.fetch_inc;
+        inv 1 Op.fetch_inc;
+        inv 2 Op.fetch_inc;
+        resi 0 0;
+        resi 1 1;
+        resi 2 3;
+      ]
+  in
+  Alcotest.(check bool) "3 from two other increments" false
+    (Weak.is_weakly_consistent wfai hist);
+  Alcotest.(check bool) "faic agrees" false (Faic.weakly_consistent hist)
+
 (* check returns the offending operation. *)
 let check_names_culprit () =
   let hist =
@@ -248,6 +268,8 @@ let () =
           Support.quick "concurrent ops usable" concurrent_op_usable;
           Support.quick "fai duplicates ok" fai_duplicates_weakly_ok;
           Support.quick "fai own regression" fai_own_regression_rejected;
+          Support.quick "fai past every candidate"
+            fai_beyond_candidates_rejected;
           Support.quick "culprit named" check_names_culprit;
           Support.quick "nondeterministic type" nondeterministic_type_ok;
           pending_never_violates;

@@ -274,6 +274,7 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 
 let e9 () =
+  let open Elin_mc in
   let inputs = [| Value.int 0; Value.int 1 |] in
   let specs =
     List.map
@@ -282,26 +283,26 @@ let e9 () =
           None,
           fun () ->
             let r =
-              Valency.check_consensus (Protocols.cas ()) ~inputs
-                ~max_steps:depth
+              Mc_valency.check_consensus (Protocols.cas ()) ~inputs
+                ~max_steps:depth ()
             in
-            assert r.Valency.terminated ))
+            assert r.Mc_valency.terminated ))
       [ 10; 15; 20 ]
     @ [
         ( "check-consensus/regs+ev-ts",
           None,
           fun () ->
             let r =
-              Valency.check_consensus
+              Mc_valency.check_consensus
                 (Protocols.registers_plus_ev_testandset ())
-                ~inputs ~max_steps:30
+                ~inputs ~max_steps:30 ()
             in
-            assert (r.Valency.agreement_violation <> None) );
+            assert (r.Mc_valency.agreement_violation <> None) );
         ( "find-critical/cas",
           None,
           fun () ->
             assert (
-              Valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:20
+              Mc_valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:20
               <> None) );
       ]
   in
@@ -337,7 +338,7 @@ let b3 () =
       ]
   in
   (* The E9 valency workload through the engine, sequential vs
-     parallel, vs the original DFS. *)
+     parallel. *)
   let inputs = [| Value.int 0; Value.int 1 |] in
   let valency_specs =
     List.map
@@ -355,38 +356,21 @@ let b3 () =
         ("seq no-dedup", 1, false);
         ("domains=4 dedup", 4, true);
       ]
-    @ [
-        ( "dfs/valency-cas (baseline)",
-          None,
-          fun () ->
-            let r =
-              Valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:20
-            in
-            assert r.Valency.terminated );
-      ]
   in
-  (* The Prop. 18 stability certificate through both engines. *)
+  (* The Prop. 18 stability certificate search, at the engine's
+     defaults. *)
   let certify_specs =
     let check h ~t = Faic.t_linearizable h ~t in
-    List.map
-      (fun (name, engine) ->
-        ( Printf.sprintf "stabilize-certify k=2 %s" name,
-          None,
-          fun () ->
-            let impl = Impls.fai_ev_board ~k:2 () in
-            let wl =
-              Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:10
-            in
-            assert (
-              Stabilize.find_stable ~engine impl ~workloads:wl ~depth:8 ~check
-                ()
-              <> None) ))
-      [
-        ("dfs", Stabilize.Dfs);
-        ("mc seq", Stabilize.Mc { domains = Some 1; dedup = true; por = true });
-        ( "mc domains=4",
-          Stabilize.Mc { domains = Some 4; dedup = true; por = true } );
-      ]
+    [
+      ( "stabilize-certify k=2",
+        None,
+        fun () ->
+          let impl = Impls.fai_ev_board ~k:2 () in
+          let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:10 in
+          assert (
+            Stabilize.find_stable impl ~workloads:wl ~depth:8 ~check () <> None)
+      );
+    ]
   in
   group ~series:"b3" "B3: model-checking engine scaling (sequential vs domains, dedup)"
     (explore_specs @ valency_specs @ certify_specs)
@@ -910,15 +894,18 @@ let mc_count_gates () =
   let por_tree = run ~dedup:false ~por:true in
   let dedup = run ~dedup:true ~por:false in
   let pd = run ~dedup:true ~por:true in
-  (* No-dedup/no-por is the [Explore] tree, node for node. *)
-  let explore =
-    Elin_explore.Explore.iter_leaves impl ~workloads:wl ~max_steps:20
-      (fun _ -> ())
+  (* No-dedup/no-por is the execution tree, node for node: a naive
+     recursive walk of [Explore.successors] is the reference. *)
+  let explore_nodes = ref 0 and explore_leaves = ref 0 in
+  let rec walk c =
+    incr explore_nodes;
+    if Elin_explore.Explore.is_done c || c.Elin_explore.Explore.steps >= 20
+    then incr explore_leaves
+    else List.iter walk (Elin_explore.Explore.successors impl c)
   in
-  gate "tree states = explore nodes" explore.Elin_explore.Explore.nodes
-    tree.Search.states;
-  gate "tree leaves = explore leaves" explore.Elin_explore.Explore.leaves
-    tree.Search.leaves;
+  walk (Elin_explore.Explore.initial_config impl ~workloads:wl ());
+  gate "tree states = explore nodes" !explore_nodes tree.Search.states;
+  gate "tree leaves = explore leaves" !explore_leaves tree.Search.leaves;
   gate "fai-board 2x2 d20 tree states" 3431 tree.Search.states;
   gate "fai-board 2x2 d20 por-tree states" 985 por_tree.Search.states;
   gate "fai-board 2x2 d20 dedup states" 985 dedup.Search.states;

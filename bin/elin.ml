@@ -482,23 +482,24 @@ let do_paradox k depth =
   | Some o ->
     let cert = o.Elin_core.Stabilize.certificate in
     Printf.printf
-      "stable configuration certified: cut t=%d history events (%d leaves \
-       explored to depth %d)\n"
+      "stable configuration certified: cut t=%d history events (%d distinct \
+       leaf configurations checked to depth %d)\n"
       cert.Elin_core.Stabilize.cut cert.Elin_core.Stabilize.leaves_checked
       cert.Elin_core.Stabilize.extension_depth;
     Printf.printf "anchor op0 found: v0 = %d\n"
       o.Elin_core.Stabilize.anchor.Elin_core.Stabilize.v0;
     let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
-    let ok, _, stats =
-      Elin_explore.Explore.for_all_histories o.Elin_core.Stabilize.derived
-        ~workloads:wl ~locals:o.Elin_core.Stabilize.derived_locals
-        ~max_steps:18
+    let out =
+      Elin_mc.Mc.check o.Elin_core.Stabilize.derived ~workloads:wl
+        ~locals:o.Elin_core.Stabilize.derived_locals ~max_steps:18
         (fun h -> Faic.t_linearizable h ~t:0)
     in
+    let ok = out.Elin_mc.Mc.ok in
     Printf.printf
-      "A' = %s: exhaustively model-checked LINEARIZABLE on %d schedules: %b\n"
-      o.Elin_core.Stabilize.derived.Impl.name stats.Elin_explore.Explore.leaves
-      ok;
+      "A' = %s: exhaustively model-checked LINEARIZABLE on every schedule \
+       (%d distinct leaf configurations): %b\n"
+      o.Elin_core.Stabilize.derived.Impl.name
+      out.Elin_mc.Mc.stats.Elin_mc.Search.leaves ok;
     if ok then begin
       Printf.printf
         "the paradox, mechanized: the eventually linearizable implementation \
@@ -544,6 +545,51 @@ let valency_protocol_of_name protocol_name ~stabilize_at =
           regs+queue, regs+ev-queue, regs+fai)"
          other)
 
+(* The verdict of a valency search, printed through [print] by [elin
+   valency] and by [elin mc]'s valency workload alike.  A violation on
+   the paths that decided is a violation even when the bound cut other
+   paths; a cut path and no violation is no verdict within the bounds. *)
+let report_valency ~print (r : Elin_mc.Mc_valency.report) =
+  let open Elin_mc.Mc_valency in
+  let cut = not r.terminated in
+  print
+    (Printf.sprintf "terminated within bound: %b%s\n" r.terminated
+       (if cut then " (the depth bound cut a path before both processes decided)"
+        else ""));
+  print
+    (Printf.sprintf "reachable decision vectors: %s\n"
+       (if r.decisions = [] then "none"
+        else
+          String.concat ", "
+            (List.map
+               (fun d ->
+                 Printf.sprintf "(%s)"
+                   (String.concat ","
+                      (List.map Value.to_string (Array.to_list d))))
+               r.decisions)));
+  let holds what =
+    if cut then
+      Printf.sprintf
+        "%s: no violation on the paths that decided; no verdict on the cut \
+         paths\n"
+        what
+    else Printf.sprintf "%s: holds on all schedules\n" what
+  in
+  print
+    (match r.agreement_violation with
+    | Some d ->
+      Printf.sprintf "AGREEMENT VIOLATION: p0 decides %s, p1 decides %s\n"
+        (Value.to_string d.(0)) (Value.to_string d.(1))
+    | None -> holds "agreement");
+  print
+    (match r.validity_violation with
+    | Some _ -> "VALIDITY VIOLATION\n"
+    | None -> holds "validity");
+  if r.agreement_violation <> None || r.validity_violation <> None then
+    Exit_code.Violation
+  else if cut then Exit_code.Exhausted
+  else Exit_code.Ok
+
 let do_valency protocol_name stabilize_at depth =
   let open Elin_valency in
   match valency_protocol_of_name protocol_name ~stabilize_at with
@@ -552,41 +598,22 @@ let do_valency protocol_name stabilize_at depth =
     let inputs = [| Value.int 0; Value.int 1 |] in
     Printf.printf "protocol: %s  (inputs 0, 1; exhaustive to depth %d)\n"
       p.Valency.name depth;
-    let r = Valency.check_consensus p ~inputs ~max_steps:depth in
-    Printf.printf "terminated within bound: %b\n" r.Valency.terminated;
-    Printf.printf "reachable decision vectors: %s\n"
-      (String.concat ", "
-         (List.map
-            (fun d ->
-              Printf.sprintf "(%s)"
-                (String.concat ","
-                   (List.map Value.to_string (Array.to_list d))))
-            r.Valency.decisions));
-    (match r.Valency.agreement_violation with
-    | Some d ->
-      Printf.printf "AGREEMENT VIOLATION: p0 decides %s, p1 decides %s\n"
-        (Value.to_string d.(0)) (Value.to_string d.(1))
-    | None -> Printf.printf "agreement: holds on all schedules\n");
-    (match r.Valency.validity_violation with
-    | Some _ -> Printf.printf "VALIDITY VIOLATION\n"
-    | None -> Printf.printf "validity: holds on all schedules\n");
-    (match Valency.find_critical p ~inputs ~max_steps:depth with
+    let code =
+      report_valency ~print:print_string
+        (Elin_mc.Mc_valency.check_consensus p ~inputs ~max_steps:depth ())
+    in
+    (match Elin_mc.Mc_valency.find_critical p ~inputs ~max_steps:depth with
     | Some crit ->
       Printf.printf
         "critical configuration at step %d; poised objects: %s\n"
-        crit.Valency.config.Valency.steps
+        crit.Elin_mc.Mc_valency.config.Valency.steps
         (String.concat ","
            (List.map
               (fun (o, _) ->
                 match o with Some o -> string_of_int o | None -> "-")
-              (Array.to_list crit.Valency.moves)))
+              (Array.to_list crit.Elin_mc.Mc_valency.moves)))
     | None -> Printf.printf "no critical configuration (protocol univalent or undetermined)\n");
-    ok_exit
-      (if
-         r.Valency.agreement_violation <> None
-         || r.Valency.validity_violation <> None
-       then Exit_code.Violation
-       else Exit_code.Ok)
+    ok_exit code
 
 let valency_cmd =
   let protocol =
@@ -932,23 +959,7 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth domains
         pp_mc_stats r.Mc_valency.stats;
         pp_spill msp
       end;
-      human "terminated within bound: %b\n" r.Mc_valency.terminated;
-      human "reachable decision vectors: %s\n"
-        (String.concat ", "
-           (List.map
-              (fun d ->
-                Printf.sprintf "(%s)"
-                  (String.concat ","
-                     (List.map Value.to_string (Array.to_list d))))
-              r.Mc_valency.decisions));
-      (match r.Mc_valency.agreement_violation with
-      | Some d ->
-        human "AGREEMENT VIOLATION: p0 decides %s, p1 decides %s\n"
-          (Value.to_string d.(0)) (Value.to_string d.(1))
-      | None -> human "agreement: holds on all schedules\n");
-      (match r.Mc_valency.validity_violation with
-      | Some _ -> human "VALIDITY VIOLATION\n"
-      | None -> human "validity: holds on all schedules\n");
+      let code = report_valency ~print:(human "%s") r in
       let open Elin_svc.Jsonl in
       let jvec d =
         Arr (List.map (fun v -> Str (Value.to_string v)) (Array.to_list d))
@@ -968,12 +979,7 @@ let do_mc impl_name protocol_name stabilize_at procs per_proc depth domains
            ("stats", json_of_stats r.Mc_valency.stats);
          ]
         @ spill_json_fields msp ~resume);
-      ok_exit
-        (if
-           r.Mc_valency.agreement_violation <> None
-           || r.Mc_valency.validity_violation <> None
-         then Exit_code.Violation
-         else Exit_code.Ok))
+      ok_exit code)
   | Some impl_name -> (
     match impl_of_name impl_name ~procs with
     | Error e -> `Error (false, e)

@@ -148,14 +148,14 @@ let e7 () =
     Elin_core.Local_copy.transform ~procs:2 (Impl.of_spec reg)
   in
   let wl = [| [ Op.write 1 ]; [ Op.read ] |] in
-  let cex =
-    Elin_explore.Explore.exists_history impl ~workloads:wl ~max_steps:10
-      (fun h -> not (Engine.linearizable rcfg h))
+  let out =
+    Elin_mc.Mc.check impl ~workloads:wl ~max_steps:10 (fun h ->
+        Engine.linearizable rcfg h)
   in
   record "E7"
     "Thm 12: the local-copy transform of a register implementation exhibits \
      non-linearizable histories (no linearizable object from ev-lin bases)"
-    (cex <> None)
+    (out.Elin_mc.Mc.counterexample <> None)
 
 let e8 () =
   let ok =
@@ -172,24 +172,27 @@ let e8 () =
 let e9 () =
   let inputs = [| Value.int 0; Value.int 1 |] in
   let open Elin_valency in
+  let open Elin_mc in
   let cas_ok =
-    let r = Valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:25 in
-    r.Valency.terminated && r.Valency.agreement_violation = None
+    let r =
+      Mc_valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:25 ()
+    in
+    r.Mc_valency.terminated && r.Mc_valency.agreement_violation = None
   in
   let ts_ok =
     let r =
-      Valency.check_consensus
+      Mc_valency.check_consensus
         (Protocols.registers_plus_linearizable_testandset ())
-        ~inputs ~max_steps:40
+        ~inputs ~max_steps:40 ()
     in
-    r.Valency.agreement_violation = None
+    r.Mc_valency.agreement_violation = None
   in
   let ev_ts_fails =
     let r =
-      Valency.check_consensus (Protocols.registers_plus_ev_testandset ())
-        ~inputs ~max_steps:40
+      Mc_valency.check_consensus (Protocols.registers_plus_ev_testandset ())
+        ~inputs ~max_steps:40 ()
     in
-    r.Valency.agreement_violation <> None
+    r.Mc_valency.agreement_violation <> None
   in
   record "E9"
     "Prop 15: registers + linearizable test&set solve 2-consensus; the same \
@@ -216,15 +219,16 @@ let e11 () =
   let impl = Elin_core.Ev_testandset.impl () in
   let spec = Testandset.spec () in
   let wl = Run.uniform_workload Op.test_and_set ~procs:2 ~per_proc:2 in
-  let all_ev, _, _ =
-    Elin_explore.Explore.for_all_histories impl ~workloads:wl ~max_steps:20
-      (fun h ->
-        Eventual.is_eventually_linearizable (Eventual.check_spec spec h))
+  let all_ev =
+    (Elin_mc.Mc.check impl ~workloads:wl ~max_steps:20 (fun h ->
+         Eventual.is_eventually_linearizable (Eventual.check_spec spec h)))
+      .Elin_mc.Mc.ok
   in
   let not_lin =
-    Elin_explore.Explore.exists_history impl ~workloads:wl ~max_steps:20
-      (fun h -> not (Engine.linearizable (Engine.for_spec spec) h))
-    <> None
+    not
+      (Elin_mc.Mc.check impl ~workloads:wl ~max_steps:20
+         (Engine.linearizable (Engine.for_spec spec)))
+        .Elin_mc.Mc.ok
   in
   record "E11"
     "Sec 4: the communication-free test&set is eventually linearizable on \
@@ -265,13 +269,10 @@ let e13 () =
     | None -> false
     | Some o ->
       let wl' = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
-      let all_lin, _, _ =
-        Elin_explore.Explore.for_all_histories o.Elin_core.Stabilize.derived
-          ~workloads:wl' ~locals:o.Elin_core.Stabilize.derived_locals
-          ~max_steps:18
-          (fun h -> Faic.t_linearizable h ~t:0)
-      in
-      all_lin
+      (Elin_mc.Mc.check o.Elin_core.Stabilize.derived ~workloads:wl'
+         ~locals:o.Elin_core.Stabilize.derived_locals ~max_steps:18 (fun h ->
+           Faic.t_linearizable h ~t:0))
+        .Elin_mc.Mc.ok
   in
   record "E13"
     "Prop 18 (the paradox): A' derived from the eventually linearizable f&i A \

@@ -13,6 +13,7 @@ open Elin_checker
 open Elin_runtime
 open Elin_core
 open Elin_valency
+open Elin_mc
 
 let () =
   (* Direction 1 (Prop. 16): the Proposals-array algorithm — a few
@@ -50,8 +51,8 @@ let () =
   Format.printf "@.Proposition 15 — no consensus boost from ev-lin objects:@.";
   let inputs = [| Value.int 0; Value.int 1 |] in
   let verdict name protocol =
-    let r = Valency.check_consensus protocol ~inputs ~max_steps:40 in
-    (match r.Valency.agreement_violation with
+    let r = Mc_valency.check_consensus protocol ~inputs ~max_steps:40 () in
+    (match r.Mc_valency.agreement_violation with
     | None ->
       Format.printf "%-36s agreement holds on all schedules@." name
     | Some d ->
@@ -67,15 +68,15 @@ let () =
      critical configuration. *)
   Format.printf
     "@.Valency analysis of the CAS consensus (the proof's engine):@.";
-  (match Valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:25 with
+  (match Mc_valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:25 with
   | Some crit ->
     Format.printf
       "critical configuration at step %d; both poised steps access base \
        object %s — the synchronization primitive is where bivalence dies.@."
-      crit.Valency.config.Valency.steps
+      crit.Mc_valency.config.Valency.steps
       (String.concat ","
          (List.map
             (fun (o, _) ->
               match o with Some o -> string_of_int o | None -> "-")
-            (Array.to_list crit.Valency.moves)))
+            (Array.to_list crit.Mc_valency.moves)))
   | None -> Format.printf "no critical configuration found@.")

@@ -12,8 +12,8 @@
 open Elin_spec
 open Elin_checker
 open Elin_runtime
-open Elin_explore
 open Elin_core
+open Elin_mc
 
 let k = 3
 
@@ -24,22 +24,25 @@ let () =
   (* Show A misbehaving: a schedule with duplicate responses exists. *)
   let wl2 = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:2 in
   (match
-     Explore.exists_history impl ~workloads:wl2 ~max_steps:16 (fun h ->
-         not (Faic.t_linearizable h ~t:0))
+     (Mc.check impl ~workloads:wl2 ~max_steps:16 (fun h ->
+          Faic.t_linearizable h ~t:0))
+       .Mc.counterexample
    with
   | Some h ->
-    Format.printf "@.A is NOT linearizable; witness schedule:@.%a@."
+    Format.printf
+      "@.A is NOT linearizable; lexicographically minimal witness:@.%a@."
       Elin_history.History.pp h
   | None -> Format.printf "@.unexpected: no violation found@.");
 
   (* ...but A is eventually linearizable on every schedule. *)
-  let ok, _, stats =
-    Explore.for_all_histories impl ~workloads:wl2 ~max_steps:16 (fun h ->
+  let out =
+    Mc.check impl ~workloads:wl2 ~max_steps:16 (fun h ->
         Eventual.is_eventually_linearizable (Faic.check h))
   in
   Format.printf
-    "@.A is eventually linearizable on all %d bounded schedules: %b@."
-    stats.Explore.leaves ok;
+    "@.A is eventually linearizable on every bounded schedule (%d distinct \
+     leaf configurations): %b@."
+    out.Mc.stats.Search.leaves out.Mc.ok;
 
   (* Step 1 (Claim 1): find and certify a stable configuration C —
      every extension to the depth bound keeps the history
@@ -54,7 +57,7 @@ let () =
     let cert = o.Stabilize.certificate in
     Format.printf
       "@.Step 1 — stable configuration certified at %d history events (%d \
-       extension leaves checked to depth %d)@."
+       distinct extension leaves checked to depth %d)@."
       cert.Stabilize.cut cert.Stabilize.leaves_checked
       cert.Stabilize.extension_depth;
 
@@ -73,18 +76,18 @@ let () =
 
     (* Verification: A′ is linearizable on every bounded schedule. *)
     let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
-    let ok, cex, stats =
-      Explore.for_all_histories derived ~workloads:wl
-        ~locals:o.Stabilize.derived_locals ~max_steps:18 (fun h ->
-          Faic.t_linearizable h ~t:0)
+    let out =
+      Mc.check derived ~workloads:wl ~locals:o.Stabilize.derived_locals
+        ~max_steps:18 (fun h -> Faic.t_linearizable h ~t:0)
     in
-    (match cex with
+    (match out.Mc.counterexample with
     | Some h ->
       Format.printf "counterexample?!@.%a@." Elin_history.History.pp h
     | None -> ());
     Format.printf
-      "@.Verification — A' is LINEARIZABLE on all %d bounded schedules: %b@."
-      stats.Explore.leaves ok;
+      "@.Verification — A' is LINEARIZABLE on every bounded schedule (%d \
+       distinct leaf configurations): %b@."
+      out.Mc.stats.Search.leaves out.Mc.ok;
     Format.printf
       "@.The paradox: weakening linearizability to eventual linearizability \
        bought nothing for fetch&increment — the eventually linearizable \

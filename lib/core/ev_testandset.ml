@@ -34,6 +34,6 @@ let impl () : Impl.t =
 (** A run of this implementation is linearizable only when a single
     process performs the very first test&set alone; the canonical
     violation (two concurrent winners) is produced by any schedule
-    interleaving two first invocations — tests exhibit it via
-    [Elin_explore.Explore.exists_history]. *)
+    interleaving two first invocations — tests exhibit it as the
+    lex-min counterexample of [Elin_mc.Mc.check]. *)
 let spec = Testandset.spec

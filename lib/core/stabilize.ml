@@ -35,64 +35,34 @@ open Elin_explore
 type stable_certificate = {
   config : Explore.config;
   cut : int;              (* t = history events at the configuration *)
-  leaves_checked : int;
+  leaves_checked : int;   (* distinct leaf configurations searched *)
   extension_depth : int;
 }
 
-(** Which exhaustive engine certifies stability: the original
-    sequential DFS ([Explore.iter_leaves_from]), or the parallel
-    fingerprint-dedup model checker ([Elin_mc.Mc.check_from] —
-    [domains = None] means the recommended domain count).  Both decide
-    the same bounded property; [Mc] dedups the commuting-access
-    diamonds of the extension tree and spreads levels across
-    domains.  [por] is the sleep-set partial-order reduction
-    (see {!Elin_mc.Indep}); it never changes the certificate. *)
-type engine = Dfs | Mc of { domains : int option; dedup : bool; por : bool }
-
 (** [certify impl config ~depth ~check] — bounded stability check:
     [check h ~t] must decide t-linearizability of the implemented
-    type's histories. *)
-let certify ?(engine = Dfs) (impl : Impl.t) (config : Explore.config) ~depth
-    ~check =
+    type's histories.  Every extension of [config] by at most [depth]
+    steps is searched by {!Elin_mc.Mc.check_from}, which merges the
+    commuting-access diamonds of the extension tree. *)
+let certify (impl : Impl.t) (config : Explore.config) ~depth ~check =
   let cut = config.Explore.n_events in
   Elin_obs.Trace.with_span ~cat:"stabilize" "stabilize.certify"
     ~args:
       [ ("cut", Elin_obs.Jsonl.Int cut); ("depth", Elin_obs.Jsonl.Int depth) ]
   @@ fun () ->
-  match engine with
-  | Dfs ->
-    let ok = ref true in
-    let stats =
-      Explore.iter_leaves_from impl config ~max_extra_steps:depth (fun c ->
-          if not (check (Explore.history c) ~t:cut) then begin
-            ok := false;
-            raise Explore.Stop
-          end)
-    in
-    if !ok then
-      Some
-        {
-          config;
-          cut;
-          leaves_checked = stats.Explore.leaves;
-          extension_depth = depth;
-        }
-    else None
-  | Mc { domains; dedup; por } ->
-    let out =
-      Elin_mc.Mc.check_from impl config ~max_extra_steps:depth ?domains ~dedup
-        ~por
-        (fun h -> check h ~t:cut)
-    in
-    if out.Elin_mc.Mc.ok then
-      Some
-        {
-          config;
-          cut;
-          leaves_checked = out.Elin_mc.Mc.stats.Elin_mc.Search.leaves;
-          extension_depth = depth;
-        }
-    else None
+  let out =
+    Elin_mc.Mc.check_from impl config ~max_extra_steps:depth (fun h ->
+        check h ~t:cut)
+  in
+  if out.Elin_mc.Mc.ok then
+    Some
+      {
+        config;
+        cut;
+        leaves_checked = out.Elin_mc.Mc.stats.Elin_mc.Search.leaves;
+        extension_depth = depth;
+      }
+  else None
 
 (** [find_stable impl ~workloads ~path_sched ~max_path ~depth ~check]
     walks a single canonical execution path (scheduler [path_sched]
@@ -101,12 +71,12 @@ let certify ?(engine = Dfs) (impl : Impl.t) (config : Explore.config) ~depth
     Claim 1 of the proof guarantees a stable configuration exists in
     the tree; for our concrete algorithms the canonical path reaches
     one quickly. *)
-let find_stable ?engine (impl : Impl.t) ~workloads
+let find_stable (impl : Impl.t) ~workloads
     ?(path_sched = Sched.round_robin ()) ?(max_path = 200) ~depth ~check () =
   let rec walk c n =
     if n > max_path then None
     else
-      match certify ?engine impl c ~depth ~check with
+      match certify impl c ~depth ~check with
       | Some cert -> Some cert
       | None -> (
         match Explore.runnable c with
@@ -202,14 +172,14 @@ type outcome = {
 (** [construct impl ~workloads ~anchor_proc ~depth ~check ~fuel] — the
     whole pipeline: find a stable configuration, idle it, anchor, and
     derive A′. *)
-let construct ?engine (impl : Impl.t) ~workloads ?(anchor_proc = 0) ~depth
+let construct (impl : Impl.t) ~workloads ?(anchor_proc = 0) ~depth
     ~check ?(fuel = 400) () =
   let phase name f =
     Elin_obs.Trace.with_span ~cat:"stabilize" ("stabilize." ^ name) f
   in
   match
     phase "find_stable" (fun () ->
-        find_stable ?engine impl ~workloads ~depth ~check ())
+        find_stable impl ~workloads ~depth ~check ())
   with
   | None -> None
   | Some cert -> (

@@ -15,22 +15,14 @@ open Elin_explore
 type stable_certificate = {
   config : Explore.config;
   cut : int;  (** t = history events at the configuration *)
-  leaves_checked : int;
+  leaves_checked : int;  (** distinct leaf configurations searched *)
   extension_depth : int;
 }
 
-(** Which exhaustive engine certifies stability: the original
-    sequential DFS ([Explore.iter_leaves_from]) or the parallel
-    fingerprint-dedup model checker ([Elin_mc.Mc.check_from];
-    [domains = None] = recommended domain count).  Both decide the
-    same bounded property.  [por] enables the sleep-set partial-order
-    reduction (it never changes the certificate). *)
-type engine = Dfs | Mc of { domains : int option; dedup : bool; por : bool }
-
-(** [certify impl config ~depth ~check] — bounded stability check;
-    [check h ~t] decides t-linearizability of the implemented type. *)
+(** [certify impl config ~depth ~check] — bounded stability check
+    through {!Elin_mc.Mc.check_from}; [check h ~t] decides
+    t-linearizability of the implemented type. *)
 val certify :
-  ?engine:engine ->
   Impl.t ->
   Explore.config ->
   depth:int ->
@@ -40,7 +32,6 @@ val certify :
 (** Walk a canonical execution path and return the first configuration
     that certifies stable (Claim 1 guarantees one exists in the tree). *)
 val find_stable :
-  ?engine:engine ->
   Impl.t ->
   workloads:Op.t list array ->
   ?path_sched:Sched.t ->
@@ -73,7 +64,6 @@ type outcome = {
 
 (** The whole pipeline: find stable, idle, anchor, derive. *)
 val construct :
-  ?engine:engine ->
   Impl.t ->
   workloads:Op.t list array ->
   ?anchor_proc:int ->

@@ -1,12 +1,14 @@
-(** Bounded exhaustive exploration of an implementation's executions.
+(** The transition semantics of an implementation's executions.
 
-    Enumerates *every* interleaving of process steps (and every
-    adversary choice of the base objects) up to a depth bound, feeding
-    each leaf history to a caller-supplied predicate.  Because weak
-    consistency is prefix-closed (Lemma 10) and t-linearizability is
-    prefix-closed (Lemma 6), checking leaves covers all shorter
-    histories, so "every history of the implementation up to depth d
-    satisfies P" is decided exactly.
+    A configuration is every process's remaining workload, local memory
+    and running programme, the base objects' states and the history so
+    far; [step] takes one process's next atomic step, branching over
+    every adversary choice of the stepped base object.  [Elin_mc.Mc]
+    searches these configurations exhaustively to a depth bound;
+    because weak consistency is prefix-closed (Lemma 10) and
+    t-linearizability is prefix-closed (Lemma 6), checking the leaf
+    histories decides "every history of the implementation up to depth
+    d satisfies P" exactly.
 
     Configurations are first-class (immutable programmes, value-encoded
     object states), which the Prop. 18 stabilization machinery uses to
@@ -158,100 +160,10 @@ let step ?choices (impl : Impl.t) c p =
 let successors impl c =
   List.concat_map (fun p -> step impl c p) (runnable c)
 
-type stats = { mutable nodes : int; mutable leaves : int; mutable truncated : int }
-
-exception Stop
-
-(** [iter_leaves impl ~workloads ~max_steps f] — call [f] on the
-    history of every leaf: executions that finished all workloads and
-    executions cut at the depth bound.  [f] may raise [Stop].
-    Returns exploration stats. *)
-let iter_leaves (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) f =
-  let stats = { nodes = 0; leaves = 0; truncated = 0 } in
-  let rec dfs c =
-    stats.nodes <- stats.nodes + 1;
-    if is_done c then begin
-      stats.leaves <- stats.leaves + 1;
-      f c
-    end
-    else if c.steps >= max_steps then begin
-      stats.leaves <- stats.leaves + 1;
-      stats.truncated <- stats.truncated + 1;
-      f c
-    end
-    else List.iter dfs (successors impl c)
-  in
-  (try dfs (initial_config impl ~workloads ?locals ()) with Stop -> ());
-  stats
-
-(** [iter_leaves_from impl c0 ~max_extra_steps f] — like [iter_leaves]
-    but exploring every extension of configuration [c0] by at most
-    [max_extra_steps] steps. *)
-let iter_leaves_from (impl : Impl.t) c0 ~max_extra_steps f =
-  let stats = { nodes = 0; leaves = 0; truncated = 0 } in
-  let budget = c0.steps + max_extra_steps in
-  let rec dfs c =
-    stats.nodes <- stats.nodes + 1;
-    if is_done c then begin
-      stats.leaves <- stats.leaves + 1;
-      f c
-    end
-    else if c.steps >= budget then begin
-      stats.leaves <- stats.leaves + 1;
-      stats.truncated <- stats.truncated + 1;
-      f c
-    end
-    else List.iter dfs (successors impl c)
-  in
-  (try dfs c0 with Stop -> ());
-  stats
-
-(** [for_all_histories impl ~workloads ~max_steps p] — true iff [p]
-    holds on every leaf history; returns the first counterexample
-    otherwise. *)
-let for_all_histories impl ~workloads ?locals ?max_steps p =
-  let counterexample = ref None in
-  let stats =
-    iter_leaves impl ~workloads ?locals ?max_steps (fun c ->
-        let h = history c in
-        if not (p h) then begin
-          counterexample := Some h;
-          raise Stop
-        end)
-  in
-  (Option.is_none !counterexample, !counterexample, stats)
-
-(** [exists_history impl ~workloads ~max_steps p] — dual. *)
-let exists_history impl ~workloads ?locals ?max_steps p =
-  let witness = ref None in
-  let _stats =
-    iter_leaves impl ~workloads ?locals ?max_steps (fun c ->
-        let h = history c in
-        if p h then begin
-          witness := Some h;
-          raise Stop
-        end)
-  in
-  !witness
-
-(** [iter_configs impl ~workloads ~max_steps f] — call [f] on every
-    reachable configuration (pre-order), not only leaves. *)
-let iter_configs (impl : Impl.t) ~workloads ?locals ?(max_steps = 40) f =
-  let stats = { nodes = 0; leaves = 0; truncated = 0 } in
-  let rec dfs c =
-    stats.nodes <- stats.nodes + 1;
-    f c;
-    if (not (is_done c)) && c.steps < max_steps then
-      List.iter dfs (successors impl c)
-    else stats.leaves <- stats.leaves + 1
-  in
-  (try dfs (initial_config impl ~workloads ?locals ()) with Stop -> ());
-  stats
-
-(** [run_deterministic impl c ~sched_order] — advance [c] by the given
-    process order, always taking the *first* adversary choice; used to
-    drive a fixed execution from a configuration (solo runs in the
-    Prop. 18 construction). *)
+(** [run_solo impl c p ~until fuel] — step process [p] alone from [c],
+    always taking the {e first} adversary choice, until [until] yields
+    a value or [fuel] steps are spent; drives the solo runs of the
+    Prop. 18 construction. *)
 let run_solo (impl : Impl.t) c p ~until =
   let rec go c fuel =
     if fuel = 0 then None

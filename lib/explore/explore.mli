@@ -1,8 +1,9 @@
-(** Bounded exhaustive exploration of an implementation's executions:
-    every interleaving of process steps and every adversary choice of
-    the base objects, up to a depth bound.  Because weak consistency is
-    prefix-closed (Lemma 10) and t-linearizability is prefix-closed
-    (Lemma 6), checking leaf histories covers all shorter ones.
+(** The transition semantics of an implementation's executions: every
+    interleaving of process steps and every adversary choice of the
+    base objects.  [Elin_mc.Mc] searches it exhaustively to a depth
+    bound; because weak consistency is prefix-closed (Lemma 10) and
+    t-linearizability is prefix-closed (Lemma 6), checking leaf
+    histories covers all shorter ones.
 
     Configurations are first-class (immutable programmes, value-encoded
     object states); the Prop. 18 machinery uses them to search for
@@ -55,57 +56,6 @@ val access_choices : Impl.t -> config -> int -> (Value.t * Value.t) list
 val step : ?choices:(Value.t * Value.t) list -> Impl.t -> config -> int -> config list
 
 val successors : Impl.t -> config -> config list
-
-type stats = {
-  mutable nodes : int;
-  mutable leaves : int;
-  mutable truncated : int;
-}
-
-exception Stop
-
-(** [iter_leaves impl ~workloads ?locals ?max_steps f] — call [f] on
-    every leaf configuration (finished, or cut at the bound).  [f] may
-    raise {!Stop}. *)
-val iter_leaves :
-  Impl.t ->
-  workloads:Op.t list array ->
-  ?locals:Value.t array ->
-  ?max_steps:int ->
-  (config -> unit) ->
-  stats
-
-(** Like {!iter_leaves} but exploring every extension of [c0] by at
-    most [max_extra_steps] steps. *)
-val iter_leaves_from :
-  Impl.t -> config -> max_extra_steps:int -> (config -> unit) -> stats
-
-(** [for_all_histories impl ~workloads p] — [(ok, counterexample,
-    stats)]. *)
-val for_all_histories :
-  Impl.t ->
-  workloads:Op.t list array ->
-  ?locals:Value.t array ->
-  ?max_steps:int ->
-  (History.t -> bool) ->
-  bool * History.t option * stats
-
-val exists_history :
-  Impl.t ->
-  workloads:Op.t list array ->
-  ?locals:Value.t array ->
-  ?max_steps:int ->
-  (History.t -> bool) ->
-  History.t option
-
-(** Visit every reachable configuration (pre-order), not only leaves. *)
-val iter_configs :
-  Impl.t ->
-  workloads:Op.t list array ->
-  ?locals:Value.t array ->
-  ?max_steps:int ->
-  (config -> unit) ->
-  stats
 
 (** [run_solo impl c p ~until fuel] — step [p] alone (first adversary
     branch) until [until] yields a value or [fuel] runs out. *)

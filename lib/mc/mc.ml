@@ -1,9 +1,8 @@
-(** The model checker, specialized to implementation execution trees.
+(** The model checker for implementation executions.
 
-    Same exhaustive semantics as [Explore.for_all_histories] — every
-    interleaving of process steps and every adversary branch of the
-    base objects, to a step bound — but run through {!Search}'s
-    parallel fingerprint-dedup BFS:
+    Every interleaving of process steps and every adversary branch of
+    the base objects ({!Explore.step}), to a step bound, run through
+    {!Search}'s parallel fingerprint-dedup BFS:
 
     - syntactically identical configurations reached along different
       interleavings (e.g. commuting base accesses) are expanded once;
@@ -126,8 +125,9 @@ let outcome_of (violations, stats) =
   | h :: _ -> { ok = false; counterexample = Some h; stats }
 
 (** [check impl ~workloads p] — does [p] hold on every leaf history
-    (finished or cut at [max_steps])?  The [Explore.for_all_histories]
-    contract, parallel and deduplicated. *)
+    (finished or cut at [max_steps])?  An existence question "is there
+    a history with q?" is [check (fun h -> not (q h))]: the
+    counterexample is the witness. *)
 let check (impl : Impl.t) ~workloads ?locals ?(max_steps = 40)
     ?domains ?dedup ?(symmetry = false) ?por ?spill ?resume ?on_state p =
   check_symmetry ~symmetry ~workloads;

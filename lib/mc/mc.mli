@@ -1,13 +1,18 @@
-(** The model checker, specialized to implementation execution trees:
-    [Explore.for_all_histories]'s exhaustive semantics, run through
-    {!Search}'s parallel fingerprint-dedup BFS.
+(** The model checker for implementation executions: every
+    interleaving of process steps and every adversary branch of the
+    base objects ({!Explore.step}), to a step bound, run through
+    {!Search}'s parallel fingerprint-dedup BFS.  Every bounded
+    exhaustive check of an implementation's histories goes through
+    here.
 
     Dedup is exact for history predicates because fingerprints cover
     the accumulated history: only configurations with identical pasts
     and futures merge (modulo 64-bit fingerprint collisions).  The
     verdict — including the reported counterexample, which is the
     lexicographically minimal violating history of the shallowest
-    violating level — is independent of the domain count. *)
+    violating level — is independent of the domain count.  Leaf counts
+    in the stats are distinct leaf configurations under dedup and
+    schedules (tree paths) only with [~dedup:false ~por:false]. *)
 
 open Elin_spec
 open Elin_history
@@ -54,7 +59,9 @@ val spill :
   spill
 
 (** [check impl ~workloads p] — does [p] hold on every leaf history
-    (finished, or cut at [max_steps], default 40)?
+    (finished, or cut at [max_steps], default 40)?  "Is there a
+    history with [q]?" is [check (fun h -> not (q h))]: its
+    counterexample is the lex-min witness.
 
     [domains] defaults to [Domain.recommended_domain_count ()] (the
     outcome is independent of it, see {!Search.bfs});

@@ -1,15 +1,14 @@
-(** The model checker, specialized to the valency analysis's protocol
-    configurations (the E9 workload).
+(** The valency analysis's exhaustive searches (the E9 workload),
+    run through {!Search}'s parallel fingerprint-dedup BFS over
+    {!Valency}'s protocol configurations: consensus checking, valence
+    tagging, critical-configuration search and the commutation check.
 
-    [Valency.decision_set] is a sequential DFS that re-visits
-    syntactically identical configurations: protocol steps on
+    Every search explores [Valency.step] on every runnable process and
+    every adversary branch, to a step bound.  Protocol steps on
     different base objects commute, so the interleaving tree collapses
     heavily under state dedup — exactly the state space where
-    fingerprinting pays.  This module runs the same exhaustive
-    semantics ([Valency.step] on every runnable process, every
-    adversary branch) through {!Search}'s parallel BFS and reports the
-    decision-vector set, the consensus verdicts, and the exploration
-    stats.
+    fingerprinting pays.  A search may start from any node, so the
+    valence of every configuration on a descent is one BFS.
 
     The continuation-digest construction mirrors {!Canon}: a running
     process's programme is a deterministic function of its input value
@@ -149,23 +148,12 @@ let compare_leaf a b =
   | Truncated, Decision _ -> 1
   | Truncated, Truncated -> 0
 
-type report = {
-  decisions : Value.t array list;  (* sorted, duplicate-free *)
-  agreement_violation : Value.t array option;
-  validity_violation : Value.t array option;
-  terminated : bool;
-  stats : Search.stats;
-}
-
-(** [check_consensus p ~inputs ~max_steps ()] — the
-    [Valency.check_consensus] verdicts, computed by the parallel
-    dedup'd engine.  Unlike the DFS original, [decisions] is still
-    reported when termination fails ([terminated = false]): the
-    decision set of the paths that did decide within the bound. *)
-let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
-    ?dedup ?(por = true) ?spill:msp ?resume () =
-  let por = por && Array.length inputs <= 62 in
-  let dedup_on = match dedup with Some b -> b | None -> true in
+(** [decisions_from p node ~max_steps] — the sorted decision vectors of
+    the paths from [node] that decide within the bound, whether every
+    path did, and the search's stats. *)
+let decisions_from ?domains ?(dedup = true) ?(por = true) ?spill:msp
+    ?resume (p : Valency.protocol) node ~max_steps =
+  let por = por && Array.length node.config.Valency.procs <= 62 in
   let pruned = Atomic.make 0 in
   let expand node =
     let c = node.config in
@@ -181,7 +169,7 @@ let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
     else if c.Valency.steps >= max_steps then Search.Cut (Some Truncated)
     else Search.Children (successors ~por ~pruned p node)
   in
-  let merge = if por && dedup_on then Some merge_sleep else None in
+  let merge = if por && dedup then Some merge_sleep else None in
   (* Valency nodes carry sleep masks too; same payload contract as
      {!Mc.drive}'s. *)
   let sp =
@@ -195,20 +183,39 @@ let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
       msp
   in
   let leaves, stats =
-    Search.bfs ?domains ?dedup ~stop_early:false ?merge ?spill:sp
-      ?resume ~fingerprint ~expand
-      ~compare:compare_leaf (root p ~inputs)
+    Search.bfs ?domains ~dedup ~stop_early:false ?merge ?spill:sp ?resume
+      ~fingerprint ~expand ~compare:compare_leaf node
   in
   (match msp, sp with
   | Some m, Some s ->
     m.Mc.store <- s.Search.sp_store;
     m.Mc.resumed_from <- s.Search.sp_resumed
   | _ -> ());
-  let stats = { stats with Search.pruned = Atomic.get pruned } in
   let decisions =
     List.filter_map (function Decision d -> Some d | Truncated -> None) leaves
   in
-  let terminated = not (List.mem Truncated leaves) in
+  ( decisions,
+    not (List.mem Truncated leaves),
+    { stats with Search.pruned = Atomic.get pruned } )
+
+type report = {
+  decisions : Value.t array list;  (* sorted, duplicate-free *)
+  agreement_violation : Value.t array option;
+  validity_violation : Value.t array option;
+  terminated : bool;
+  stats : Search.stats;
+}
+
+(** [check_consensus p ~inputs ~max_steps ()] — the consensus
+    specification on one input vector.  [decisions] is reported even
+    when termination fails ([terminated = false]): the decision set of
+    the paths that did decide within the bound. *)
+let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
+    ?dedup ?por ?spill ?resume () =
+  let decisions, terminated, stats =
+    decisions_from ?domains ?dedup ?por ?spill ?resume p (root p ~inputs)
+      ~max_steps
+  in
   let agreement_violation =
     List.find_opt
       (fun d -> Array.exists (fun v -> not (Value.equal v d.(0))) d)
@@ -223,3 +230,80 @@ let check_consensus (p : Valency.protocol) ~inputs ~max_steps ?domains
       decisions
   in
   { decisions; agreement_violation; validity_violation; terminated; stats }
+
+(* ------------------------------------------------------------------ *)
+(* Valency tagging and critical configurations.                       *)
+(* ------------------------------------------------------------------ *)
+
+type valence =
+  | Univalent of Value.t  (* all consensus decisions below equal this *)
+  | Multivalent of Value.t list
+  | Undetermined          (* a path below is cut: valence unknown *)
+
+(** [valence p node ~max_steps] — for {e agreement-correct} protocols,
+    the decision value set below [node] (process 0's decisions). *)
+let valence ?domains p node ~max_steps =
+  match decisions_from ?domains p node ~max_steps with
+  | _, false, _ -> Undetermined
+  | decisions, true, _ -> (
+    match List.sort_uniq Value.compare (List.map (fun d -> d.(0)) decisions) with
+    | [ v ] -> Univalent v
+    | vs -> Multivalent vs)
+
+type critical = {
+  config : Valency.config;
+  (* For each runnable process: the object its poised step accesses
+     (None for a decision step) and the valence after it moves (first
+     adversary branch). *)
+  moves : (int option * valence) array;
+}
+
+(** [find_critical p ~inputs ~max_steps] — walk down from the root
+    through the first multivalent child until reaching a configuration
+    all of whose successors are univalent; [None] when the root is
+    already univalent or valences are undetermined. *)
+let find_critical ?domains (p : Valency.protocol) ~inputs ~max_steps =
+  let valence node = valence ?domains p node ~max_steps in
+  let rec descend node =
+    match valence node with
+    | Univalent _ | Undetermined -> None
+    | Multivalent _ -> (
+      let runnable = Valency.runnable node.config in
+      let succs = List.concat_map (step p node) runnable in
+      match
+        List.find_opt
+          (fun n -> match valence n with Multivalent _ -> true | _ -> false)
+          succs
+      with
+      | Some n -> descend n
+      | None ->
+        (* Every successor is univalent (or undetermined): critical. *)
+        let move i =
+          ( Valency.poised node.config i,
+            match step p node i with n :: _ -> valence n | [] -> Undetermined
+          )
+        in
+        Some
+          {
+            config = node.config;
+            moves = Array.of_list (List.map move runnable);
+          })
+  in
+  descend (root p ~inputs)
+
+(** [commute_check p node i j ~max_steps] — Prop. 15's commutation
+    argument, checked concretely: the decision sets after stepping
+    i;j and j;i from [node] (every adversary branch), normalized.  A
+    configuration with a path cut by the bound contributes nothing. *)
+let commute_check ?domains p node i j ~max_steps =
+  let after a b = List.concat_map (fun n -> step p n b) (step p node a) in
+  let ds nodes =
+    List.concat_map
+      (fun n ->
+        match decisions_from ?domains p n ~max_steps with
+        | ds, true, _ -> ds
+        | _, false, _ -> [])
+      nodes
+  in
+  let norm ds = List.sort_uniq compare (List.map Array.to_list ds) in
+  (norm (ds (after i j)), norm (ds (after j i)))

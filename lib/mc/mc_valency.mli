@@ -1,8 +1,10 @@
-(** The model checker, specialized to the valency analysis's protocol
-    configurations (the E9 workload): [Valency.check_consensus]'s
-    exhaustive semantics through {!Search}'s parallel
-    fingerprint-dedup BFS.  Protocol steps on different base objects
-    commute, so the interleaving tree collapses heavily under dedup. *)
+(** The valency analysis's exhaustive searches (the E9 workload) over
+    {!Valency}'s protocol configurations, run through {!Search}'s
+    parallel fingerprint-dedup BFS: consensus checking, valence
+    tagging, critical-configuration search and the commutation check.
+    Protocol steps on different base objects commute, so the
+    interleaving tree collapses heavily under dedup.  Every search
+    can start from any node. *)
 
 open Elin_spec
 open Elin_valency
@@ -30,6 +32,24 @@ val successors :
   ?por:bool -> ?pruned:int Atomic.t -> Valency.protocol -> node -> node list
 val fingerprint : node -> int64
 
+(** [decisions_from p node ~max_steps] — [(decisions, terminated,
+    stats)]: the decision vectors (sorted, duplicate-free) of the paths
+    from [node] that decide within [max_steps] total steps, and whether
+    every path did.  [dedup] and [por] default to [true]; the decision
+    set and [terminated] are invariant under both and under [domains].
+    [spill]/[resume] as in {!Mc.check}: external-memory visited tier
+    plus crash-safe checkpoint/resume. *)
+val decisions_from :
+  ?domains:int ->
+  ?dedup:bool ->
+  ?por:bool ->
+  ?spill:Mc.spill ->
+  ?resume:bool ->
+  Valency.protocol ->
+  node ->
+  max_steps:int ->
+  Value.t array list * bool * Search.stats
+
 type report = {
   decisions : Value.t array list;  (** sorted, duplicate-free *)
   agreement_violation : Value.t array option;
@@ -38,11 +58,11 @@ type report = {
   stats : Search.stats;
 }
 
-(** Unlike the DFS original ([Valency.check_consensus]), [decisions]
-    is still reported when termination fails: the decision set of the
-    paths that did decide within the bound.  [spill]/[resume] as in
-    {!Mc.check}: external-memory visited tier plus crash-safe
-    checkpoint/resume. *)
+(** Exhaustively check the consensus specification on one input
+    vector.  [decisions] is reported even when termination fails
+    ([terminated = false]): the decision set of the paths that did
+    decide within the bound.  Optional arguments as in
+    {!decisions_from}. *)
 val check_consensus :
   Valency.protocol ->
   inputs:Value.t array ->
@@ -54,3 +74,40 @@ val check_consensus :
   ?resume:bool ->
   unit ->
   report
+
+type valence =
+  | Univalent of Value.t
+  | Multivalent of Value.t list
+  | Undetermined  (** a path below is cut by the bound: valence unknown *)
+
+(** Process 0's decision values below [node], for agreement-correct
+    protocols. *)
+val valence :
+  ?domains:int -> Valency.protocol -> node -> max_steps:int -> valence
+
+type critical = {
+  config : Valency.config;
+  moves : (int option * valence) array;
+      (** per runnable process: poised object and post-move valence *)
+}
+
+(** Descend from the root through the first multivalent child to a
+    configuration all of whose successors are univalent. *)
+val find_critical :
+  ?domains:int ->
+  Valency.protocol ->
+  inputs:Value.t array ->
+  max_steps:int ->
+  critical option
+
+(** The commutation argument, concretely: decision sets after stepping
+    i;j vs j;i from [node] (normalized; a configuration with a path cut
+    by the bound contributes nothing). *)
+val commute_check :
+  ?domains:int ->
+  Valency.protocol ->
+  node ->
+  int ->
+  int ->
+  max_steps:int ->
+  Value.t list list * Value.t list list

@@ -1,24 +1,20 @@
-(** Valency analysis for two-process consensus protocols
-    (Proposition 15's proof machinery, after FLP [7]).
+(** The protocol model of the valency analysis for two-process
+    consensus protocols (Proposition 15's proof machinery, after
+    FLP [7]).
 
     A protocol gives each process a programme over shared base objects
-    that terminates with a decision.  We explore the full tree of
-    interleavings (including every adversary branch of eventually
-    linearizable base objects), compute each configuration's decision
-    set, and:
-
-    - check the consensus specification (agreement, validity,
-      termination within the bound) — candidate protocols over
-      registers and adversarial eventually-linearizable objects fail,
-      exactly as Prop. 15 predicts, and the explorer exhibits the
-      violating schedule;
-    - locate *critical configurations* (multivalent, all successors
-      univalent) and report which objects the two poised steps access —
-      for a correct protocol (e.g. from compare&swap) the poised steps
-      hit the same universal object; for register-only or
-      register+eventually-linearizable protocols the analysis exhibits
-      the commuting/indistinguishable continuations that power the
-      proof's contradiction. *)
+    that terminates with a decision; a configuration is each process's
+    running programme or decision plus the base objects' states, and
+    [step] takes one process's next atomic step, branching over every
+    adversary choice of eventually linearizable base objects.
+    [Elin_mc.Mc_valency] searches these configurations exhaustively:
+    it checks the consensus specification (agreement, validity,
+    termination within the bound) — candidate protocols over registers
+    and adversarial eventually-linearizable objects fail, exactly as
+    Prop. 15 predicts — computes valences, and locates {e critical
+    configurations} (multivalent, all successors univalent), reporting
+    which objects the poised steps access: for a correct protocol (e.g.
+    from compare&swap) they hit the same universal object. *)
 
 open Elin_spec
 open Elin_runtime
@@ -86,148 +82,3 @@ let step ?choices (p : protocol) c i =
         bases.(obj) <- state';
         { procs; bases; steps = c.steps + 1 })
       choices
-
-exception Truncated
-
-(** [decision_set p c ~max_steps] — all decision vectors reachable from
-    [c]; raises [Truncated] if some path does not decide within the
-    bound (termination cannot be certified). *)
-let decision_set (p : protocol) c ~max_steps =
-  let acc = ref [] in
-  let add d = if not (List.mem d !acc) then acc := d :: !acc in
-  let rec dfs c =
-    if all_decided c then
-      add (Array.map (function Decided v -> v | Running _ -> assert false) c.procs)
-    else if c.steps >= max_steps then raise Truncated
-    else
-      List.iter
-        (fun i -> List.iter dfs (step p c i))
-        (runnable c)
-  in
-  dfs c;
-  !acc
-
-type consensus_report = {
-  decisions : Value.t array list;   (* distinct decision vectors *)
-  agreement_violation : Value.t array option;
-  validity_violation : Value.t array option;
-  terminated : bool;
-}
-
-(** [check_consensus p ~inputs ~max_steps] — exhaustively verify the
-    consensus specification on one input vector. *)
-let check_consensus (p : protocol) ~inputs ~max_steps =
-  match decision_set p (initial p ~inputs) ~max_steps with
-  | exception Truncated ->
-    { decisions = []; agreement_violation = None; validity_violation = None;
-      terminated = false }
-  | decisions ->
-    let agreement_violation =
-      List.find_opt
-        (fun d -> Array.exists (fun v -> not (Value.equal v d.(0))) d)
-        decisions
-    in
-    let validity_violation =
-      List.find_opt
-        (fun d ->
-          Array.exists
-            (fun v ->
-              not (Array.exists (fun input -> Value.equal v input) inputs))
-            d)
-        decisions
-    in
-    { decisions; agreement_violation; validity_violation; terminated = true }
-
-(* ------------------------------------------------------------------ *)
-(* Valency tagging and critical configurations.                       *)
-(* ------------------------------------------------------------------ *)
-
-type valence =
-  | Univalent of Value.t  (* all consensus decisions below equal this *)
-  | Multivalent of Value.t list
-  | Undetermined          (* truncated below: valence unknown *)
-
-(** [valence p c ~max_steps] — for *agreement-correct* protocols, the
-    decision value set below [c]. *)
-let valence p c ~max_steps =
-  match decision_set p c ~max_steps with
-  | exception Truncated -> Undetermined
-  | decisions ->
-    let values =
-      List.sort_uniq Value.compare (List.map (fun d -> d.(0)) decisions)
-    in
-    (match values with
-    | [ v ] -> Univalent v
-    | vs -> Multivalent vs)
-
-type critical = {
-  config : config;
-  (* For each process: the object its poised step accesses (None for a
-     decision step) and the valence after it moves. *)
-  moves : (int option * valence) array;
-}
-
-(** [find_critical p ~inputs ~max_steps] — walk down from the root
-    through multivalent children until reaching a configuration all of
-    whose successors are univalent; [None] when the root is already
-    univalent or valences are undetermined. *)
-let find_critical (p : protocol) ~inputs ~max_steps =
-  let rec descend c =
-    match valence p c ~max_steps with
-    | Univalent _ | Undetermined -> None
-    | Multivalent _ ->
-      let succs =
-        List.concat_map
-          (fun i ->
-            List.map (fun c' -> (i, c')) (step p c i))
-          (runnable c)
-      in
-      let multivalent_succ =
-        List.find_map
-          (fun (_, c') ->
-            match valence p c' ~max_steps with
-            | Multivalent _ -> Some c'
-            | Univalent _ | Undetermined -> None)
-          succs
-      in
-      (match multivalent_succ with
-      | Some c' -> descend c'
-      | None ->
-        (* Every successor is univalent (or undetermined): critical. *)
-        let moves =
-          Array.of_list
-            (List.map
-               (fun i ->
-                 let v =
-                   match step p c i with
-                   | c' :: _ -> valence p c' ~max_steps
-                   | [] -> Undetermined
-                 in
-                 (poised c i, v))
-               (runnable c))
-        in
-        Some { config = c; moves })
-  in
-  descend (initial p ~inputs)
-
-(** [commute_check p c i j] — Prop. 15's commutation argument, checked
-    concretely: when the poised steps of [i] and [j] touch different
-    objects (or commute on the same object), stepping i;j and j;i must
-    yield configurations with identical base states and programme
-    continuations' behaviours — we compare their decision sets. *)
-let commute_check p c i j ~max_steps =
-  let after order =
-    List.concat_map
-      (fun c' -> step p c' (snd order))
-      (step p c (fst order))
-  in
-  let ds cs =
-    List.concat_map
-      (fun c' ->
-        match decision_set p c' ~max_steps with
-        | ds -> ds
-        | exception Truncated -> [])
-      cs
-  in
-  let norm ds = List.sort_uniq compare (List.map Array.to_list ds) in
-  (norm (ds (after (i, j))), norm (ds (after (j, i))))

@@ -1,9 +1,9 @@
-(** Valency analysis for two-process consensus protocols
-    (Proposition 15's proof machinery, after FLP): exhaustive
-    exploration of the interleaving tree (including every adversary
-    branch of eventually linearizable base objects), consensus
-    correctness checking, valence tagging and critical-configuration
-    search. *)
+(** The protocol model of the valency analysis for two-process
+    consensus protocols (Proposition 15's proof machinery, after FLP):
+    protocols, configurations and their atomic steps, including every
+    adversary branch of eventually linearizable base objects.  The
+    exhaustive searches over it — consensus checking, valence tagging,
+    critical-configuration search — are in [Elin_mc.Mc_valency]. *)
 
 open Elin_spec
 open Elin_runtime
@@ -35,49 +35,3 @@ val poised : config -> int -> int option
 (** All configurations after process [i]'s next atomic step. *)
 val step :
   ?choices:(Value.t * Value.t) list -> protocol -> config -> int -> config list
-
-exception Truncated
-
-(** All decision vectors reachable from [c]; raises {!Truncated} if
-    some path does not decide within the bound. *)
-val decision_set : protocol -> config -> max_steps:int -> Value.t array list
-
-type consensus_report = {
-  decisions : Value.t array list;
-  agreement_violation : Value.t array option;
-  validity_violation : Value.t array option;
-  terminated : bool;
-}
-
-(** Exhaustively verify the consensus specification on one input
-    vector. *)
-val check_consensus :
-  protocol -> inputs:Value.t array -> max_steps:int -> consensus_report
-
-type valence =
-  | Univalent of Value.t
-  | Multivalent of Value.t list
-  | Undetermined  (** truncated below: valence unknown *)
-
-val valence : protocol -> config -> max_steps:int -> valence
-
-type critical = {
-  config : config;
-  moves : (int option * valence) array;
-      (** per runnable process: poised object and post-move valence *)
-}
-
-(** Descend through multivalent children to a configuration all of
-    whose successors are univalent. *)
-val find_critical :
-  protocol -> inputs:Value.t array -> max_steps:int -> critical option
-
-(** The commutation argument, concretely: decision sets after stepping
-    i;j vs j;i from [c] (normalized). *)
-val commute_check :
-  protocol ->
-  config ->
-  int ->
-  int ->
-  max_steps:int ->
-  Value.t list list * Value.t list list

@@ -52,3 +52,57 @@ let check_bool name expected actual () =
 
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
+
+(* --- Naive sequential references for the exhaustive searches --- *)
+
+(* Plain recursive walks of the transition semantics, written beside
+   the differential tests that compare [Elin_mc]'s searches against
+   them: no dedup, no reduction, no parallelism. *)
+
+type walk = { nodes : int; leaves : int; truncated : int }
+
+(** [leaf_walk impl c0 ~budget f] — the execution tree below [c0]:
+    [f] sees every leaf, once per schedule: finished configurations and
+    those cut at [budget] total steps. *)
+let leaf_walk impl c0 ~budget f =
+  let open Elin_explore in
+  let nodes = ref 0 and leaves = ref 0 and truncated = ref 0 in
+  let rec go (c : Explore.config) =
+    incr nodes;
+    if Explore.is_done c then begin
+      incr leaves;
+      f c
+    end
+    else if c.Explore.steps >= budget then begin
+      incr leaves;
+      incr truncated;
+      f c
+    end
+    else List.iter go (Explore.successors impl c)
+  in
+  go c0;
+  { nodes = !nodes; leaves = !leaves; truncated = !truncated }
+
+(** [valency_decisions p c ~max_steps] — the distinct decision vectors
+    of the paths below [c] that decide within [max_steps] total steps,
+    in first-found order, and whether every path did. *)
+let valency_decisions p c ~max_steps =
+  let open Elin_valency in
+  let found = ref [] and terminated = ref true in
+  let rec go (c : Valency.config) =
+    if Valency.all_decided c then begin
+      let d =
+        Array.map
+          (function Valency.Decided v -> v | Valency.Running _ -> assert false)
+          c.Valency.procs
+      in
+      if not (List.mem d !found) then found := d :: !found
+    end
+    else if c.Valency.steps >= max_steps then terminated := false
+    else
+      List.iter
+        (fun i -> List.iter go (Valency.step p c i))
+        (Valency.runnable c)
+  in
+  go c;
+  (List.rev !found, !terminated)

@@ -7,7 +7,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -38,8 +38,8 @@ let consensus_from_cas_correct () =
   let impl = Compose.consensus_from_cas () in
   let spec = Consensus_spec.spec () in
   let wl = [| [ Op.propose 0 ]; [ Op.propose 1 ] |] in
-  let ok, cex, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:14 (fun h ->
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:14 (fun h ->
         Engine.linearizable (Engine.for_spec spec) h)
   in
   (match cex with
@@ -67,15 +67,21 @@ let tower_exhaustive () =
   let flat =
     Compose.flatten ~outer ~inner:(fun _ -> Compose.consensus_from_cas ())
   in
-  let ok, cex, stats =
-    Explore.for_all_histories flat ~workloads:(fai_wl 2 1) ~max_steps:20
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check flat ~workloads:(fai_wl 2 1) ~max_steps:20
       (fun h -> Faic.t_linearizable h ~t:0)
   in
   (match cex with
   | Some h -> Alcotest.failf "counterexample:\n%s" (Elin_history.History.to_string h)
   | None -> ());
   Alcotest.(check bool) "all schedules linearizable" true ok;
-  Alcotest.(check bool) "real coverage" true (stats.Explore.leaves > 100)
+  (* Coverage counts schedules: the tree-mode search has one leaf per
+     schedule, where the check above merges equal configurations. *)
+  let tree =
+    Mc.count_states flat ~workloads:(fai_wl 2 1) ~max_steps:20 ~dedup:false
+      ~por:false ()
+  in
+  Alcotest.(check bool) "real coverage" true (tree.Search.leaves > 100)
 
 let ev_inner_inherits_misbehaviour () =
   (* Flatten the board-based f&i over an eventually linearizable inner
@@ -88,13 +94,14 @@ let ev_inner_inherits_misbehaviour () =
         Impl.direct (Ev_base.never_stabilizing (Announce_board.spec ())))
   in
   let cex =
-    Explore.exists_history flat ~workloads:(fai_wl 2 2) ~max_steps:14
-      (fun h -> not (Faic.t_linearizable h ~t:0))
+    (Mc.check flat ~workloads:(fai_wl 2 2) ~max_steps:14
+      (fun h -> Faic.t_linearizable h ~t:0))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "violation exists" true (cex <> None);
   (* ... while weak consistency survives (the inner views preserve it). *)
-  let ok, _, _ =
-    Explore.for_all_histories flat ~workloads:(fai_wl 2 2) ~max_steps:14
+  let { Mc.ok; _ } =
+    Mc.check flat ~workloads:(fai_wl 2 2) ~max_steps:14
       (fun h -> Faic.weakly_consistent h)
   in
   Alcotest.(check bool) "weak consistency inherited" true ok

@@ -12,7 +12,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_test_support
 
@@ -94,9 +94,10 @@ let rmw_candidate_not_linearizable_schedule () =
   (* The lost-update schedule: both read 0, both write 1, both return
      0. *)
   let cex =
-    Explore.exists_history (rmw_candidate ()) ~workloads:(fai_wl 2 1)
+    (Mc.check (rmw_candidate ()) ~workloads:(fai_wl 2 1)
       ~max_steps:10
-      (fun h -> not (Faic.t_linearizable h ~t:0))
+      (fun h -> Faic.t_linearizable h ~t:0))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "lost update exists" true (cex <> None)
 
@@ -119,9 +120,10 @@ let rmw_candidate_min_t_grows () =
 
 let split_candidate_violates () =
   let cex =
-    Explore.exists_history (split_candidate ()) ~workloads:(fai_wl 2 2)
+    (Mc.check (split_candidate ()) ~workloads:(fai_wl 2 2)
       ~max_steps:16
-      (fun h -> not (Faic.t_linearizable h ~t:0))
+      (fun h -> Faic.t_linearizable h ~t:0))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "violating schedule exists" true (cex <> None)
 
@@ -165,15 +167,15 @@ let board_impl_stabilizes () =
    linearizable f&i solves 2-process consensus. *)
 let fai_solves_consensus () =
   let r =
-    Elin_valency.Valency.check_consensus
+    Mc_valency.check_consensus
       (Elin_valency.Protocols.registers_plus_fai ())
-      ~inputs:[| Value.int 0; Value.int 1 |] ~max_steps:40
+      ~inputs:[| Value.int 0; Value.int 1 |] ~max_steps:40 ()
   in
-  Alcotest.(check bool) "terminated" true r.Elin_valency.Valency.terminated;
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
   Alcotest.(check bool) "agreement" true
-    (r.Elin_valency.Valency.agreement_violation = None);
+    (r.Mc_valency.agreement_violation = None);
   Alcotest.(check bool) "validity" true
-    (r.Elin_valency.Valency.validity_violation = None)
+    (r.Mc_valency.validity_violation = None)
 
 let () =
   Alcotest.run "corollary19"

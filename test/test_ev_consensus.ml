@@ -4,7 +4,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -52,8 +52,8 @@ let wait_free () =
 let weakly_consistent_exhaustive () =
   let procs = 2 in
   let impl = Ev_consensus.impl ~procs () in
-  let ok, cex, _ =
-    Explore.for_all_histories impl ~workloads:(propose_wl procs) ~max_steps:16
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:(propose_wl procs) ~max_steps:16
       (fun h -> Weak.is_weakly_consistent (Weak.for_spec spec) h)
   in
   (match cex with
@@ -64,8 +64,8 @@ let weakly_consistent_exhaustive () =
 let eventually_linearizable_exhaustive () =
   let procs = 2 in
   let impl = Ev_consensus.impl ~procs () in
-  let ok, _, _ =
-    Explore.for_all_histories impl ~workloads:(propose_wl procs) ~max_steps:16
+  let { Mc.ok; _ } =
+    Mc.check impl ~workloads:(propose_wl procs) ~max_steps:16
       (fun h ->
         Eventual.is_eventually_linearizable (Eventual.check_spec spec h))
   in
@@ -80,8 +80,9 @@ let not_linearizable_witness () =
   let impl = Ev_consensus.impl ~procs () in
   let wl = [| [ Op.propose 0 ]; [ Op.propose 1 ] |] in
   let cex =
-    Explore.exists_history impl ~workloads:wl ~max_steps:16 (fun h ->
-        not (Engine.linearizable (Engine.for_spec spec) h))
+    (Mc.check impl ~workloads:wl ~max_steps:16 (fun h ->
+        Engine.linearizable (Engine.for_spec spec) h))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "non-linearizable schedule exists" true (cex <> None)
 

@@ -9,8 +9,8 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
 open Elin_valency
+open Elin_mc
 open Elin_test_support
 
 let inputs = [| Value.int 0; Value.int 1 |]
@@ -84,26 +84,26 @@ let valency_at_depth_25 () =
     (fun (name, protocol, terminated, decisions, agreement, validity, crit) ->
       let p = protocol () in
       let what s = Printf.sprintf "%s %s" name s in
-      let r = Valency.check_consensus p ~inputs ~max_steps:25 in
-      Alcotest.(check bool) (what "terminated") terminated r.Valency.terminated;
+      let r = Mc_valency.check_consensus p ~inputs ~max_steps:25 () in
+      Alcotest.(check bool) (what "terminated") terminated r.Mc_valency.terminated;
       Alcotest.(check (list string))
         (what "decisions") decisions
-        (sorted_vecs r.Valency.decisions);
+        (sorted_vecs r.Mc_valency.decisions);
       Alcotest.(check bool)
         (what "agreement violation") agreement
-        (r.Valency.agreement_violation <> None);
+        (r.Mc_valency.agreement_violation <> None);
       Alcotest.(check bool)
         (what "validity violation") validity
-        (r.Valency.validity_violation <> None);
+        (r.Mc_valency.validity_violation <> None);
       let got =
         Option.map
           (fun c ->
-            ( c.Valency.config.Valency.steps,
+            ( c.Mc_valency.config.Valency.steps,
               List.map
                 (fun (o, _) ->
                   match o with Some o -> string_of_int o | None -> "-")
-                (Array.to_list c.Valency.moves) ))
-          (Valency.find_critical p ~inputs ~max_steps:25)
+                (Array.to_list c.Mc_valency.moves) ))
+          (Mc_valency.find_critical p ~inputs ~max_steps:25)
       in
       Alcotest.(check (option (pair int (list string))))
         (what "critical step and poised objects") crit got)
@@ -137,7 +137,8 @@ let stabilize_construct () =
 let tree_leaves () =
   let direct_fai = Impl.of_spec (Faicounter.spec ()) in
   let leaves workloads =
-    (Explore.iter_leaves direct_fai ~workloads (fun _ -> ())).Explore.leaves
+    (Mc.count_states direct_fai ~workloads ~dedup:false ~por:false ())
+      .Search.leaves
   in
   Alcotest.(check int) "single proc" 1
     (leaves [| [ Op.fetch_inc; Op.fetch_inc ] |]);

@@ -1,12 +1,14 @@
-(** Tests for the bounded exhaustive explorer: leaf counting against
-    hand-computed interleaving counts, exhaustiveness (it finds the
-    schedules random testing misses), configuration stepping, and the
-    solo-run helpers used by the stabilization construction. *)
+(** Tests for the transition semantics and its bounded exhaustive
+    search: leaf counting against hand-computed interleaving counts,
+    exhaustiveness (it finds the schedules random testing misses),
+    configuration stepping, and the solo-run helpers used by the
+    stabilization construction. *)
 
 open Elin_spec
 open Elin_runtime
 open Elin_explore
 open Elin_checker
+open Elin_mc
 open Elin_test_support
 
 let direct_fai () = Impl.of_spec (Faicounter.spec ())
@@ -14,44 +16,49 @@ let direct_fai () = Impl.of_spec (Faicounter.spec ())
 let leaf_count_single_proc () =
   (* One process, two ops, no base accesses: a single schedule. *)
   let wl = [| [ Op.fetch_inc; Op.fetch_inc ] |] in
-  let stats = Explore.iter_leaves (direct_fai ()) ~workloads:wl (fun _ -> ()) in
-  Alcotest.(check int) "one leaf" 1 stats.Explore.leaves
+  let stats =
+    Mc.count_states (direct_fai ()) ~workloads:wl ~dedup:false ~por:false ()
+  in
+  Alcotest.(check int) "one leaf" 1 stats.Search.leaves
 
 let leaf_count_two_procs () =
   (* Two processes, one 3-step op each (invoke, base access, respond):
      interleavings of two ordered triples = C(6,3) = 20. *)
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:1 in
-  let stats = Explore.iter_leaves (direct_fai ()) ~workloads:wl (fun _ -> ()) in
-  Alcotest.(check int) "twenty interleavings" 20 stats.Explore.leaves
+  let stats =
+    Mc.count_states (direct_fai ()) ~workloads:wl ~dedup:false ~por:false ()
+  in
+  Alcotest.(check int) "twenty interleavings" 20 stats.Search.leaves
 
 let truncation_counted () =
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
-  let stats =
-    Explore.iter_leaves (direct_fai ()) ~workloads:wl ~max_steps:3 (fun _ -> ())
-  in
-  Alcotest.(check bool) "truncated leaves" true (stats.Explore.truncated > 0)
+  let stats = Mc.count_states (direct_fai ()) ~workloads:wl ~max_steps:3 () in
+  Alcotest.(check bool) "truncated leaves" true (stats.Search.cut > 0)
 
 let all_leaf_histories_linearizable () =
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:2 in
-  let ok, cex, _ =
-    Explore.for_all_histories (direct_fai ()) ~workloads:wl ~max_steps:16
-      (fun h -> Faic.t_linearizable h ~t:0)
+  let out =
+    Mc.check (direct_fai ()) ~workloads:wl ~max_steps:16 (fun h ->
+        Faic.t_linearizable h ~t:0)
   in
-  Alcotest.(check bool) "no counterexample" true (ok && cex = None)
+  Alcotest.(check bool) "no counterexample" true
+    (out.Mc.ok && out.Mc.counterexample = None)
 
 let exists_finds_schedule () =
   (* The direct implementation responds atomically: some interleaving
      has p1's whole op inside p0's op window. *)
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:1 in
-  let found =
-    Explore.exists_history (direct_fai ()) ~workloads:wl ~max_steps:8 (fun h ->
+  let out =
+    Mc.check (direct_fai ()) ~workloads:wl ~max_steps:8 (fun h ->
         match Elin_history.History.ops h with
         | [ a; b ] ->
-          Elin_history.Operation.precedes a b
-          || Elin_history.Operation.precedes b a
-        | _ -> false)
+          not
+            (Elin_history.Operation.precedes a b
+            || Elin_history.Operation.precedes b a)
+        | _ -> true)
   in
-  Alcotest.(check bool) "sequentialized schedule exists" true (found <> None)
+  Alcotest.(check bool) "sequentialized schedule exists" true
+    (out.Mc.counterexample <> None)
 
 let adversary_branching_explored () =
   (* An eventually linearizable register with Own_or_all views: the
@@ -69,8 +76,9 @@ let adversary_branching_explored () =
       (Elin_history.History.ops h)
   in
   let saw v =
-    Explore.exists_history impl ~workloads:wl ~max_steps:8 (fun h ->
-        List.exists (Value.equal v) (reads h))
+    (Mc.check impl ~workloads:wl ~max_steps:8 (fun h ->
+         not (List.exists (Value.equal v) (reads h))))
+      .Mc.counterexample
     <> None
   in
   Alcotest.(check bool) "stale read covered" true (saw (Value.int 0));
@@ -105,15 +113,16 @@ let locals_override () =
     }
   in
   let wl = [| [ Op.read ] |] in
-  let found =
-    Explore.exists_history impl ~workloads:wl ~locals:[| Value.int 9 |]
-      ~max_steps:4 (fun h ->
-        List.exists
-          (fun (o : Elin_history.Operation.t) ->
-            Elin_history.Operation.response_value o = Some (Value.int 9))
-          (Elin_history.History.ops h))
+  let out =
+    Mc.check impl ~workloads:wl ~locals:[| Value.int 9 |] ~max_steps:4
+      (fun h ->
+        not
+          (List.exists
+             (fun (o : Elin_history.Operation.t) ->
+               Elin_history.Operation.response_value o = Some (Value.int 9))
+             (Elin_history.History.ops h)))
   in
-  Alcotest.(check bool) "override visible" true (found <> None)
+  Alcotest.(check bool) "override visible" true (out.Mc.counterexample <> None)
 
 let complete_current_ops_idles () =
   let impl = Impls.fai_from_cas () in
@@ -129,14 +138,6 @@ let complete_current_ops_idles () =
   | None -> Alcotest.fail "non-blocking implementation must idle"
   | Some c' ->
     Alcotest.(check bool) "quiescent" true (Explore.is_quiescent c')
-
-let iter_configs_visits_root () =
-  let impl = direct_fai () in
-  let wl = Run.uniform_workload Op.fetch_inc ~procs:1 ~per_proc:1 in
-  let seen = ref 0 in
-  let _ = Explore.iter_configs impl ~workloads:wl (fun _ -> incr seen) in
-  (* root, after invoke, after the base access, after respond *)
-  Alcotest.(check int) "four configurations" 4 !seen
 
 let () =
   Alcotest.run "explore"
@@ -156,6 +157,5 @@ let () =
           Support.quick "successors" successors_cover_all_procs;
           Support.quick "locals override" locals_override;
           Support.quick "complete current ops" complete_current_ops_idles;
-          Support.quick "iter configs" iter_configs_visits_root;
         ] );
     ]

@@ -6,7 +6,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -76,15 +76,15 @@ let guarded_exhaustive () =
   (* Exhaustively: every schedule of the guarded implementation yields
      a weakly consistent history. *)
   let guarded = Guard.wrap ~spec:fai (weird ~k:2 ~bogus:9 ()) in
-  let ok, cex, stats =
-    Explore.for_all_histories guarded ~workloads:(fai_wl 2 2) ~max_steps:18
+  let { Mc.ok; counterexample = cex; stats } =
+    Mc.check guarded ~workloads:(fai_wl 2 2) ~max_steps:18
       (fun h -> Faic.weakly_consistent h)
   in
   (match cex with
   | Some h -> Alcotest.failf "counterexample:\n%s" (Elin_history.History.to_string h)
   | None -> ());
   Alcotest.(check bool) "all weakly consistent" true ok;
-  Alcotest.(check bool) "real coverage" true (stats.Explore.leaves > 50)
+  Alcotest.(check bool) "real coverage" true (stats.Search.leaves > 50)
 
 let guard_returns_shared_when_justified () =
   (* Wrapping an honest linearizable implementation must not change its
@@ -215,8 +215,8 @@ let register_guard_exhaustive_weak () =
   let guarded =
     Guard.wrap_registers ~spec:fai ~procs:2 ~max_ops:4 (weird ~k:2 ~bogus:9 ())
   in
-  let ok, cex, _ =
-    Explore.for_all_histories guarded ~workloads:(fai_wl 2 2) ~max_steps:24
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check guarded ~workloads:(fai_wl 2 2) ~max_steps:24
       (fun h -> Faic.weakly_consistent h)
   in
   (match cex with

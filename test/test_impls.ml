@@ -4,7 +4,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_test_support
 
@@ -21,13 +21,13 @@ let cas_impl_linearizable =
       out.Run.all_done && Faic.t_linearizable out.Run.history ~t:0)
 
 let cas_impl_linearizable_exhaustive () =
-  let ok, _, stats =
-    Explore.for_all_histories (Impls.fai_from_cas ()) ~workloads:(fai_wl 2 2)
+  let { Mc.ok; stats; _ } =
+    Mc.check (Impls.fai_from_cas ()) ~workloads:(fai_wl 2 2)
       ~max_steps:22
       (fun h -> Faic.t_linearizable h ~t:0)
   in
   Alcotest.(check bool) "all schedules linearizable" true ok;
-  Alcotest.(check bool) "non-trivial coverage" true (stats.Explore.leaves > 100)
+  Alcotest.(check bool) "non-trivial coverage" true (stats.Search.leaves > 100)
 
 let cas_impl_lock_free_not_wait_free () =
   (* Under a pathological scheduler p0 can starve: its CAS keeps
@@ -67,14 +67,15 @@ let ev_board_not_linearizable_for_large_k () =
      appear. *)
   let impl = Impls.fai_ev_board ~k:100 () in
   let found =
-    Explore.exists_history impl ~workloads:(fai_wl 2 2) ~max_steps:16 (fun h ->
-        not (Faic.t_linearizable h ~t:0))
+    (Mc.check impl ~workloads:(fai_wl 2 2) ~max_steps:16 (fun h ->
+        Faic.t_linearizable h ~t:0))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "violation schedule exists" true (found <> None)
 
 let ev_board_k_zero_is_linearizable () =
-  let ok, _, _ =
-    Explore.for_all_histories (Impls.fai_ev_board ~k:0 ())
+  let { Mc.ok; _ } =
+    Mc.check (Impls.fai_ev_board ~k:0 ())
       ~workloads:(fai_wl 2 2) ~max_steps:16
       (fun h -> Faic.t_linearizable h ~t:0)
   in

@@ -1,9 +1,10 @@
 (** Tests for the parallel model-checking engine (lib/mc): determinism
     under parallelism (1/2/4 domains agree on state counts and on the
-    lexicographically minimal counterexample), equivalence with the
-    sequential [Explore] tree search, fingerprint collision smoke
-    tests, dedup soundness (the reachable-history set is preserved),
-    symmetry reduction, and the rewired users (valency analysis,
+    lexicographically minimal counterexample), equivalence with a
+    naive sequential walk of the execution tree ([Support.leaf_walk]),
+    fingerprint collision smoke tests, dedup soundness (the
+    reachable-history set is preserved), symmetry reduction, and the
+    rewired users (valency analysis against [Support.valency_decisions],
     Prop. 18 stability certificates). *)
 
 open Elin_spec
@@ -70,7 +71,8 @@ let tands_counterexample_is_minimal () =
      none of equal-or-shallower depth precedes it lexicographically. *)
   let violations = ref [] in
   let _ =
-    Explore.iter_leaves impl ~workloads:wl ~max_steps:12 (fun c ->
+    Support.leaf_walk impl (Explore.initial_config impl ~workloads:wl ())
+      ~budget:12 (fun c ->
         let h = Explore.history c in
         if not (Engine.linearizable cfg h) then violations := h :: !violations)
   in
@@ -95,16 +97,20 @@ let tands_counterexample_is_minimal () =
 
 (* The Figure-1 guard wrapped around the misbehaving board: engine
    verdict and state counts agree across domain counts, and with the
-   sequential explorer's verdict. *)
+   naive walk's verdict. *)
 let guard_agrees_with_explore () =
   let impl =
     Elin_core.Guard.wrap ~spec:(Faicounter.spec ()) (Impls.fai_ev_board ~k:8 ())
   in
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:1 in
   let p h = Faic.t_linearizable h ~t:0 in
-  let ok_explore, _, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:14 p
+  let ok_explore = ref true in
+  let _ =
+    Support.leaf_walk impl (Explore.initial_config impl ~workloads:wl ())
+      ~budget:14 (fun c ->
+        if not (p (Explore.history c)) then ok_explore := false)
   in
+  let ok_explore = !ok_explore in
   let outs =
     List.map
       (fun domains -> Mc.check impl ~workloads:wl ~max_steps:14 ~domains p)
@@ -125,26 +131,25 @@ let guard_agrees_with_explore () =
       rest
   | [] -> assert false
 
-(* --- equivalence with the sequential explorer -------------------- *)
+(* --- equivalence with the naive tree walk ------------------------ *)
 
-(* With dedup and POR off, the BFS expands exactly the tree [Explore]
-   walks. *)
+(* With dedup and POR off, the BFS expands exactly the tree the naive
+   walk visits. *)
 let no_dedup_matches_explore_node_counts () =
   List.iter
     (fun (impl, per_proc, max_steps) ->
       let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc in
-      let explore_stats =
-        Explore.iter_leaves impl ~workloads:wl ~max_steps (fun _ -> ())
+      let walk =
+        Support.leaf_walk impl (Explore.initial_config impl ~workloads:wl ())
+          ~budget:max_steps ignore
       in
       let stats =
         Mc.count_states impl ~workloads:wl ~max_steps ~domains:2 ~dedup:false
           ~por:false ()
       in
-      Alcotest.(check int) "nodes" explore_stats.Explore.nodes
-        stats.Search.states;
-      Alcotest.(check int) "leaves" explore_stats.Explore.leaves
-        stats.Search.leaves;
-      Alcotest.(check int) "truncated" explore_stats.Explore.truncated
+      Alcotest.(check int) "nodes" walk.Support.nodes stats.Search.states;
+      Alcotest.(check int) "leaves" walk.Support.leaves stats.Search.leaves;
+      Alcotest.(check int) "truncated" walk.Support.truncated
         stats.Search.cut)
     [
       (direct_fai (), 2, 16);
@@ -222,10 +227,11 @@ let dedup_preserves_reachable_histories () =
       (* The engine's own two modes agree... *)
       Alcotest.(check int) "dedup on = off" 0
         (List.compare Canon.compare_history with_dedup without);
-      (* ...and match the sequential explorer's reachable set. *)
+      (* ...and match the naive walk's reachable set. *)
       let explore_set = ref [] in
       let _ =
-        Explore.iter_leaves impl ~workloads:wl ~max_steps (fun c ->
+        Support.leaf_walk impl (Explore.initial_config impl ~workloads:wl ())
+          ~budget:max_steps (fun c ->
             explore_set := Explore.history c :: !explore_set)
       in
       let explore_set =
@@ -536,64 +542,89 @@ let valency_mc_matches_dfs () =
       (fun a b -> List.compare Value.compare (Array.to_list a) (Array.to_list b))
       ds
   in
+  let dfs p ~max_steps =
+    Support.valency_decisions p (Valency.initial p ~inputs) ~max_steps
+  in
   (* Correct protocol: same decision set, no violations, dedup hits.
      POR off here — under the reduction every duplicate generation is
      pruned at the source, so [dedup_hits] would be 0. *)
-  let dfs = Valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:20 in
+  let dfs_decisions, dfs_terminated = dfs (Protocols.cas ()) ~max_steps:20 in
   List.iter
     (fun domains ->
       let mc =
         Mc_valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:20
           ~domains ~por:false ()
       in
-      Alcotest.(check bool) "terminated" dfs.Valency.terminated
+      Alcotest.(check bool) "terminated" dfs_terminated
         mc.Mc_valency.terminated;
       Alcotest.(check int) "decision sets equal" 0
         (List.compare
            (fun a b ->
              List.compare Value.compare (Array.to_list a) (Array.to_list b))
-           (norm dfs.Valency.decisions)
+           (norm dfs_decisions)
            (norm mc.Mc_valency.decisions));
       Alcotest.(check bool) "agreement holds" true
         (mc.Mc_valency.agreement_violation = None);
       Alcotest.(check bool) "dedup hit-rate > 0" true
         (mc.Mc_valency.stats.Search.dedup_hits > 0))
     domain_counts;
-  (* Broken protocol: the ev-lin test&set disagreement is found. *)
+  (* Broken protocol: the ev-lin test&set disagreement is found, and a
+     bound that cuts paths keeps the decided paths' set. *)
   let p = Protocols.registers_plus_ev_testandset ~stabilize_at:1000 () in
-  let dfs = Valency.check_consensus p ~inputs ~max_steps:30 in
+  let disagree = List.exists (fun d -> not (Value.equal d.(0) d.(1))) in
   let mc = Mc_valency.check_consensus p ~inputs ~max_steps:30 ~domains:2 () in
   Alcotest.(check bool) "dfs finds disagreement" true
-    (dfs.Valency.agreement_violation <> None);
+    (disagree (fst (dfs p ~max_steps:30)));
   Alcotest.(check bool) "mc finds disagreement" true
-    (mc.Mc_valency.agreement_violation <> None)
+    (mc.Mc_valency.agreement_violation <> None);
+  List.iter
+    (fun max_steps ->
+      let decisions, terminated = dfs p ~max_steps in
+      let mc = Mc_valency.check_consensus p ~inputs ~max_steps () in
+      let name n = Printf.sprintf "%s (depth %d)" n max_steps in
+      Alcotest.(check bool) (name "terminated") terminated
+        mc.Mc_valency.terminated;
+      Alcotest.(check int) (name "decision sets equal") 0
+        (List.compare
+           (fun a b ->
+             List.compare Value.compare (Array.to_list a) (Array.to_list b))
+           (norm decisions) mc.Mc_valency.decisions))
+    [ 3; 6; 7 ]
 
+(* The Prop. 18 certificate: every extension the naive walk reaches
+   from the certified configuration passes the check, and the
+   certificate's leaf count is the por-free search's. *)
 let stabilize_mc_engine_matches_dfs () =
   let check h ~t = Faic.t_linearizable h ~t in
-  let impl = Impls.fai_ev_board ~k:1 () in
-  let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:8 in
-  let via engine =
-    Elin_core.Stabilize.construct ~engine impl ~workloads:wl ~depth:8 ~check ()
-  in
-  match
-    ( via Elin_core.Stabilize.Dfs,
-      via (Elin_core.Stabilize.Mc { domains = Some 2; dedup = true; por = true }),
-      via
-        (Elin_core.Stabilize.Mc { domains = Some 2; dedup = true; por = false })
-    )
-  with
-  | Some dfs, Some mc, Some mc_nopor ->
-    let open Elin_core.Stabilize in
-    Alcotest.(check int) "same cut" dfs.certificate.cut mc.certificate.cut;
-    Alcotest.(check int) "same v0" dfs.anchor.v0 mc.anchor.v0;
-    Alcotest.(check bool) "same derived name" true
-      (dfs.derived.Impl.name = mc.derived.Impl.name);
-    Alcotest.(check int) "por invariant: cut" mc_nopor.certificate.cut
-      mc.certificate.cut;
-    Alcotest.(check int) "por invariant: leaves checked"
-      mc_nopor.certificate.leaves_checked mc.certificate.leaves_checked;
-    Alcotest.(check int) "por invariant: v0" mc_nopor.anchor.v0 mc.anchor.v0
-  | _ -> Alcotest.fail "all engines must certify a stable configuration"
+  List.iter
+    (fun (k, per_proc) ->
+      let impl = Impls.fai_ev_board ~k () in
+      let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc in
+      let what n = Printf.sprintf "k=%d %s" k n in
+      match
+        Elin_core.Stabilize.find_stable impl ~workloads:wl ~depth:8 ~check ()
+      with
+      | None -> Alcotest.fail (what "no stable configuration")
+      | Some cert ->
+        let open Elin_core.Stabilize in
+        let c = cert.config in
+        let holds_below c =
+          let ok = ref true in
+          let _ =
+            Support.leaf_walk impl c ~budget:(c.Explore.steps + 8) (fun l ->
+                if not (check (Explore.history l) ~t:c.Explore.n_events) then
+                  ok := false)
+          in
+          !ok
+        in
+        Alcotest.(check bool) (what "walk certifies") true (holds_below c);
+        let nopor =
+          Mc.check_from impl c ~max_extra_steps:8 ~por:false (fun h ->
+              check h ~t:cert.cut)
+        in
+        Alcotest.(check int) (what "por invariant: leaves checked")
+          nopor.Mc.stats.Search.leaves cert.leaves_checked)
+    [ (1, 8); (3, 12) ]
 
 (* --- partition independence ------------------------------------- *)
 

@@ -10,6 +10,7 @@ open Elin_runtime
 open Elin_explore
 open Elin_checker
 open Elin_core
+open Elin_mc
 open Elin_test_support
 
 let check h ~t = Faic.t_linearizable h ~t
@@ -35,8 +36,8 @@ let derived_linearizable_sweep () =
       match construct_for ~k with
       | None -> Alcotest.failf "construction failed for k=%d" k
       | Some o ->
-        let ok, cex, stats =
-          Explore.for_all_histories o.Stabilize.derived
+        let { Mc.ok; counterexample = cex; stats } =
+          Mc.check o.Stabilize.derived
             ~workloads:(fai_wl 2 3) ~locals:o.Stabilize.derived_locals
             ~max_steps:18
             (fun h -> Faic.t_linearizable h ~t:0)
@@ -47,7 +48,7 @@ let derived_linearizable_sweep () =
             (Elin_history.History.to_string h)
         | None -> ());
         Alcotest.(check bool) (Printf.sprintf "k=%d all leaves" k) true ok;
-        Alcotest.(check bool) "real coverage" true (stats.Explore.leaves > 1000))
+        Alcotest.(check bool) "real coverage" true (stats.Search.leaves > 1000))
     [ 1; 2; 3; 4 ]
 
 let derived_counts_from_zero () =
@@ -61,19 +62,22 @@ let derived_counts_from_zero () =
         ~workloads:[| List.init 4 (fun _ -> Op.fetch_inc) |]
         ~sched:(Sched.round_robin ()) ()
     in
-    (* Run.execute cannot thread derived locals; use explorer instead
-       for a faithful solo run. *)
+    (* Run.execute cannot thread derived locals; step the configuration
+       solo instead for a faithful run. *)
     ignore out;
     let solo_wl = [| List.init 4 (fun _ -> Op.fetch_inc); [] |] in
-    let seen = ref None in
-    let _ =
-      Explore.iter_leaves o.Stabilize.derived ~workloads:solo_wl
-        ~locals:o.Stabilize.derived_locals ~max_steps:12 (fun c ->
-          if !seen = None then seen := Some (Explore.history c))
+    let c0 =
+      Explore.initial_config o.Stabilize.derived ~workloads:solo_wl
+        ~locals:o.Stabilize.derived_locals ()
     in
-    (match !seen with
-    | None -> Alcotest.fail "no leaf"
-    | Some h ->
+    (match
+       Explore.run_solo o.Stabilize.derived c0 0
+         ~until:(fun c -> if Explore.is_done c then Some () else None)
+         40
+     with
+    | None -> Alcotest.fail "solo run did not finish"
+    | Some (c, ()) ->
+      let h = Explore.history c in
       let values =
         List.filter_map
           (fun (o : Elin_history.Operation.t) ->
@@ -139,21 +143,25 @@ let progress_condition_preserved () =
   | None -> Alcotest.fail "construction failed"
   | Some o ->
     let wl = fai_wl 2 4 in
-    (* Run A′ under an adversarial random schedule via the explorer to
-       honour the derived locals, and measure accesses per op. *)
-    let max_accesses = ref 0 in
-    let _ =
-      Explore.iter_leaves o.Stabilize.derived ~workloads:wl
-        ~locals:o.Stabilize.derived_locals ~max_steps:30 (fun c ->
-          (* Count Access steps per op: steps = invocations*2 + accesses;
-             with one access per op, steps = 3 * ops at completion. *)
-          if Explore.is_done c then
-            max_accesses :=
-              max !max_accesses
-                (c.Explore.steps - (2 * c.Explore.invocations));
-          raise Explore.Stop)
+    (* Run A′ on the first schedule (lowest process first, first
+       adversary branch) by stepping configurations, to honour the
+       derived locals, and measure accesses per op. *)
+    let rec first_leaf (c : Explore.config) =
+      if Explore.is_done c || c.Explore.steps >= 30 then c
+      else first_leaf (List.hd (Explore.successors o.Stabilize.derived c))
     in
-    Alcotest.(check int) "one access per op in A'" (2 * 4) !max_accesses
+    let c =
+      first_leaf
+        (Explore.initial_config o.Stabilize.derived ~workloads:wl
+           ~locals:o.Stabilize.derived_locals ())
+    in
+    (* Count Access steps per op: steps = invocations*2 + accesses;
+       with one access per op, steps = 3 * ops at completion. *)
+    let accesses =
+      if Explore.is_done c then c.Explore.steps - (2 * c.Explore.invocations)
+      else 0
+    in
+    Alcotest.(check int) "one access per op in A'" (2 * 4) accesses
 
 let k_zero_already_linearizable () =
   (* Degenerate: A with k=0 is linearizable; the construction finds the

@@ -4,7 +4,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -35,8 +35,8 @@ let per_process_behaviour () =
 
 let eventually_linearizable_exhaustive () =
   let impl = Ev_testandset.impl () in
-  let ok, cex, _ =
-    Explore.for_all_histories impl ~workloads:(wl 2 2) ~max_steps:20 (fun h ->
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:(wl 2 2) ~max_steps:20 (fun h ->
         Eventual.is_eventually_linearizable (Eventual.check_spec spec h))
   in
   (match cex with
@@ -59,8 +59,9 @@ let not_linearizable () =
   (* Two sequential winners: the canonical violation. *)
   let impl = Ev_testandset.impl () in
   let cex =
-    Explore.exists_history impl ~workloads:(wl 2 1) ~max_steps:10 (fun h ->
-        not (Engine.linearizable (Engine.for_spec spec) h))
+    (Mc.check impl ~workloads:(wl 2 1) ~max_steps:10 (fun h ->
+        Engine.linearizable (Engine.for_spec spec) h))
+    .Mc.counterexample
   in
   match cex with
   | None -> Alcotest.fail "expected non-linearizable schedule"

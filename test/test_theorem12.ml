@@ -16,7 +16,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -57,8 +57,9 @@ let transformed_register_not_linearizable () =
   let impl = Local_copy.transform ~procs:2 (direct_reg ()) in
   let wl = [| [ Op.write 1 ]; [ Op.read ] |] in
   let cex =
-    Explore.exists_history impl ~workloads:wl ~max_steps:10 (fun h ->
-        not (Engine.linearizable (Engine.for_spec reg) h))
+    (Mc.check impl ~workloads:wl ~max_steps:10 (fun h ->
+        Engine.linearizable (Engine.for_spec reg) h))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "non-linearizable history exists" true (cex <> None)
 
@@ -68,8 +69,8 @@ let transformed_histories_weakly_consistent () =
      linearizable bases were allowed to produce. *)
   let impl = Local_copy.transform ~procs:2 (direct_reg ()) in
   let wl = [| [ Op.write 1; Op.read ]; [ Op.read; Op.write 2; Op.read ] |] in
-  let ok, _, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:20 (fun h ->
+  let { Mc.ok; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:20 (fun h ->
         Weak.is_weakly_consistent (Weak.for_spec reg) h)
   in
   Alcotest.(check bool) "all weakly consistent" true ok
@@ -120,8 +121,8 @@ let trivial_type_survives () =
   let spec = Constant_object.spec () in
   let impl = Local_copy.transform ~procs:2 (Impl.of_spec spec) in
   let wl = [| [ Op.read; Op.read ]; [ Op.read ] |] in
-  let ok, _, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:16 (fun h ->
+  let { Mc.ok; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:16 (fun h ->
         Engine.linearizable (Engine.for_spec spec) h)
   in
   Alcotest.(check bool) "constant object still linearizable" true ok

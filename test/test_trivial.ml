@@ -3,7 +3,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -70,8 +70,8 @@ let communication_free_impl_correct () =
   | Some impl ->
     Alcotest.(check int) "no shared objects" 0 (Array.length impl.Impl.bases);
     let wl = [| [ Op.read; Op.read ]; [ Op.read ] |] in
-    let ok, _, _ =
-      Explore.for_all_histories impl ~workloads:wl ~max_steps:16 (fun h ->
+    let { Mc.ok; _ } =
+      Mc.check impl ~workloads:wl ~max_steps:16 (fun h ->
           Engine.linearizable
             (Engine.for_spec (Constant_object.spec ~value:3 ()))
             h)

@@ -4,7 +4,7 @@
 
 open Elin_spec
 open Elin_runtime
-open Elin_explore
+open Elin_mc
 open Elin_checker
 open Elin_core
 open Elin_test_support
@@ -48,8 +48,8 @@ let universal_queue_linearizable =
 let universal_fai_exhaustive () =
   let impl = Universal.construction ~spec:(Faicounter.spec ()) ~cells:8 () in
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:2 in
-  let ok, cex, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:20 (fun h ->
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:20 (fun h ->
         Faic.t_linearizable h ~t:0)
   in
   (match cex with
@@ -102,8 +102,9 @@ let universal_ev_fai_not_linearizable () =
   in
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:2 in
   let cex =
-    Explore.exists_history impl ~workloads:wl ~max_steps:18 (fun h ->
-        not (Faic.t_linearizable h ~t:0))
+    (Mc.check impl ~workloads:wl ~max_steps:18 (fun h ->
+        Faic.t_linearizable h ~t:0))
+    .Mc.counterexample
   in
   Alcotest.(check bool) "pre-stabilization violation exists" true (cex <> None)
 
@@ -113,8 +114,8 @@ let universal_ev_weakly_consistent_exhaustive () =
       ~cell_base:(`Ev_at_step 6) ()
   in
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:2 in
-  let ok, cex, _ =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:22 (fun h ->
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:22 (fun h ->
         Faic.weakly_consistent h)
   in
   (match cex with
@@ -175,15 +176,20 @@ let wf_exhaustive () =
       ~procs:2 ()
   in
   let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:1 in
-  let ok, cex, stats =
-    Explore.for_all_histories impl ~workloads:wl ~max_steps:22 (fun h ->
+  let { Mc.ok; counterexample = cex; _ } =
+    Mc.check impl ~workloads:wl ~max_steps:22 (fun h ->
         Faic.t_linearizable h ~t:0)
   in
   (match cex with
   | Some h -> Alcotest.failf "counterexample:\n%s" (Elin_history.History.to_string h)
   | None -> ());
   Alcotest.(check bool) "all schedules linearizable" true ok;
-  Alcotest.(check bool) "real coverage" true (stats.Explore.leaves > 500)
+  (* Coverage counts schedules: the tree-mode search has one leaf per
+     schedule, where the check above merges equal configurations. *)
+  let tree =
+    Mc.count_states impl ~workloads:wl ~max_steps:22 ~dedup:false ~por:false ()
+  in
+  Alcotest.(check bool) "real coverage" true (tree.Search.leaves > 500)
 
 let wf_survives_starvation_adversary () =
   (* The decisive contrast with the lock-free variant: the victim still

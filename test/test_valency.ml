@@ -4,6 +4,7 @@
 
 open Elin_spec
 open Elin_valency
+open Elin_mc
 open Elin_test_support
 
 let inputs = [| Value.int 0; Value.int 1 |]
@@ -11,9 +12,12 @@ let inputs = [| Value.int 0; Value.int 1 |]
 (* --- register-only protocols fail (FLP / Loui–Abu-Amara) --- *)
 
 let naive_registers_disagree () =
-  let r = Valency.check_consensus (Protocols.naive_registers ()) ~inputs ~max_steps:25 in
-  Alcotest.(check bool) "terminates" true r.Valency.terminated;
-  match r.Valency.agreement_violation with
+  let r =
+    Mc_valency.check_consensus (Protocols.naive_registers ()) ~inputs
+      ~max_steps:25 ()
+  in
+  Alcotest.(check bool) "terminates" true r.Mc_valency.terminated;
+  match r.Mc_valency.agreement_violation with
   | Some d ->
     Alcotest.(check bool) "genuinely different decisions" true
       (not (Value.equal d.(0) d.(1)))
@@ -22,40 +26,42 @@ let naive_registers_disagree () =
 let naive_registers_same_inputs_fine () =
   (* With equal inputs the flawed protocol cannot disagree. *)
   let r =
-    Valency.check_consensus (Protocols.naive_registers ())
-      ~inputs:[| Value.int 1; Value.int 1 |] ~max_steps:25
+    Mc_valency.check_consensus (Protocols.naive_registers ())
+      ~inputs:[| Value.int 1; Value.int 1 |] ~max_steps:25 ()
   in
   Alcotest.(check bool) "no violation" true
-    (r.Valency.agreement_violation = None)
+    (r.Mc_valency.agreement_violation = None)
 
 (* --- CAS consensus is correct: the positive control --- *)
 
 let cas_correct () =
-  let r = Valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:25 in
-  Alcotest.(check bool) "terminated" true r.Valency.terminated;
-  Alcotest.(check bool) "agreement" true (r.Valency.agreement_violation = None);
-  Alcotest.(check bool) "validity" true (r.Valency.validity_violation = None);
+  let r =
+    Mc_valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:25 ()
+  in
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
+  Alcotest.(check bool) "agreement" true (r.Mc_valency.agreement_violation = None);
+  Alcotest.(check bool) "validity" true (r.Mc_valency.validity_violation = None);
   (* Both decision vectors (0,0) and (1,1) are reachable. *)
   Alcotest.(check int) "both outcomes reachable" 2
-    (List.length r.Valency.decisions)
+    (List.length r.Mc_valency.decisions)
 
 let cas_critical_configuration () =
-  match Valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:25 with
+  match Mc_valency.find_critical (Protocols.cas ()) ~inputs ~max_steps:25 with
   | None -> Alcotest.fail "multivalent protocol must have a critical config"
   | Some crit ->
     (* At the critical configuration both poised steps target the same
        (universal) object — the paper's Case-3-with-CAS situation where
        the commutation argument fails. *)
     let objs =
-      Array.to_list (Array.map (fun (o, _) -> o) crit.Valency.moves)
+      Array.to_list (Array.map (fun (o, _) -> o) crit.Mc_valency.moves)
     in
     Alcotest.(check (list (option int))) "both poised on the CAS"
       [ Some 0; Some 0 ] objs;
     (* And the two moves have opposite valencies. *)
     (match
-       Array.to_list (Array.map (fun (_, v) -> v) crit.Valency.moves)
+       Array.to_list (Array.map (fun (_, v) -> v) crit.Mc_valency.moves)
      with
-    | [ Valency.Univalent a; Valency.Univalent b ] ->
+    | [ Mc_valency.Univalent a; Mc_valency.Univalent b ] ->
       Alcotest.(check bool) "opposite valencies" false (Value.equal a b)
     | _ -> Alcotest.fail "critical children must be univalent")
 
@@ -63,23 +69,23 @@ let cas_critical_configuration () =
 
 let linearizable_ts_correct () =
   let r =
-    Valency.check_consensus
+    Mc_valency.check_consensus
       (Protocols.registers_plus_linearizable_testandset ())
-      ~inputs ~max_steps:40
+      ~inputs ~max_steps:40 ()
   in
-  Alcotest.(check bool) "terminated" true r.Valency.terminated;
-  Alcotest.(check bool) "agreement" true (r.Valency.agreement_violation = None);
-  Alcotest.(check bool) "validity" true (r.Valency.validity_violation = None)
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
+  Alcotest.(check bool) "agreement" true (r.Mc_valency.agreement_violation = None);
+  Alcotest.(check bool) "validity" true (r.Mc_valency.validity_violation = None)
 
 (* --- the same code over an EVENTUALLY linearizable test&set fails --- *)
 
 let ev_ts_disagrees () =
   let r =
-    Valency.check_consensus (Protocols.registers_plus_ev_testandset ())
-      ~inputs ~max_steps:40
+    Mc_valency.check_consensus (Protocols.registers_plus_ev_testandset ())
+      ~inputs ~max_steps:40 ()
   in
-  Alcotest.(check bool) "terminated" true r.Valency.terminated;
-  match r.Valency.agreement_violation with
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
+  match r.Mc_valency.agreement_violation with
   | Some d ->
     Alcotest.(check bool) "both processes win and keep their input" true
       (not (Value.equal d.(0) d.(1)))
@@ -96,68 +102,68 @@ let ev_ts_fails_for_any_stabilization_time () =
   List.iter
     (fun k ->
       let r =
-        Valency.check_consensus
+        Mc_valency.check_consensus
           (Protocols.registers_plus_ev_testandset ~stabilize_at:k ())
-          ~inputs ~max_steps:40
+          ~inputs ~max_steps:40 ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "disagreement with stabilization at %d" k)
         true
-        (r.Valency.agreement_violation <> None))
+        (r.Mc_valency.agreement_violation <> None))
     [ 4; 6; 10; 1000 ];
   List.iter
     (fun k ->
       let r =
-        Valency.check_consensus
+        Mc_valency.check_consensus
           (Protocols.registers_plus_ev_testandset ~stabilize_at:k ())
-          ~inputs ~max_steps:40
+          ~inputs ~max_steps:40 ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "agreement with early stabilization %d" k)
         true
-        (r.Valency.agreement_violation = None))
+        (r.Mc_valency.agreement_violation = None))
     [ 0; 3 ]
 
 let ev_ts_stabilized_early_is_fine () =
   (* Degenerate control: stabilization at step 0 = linearizable object
      = consensus works. *)
   let r =
-    Valency.check_consensus
+    Mc_valency.check_consensus
       (Protocols.registers_plus_ev_testandset ~stabilize_at:0 ())
-      ~inputs ~max_steps:40
+      ~inputs ~max_steps:40 ()
   in
   Alcotest.(check bool) "agreement restored" true
-    (r.Valency.agreement_violation = None)
+    (r.Mc_valency.agreement_violation = None)
 
 (* --- consensus power of the zoo's number-2 types (Herlihy) --- *)
 
 let queue_consensus_correct () =
   let r =
-    Valency.check_consensus (Protocols.registers_plus_linearizable_queue ())
-      ~inputs ~max_steps:40
+    Mc_valency.check_consensus (Protocols.registers_plus_linearizable_queue ())
+      ~inputs ~max_steps:40 ()
   in
-  Alcotest.(check bool) "terminated" true r.Valency.terminated;
-  Alcotest.(check bool) "agreement" true (r.Valency.agreement_violation = None);
-  Alcotest.(check bool) "validity" true (r.Valency.validity_violation = None)
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
+  Alcotest.(check bool) "agreement" true (r.Mc_valency.agreement_violation = None);
+  Alcotest.(check bool) "validity" true (r.Mc_valency.validity_violation = None)
 
 let ev_queue_disagrees () =
   (* Prop. 15 with a consensus-number-2 object: the eventually
      linearizable queue hands "win" to both. *)
   let r =
-    Valency.check_consensus (Protocols.registers_plus_ev_queue ())
-      ~inputs ~max_steps:40
+    Mc_valency.check_consensus (Protocols.registers_plus_ev_queue ())
+      ~inputs ~max_steps:40 ()
   in
   Alcotest.(check bool) "disagreement" true
-    (r.Valency.agreement_violation <> None)
+    (r.Mc_valency.agreement_violation <> None)
 
 let fai_consensus_correct () =
   let r =
-    Valency.check_consensus (Protocols.registers_plus_fai ()) ~inputs
-      ~max_steps:40
+    Mc_valency.check_consensus (Protocols.registers_plus_fai ()) ~inputs
+      ~max_steps:40 ()
   in
-  Alcotest.(check bool) "terminated" true r.Valency.terminated;
-  Alcotest.(check bool) "agreement" true (r.Valency.agreement_violation = None);
-  Alcotest.(check bool) "validity" true (r.Valency.validity_violation = None)
+  Alcotest.(check bool) "terminated" true r.Mc_valency.terminated;
+  Alcotest.(check bool) "agreement" true (r.Mc_valency.agreement_violation = None);
+  Alcotest.(check bool) "validity" true (r.Mc_valency.validity_violation = None)
 
 (* --- commutation (the proof's Case 1–3 engine) --- *)
 
@@ -167,24 +173,24 @@ let different_objects_commute () =
      same decision sets — the heart of the proof's "events commute"
      argument. *)
   let p = Protocols.naive_registers () in
-  let c = Valency.initial p ~inputs in
-  let a, b = Valency.commute_check p c 0 1 ~max_steps:25 in
+  let node = Mc_valency.root p ~inputs in
+  let a, b = Mc_valency.commute_check p node 0 1 ~max_steps:25 in
   Alcotest.(check bool) "decision sets equal" true (a = b)
 
 let cas_steps_do_not_commute () =
   let p = Protocols.cas () in
-  let c = Valency.initial p ~inputs in
-  let a, b = Valency.commute_check p c 0 1 ~max_steps:25 in
+  let node = Mc_valency.root p ~inputs in
+  let a, b = Mc_valency.commute_check p node 0 1 ~max_steps:25 in
   Alcotest.(check bool) "CAS order matters" true (a <> b)
 
 (* --- valence machinery --- *)
 
 let root_multivalent () =
   let p = Protocols.cas () in
-  match Valency.valence p (Valency.initial p ~inputs) ~max_steps:25 with
-  | Valency.Multivalent vs ->
+  match Mc_valency.valence p (Mc_valency.root p ~inputs) ~max_steps:25 with
+  | Mc_valency.Multivalent vs ->
     Alcotest.(check int) "two reachable decisions" 2 (List.length vs)
-  | Valency.Univalent _ | Valency.Undetermined ->
+  | Mc_valency.Univalent _ | Mc_valency.Undetermined ->
     Alcotest.fail "root must be multivalent (solo runs decide own input)"
 
 let truncation_detected () =
@@ -201,11 +207,96 @@ let truncation_detected () =
       code = (fun ~proc:_ ~input:_ -> spin ());
     }
   in
-  (match Valency.valence spinner (Valency.initial spinner ~inputs) ~max_steps:10 with
-  | Valency.Undetermined -> ()
+  (match
+     Mc_valency.valence spinner (Mc_valency.root spinner ~inputs) ~max_steps:10
+   with
+  | Mc_valency.Undetermined -> ()
   | _ -> Alcotest.fail "spinner must be undetermined");
-  let r = Valency.check_consensus spinner ~inputs ~max_steps:10 in
-  Alcotest.(check bool) "non-termination reported" false r.Valency.terminated
+  let r = Mc_valency.check_consensus spinner ~inputs ~max_steps:10 () in
+  Alcotest.(check bool) "non-termination reported" false r.Mc_valency.terminated
+
+(* --- a bound that cuts paths: no verdict unless a decided path violates --- *)
+
+let cut_by_bound () =
+  (* At depth 3 no CAS path decides: nothing to report but the cut. *)
+  let r =
+    Mc_valency.check_consensus (Protocols.cas ()) ~inputs ~max_steps:3 ()
+  in
+  Alcotest.(check bool) "cut" false r.Mc_valency.terminated;
+  Alcotest.(check int) "no decisions" 0 (List.length r.Mc_valency.decisions);
+  Alcotest.(check bool) "no violation" true
+    (r.Mc_valency.agreement_violation = None
+    && r.Mc_valency.validity_violation = None)
+
+(* [elin ARGS]: exit code and standard output.  The binary sits beside
+   this suite's directory in the build tree. *)
+let elin args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/elin.exe"
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_w
+      Unix.stderr
+  in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "elin %s: killed" (String.concat " " args)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Both commands print one report: a cut path without a violation is
+   no verdict (exit 3), a violation on a decided path is still one
+   (exit 1) and an uncut search that holds exits 0. *)
+let cli_verdicts () =
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (protocol, depth, code, lines) ->
+          let args = [ cmd; "--protocol"; protocol; "--depth"; depth ] in
+          let what = String.concat " " args in
+          let got, out = elin args in
+          Alcotest.(check int) (what ^ ": exit code") code got;
+          List.iter
+            (fun line ->
+              if not (contains out line) then
+                Alcotest.failf "%s: no line %S in\n%s" what line out)
+            lines)
+        [
+          ( "cas",
+            "3",
+            3,
+            [
+              "terminated within bound: false (the depth bound cut a path";
+              "reachable decision vectors: none";
+              "agreement: no violation on the paths that decided; no \
+               verdict on the cut paths";
+            ] );
+          ( "regs+ev-ts",
+            "6",
+            1,
+            [
+              "terminated within bound: false";
+              "AGREEMENT VIOLATION: p0 decides 0, p1 decides 1";
+            ] );
+          ( "cas",
+            "25",
+            0,
+            [
+              "terminated within bound: true";
+              "agreement: holds on all schedules";
+            ] );
+        ])
+    [ "valency"; "mc" ]
 
 let () =
   Alcotest.run "valency"
@@ -239,5 +330,10 @@ let () =
           Support.quick "cas non-commutation" cas_steps_do_not_commute;
           Support.quick "root multivalent" root_multivalent;
           Support.quick "truncation" truncation_detected;
+        ] );
+      ( "cut by the bound",
+        [
+          Support.quick "cas depth 3" cut_by_bound;
+          Support.quick "elin valency and mc verdicts" cli_verdicts;
         ] );
     ]

@@ -21,8 +21,8 @@
 
     Exit codes are uniform across subcommands ({!Elin_svc.Exit_code}):
     0 every verdict ok, 1 a violation/refutation was found, 2 usage or
-    parse error, 3 a budget or timeout was exhausted before a
-    verdict. *)
+    parse error, 3 a budget, timeout or depth bound was exhausted
+    before a verdict. *)
 
 open Cmdliner
 open Elin_spec

@@ -242,8 +242,8 @@ type valence =
 
 (** [valence p node ~max_steps] — for {e agreement-correct} protocols,
     the decision value set below [node] (process 0's decisions). *)
-let valence ?domains p node ~max_steps =
-  match decisions_from ?domains p node ~max_steps with
+let valence p node ~max_steps =
+  match decisions_from p node ~max_steps with
   | _, false, _ -> Undetermined
   | decisions, true, _ -> (
     match List.sort_uniq Value.compare (List.map (fun d -> d.(0)) decisions) with
@@ -261,46 +261,47 @@ type critical = {
 (** [find_critical p ~inputs ~max_steps] — walk down from the root
     through the first multivalent child until reaching a configuration
     all of whose successors are univalent; [None] when the root is
-    already univalent or valences are undetermined. *)
-let find_critical ?domains (p : Valency.protocol) ~inputs ~max_steps =
-  let valence node = valence ?domains p node ~max_steps in
-  let rec descend node =
-    match valence node with
+    already univalent or valences are undetermined.  Each
+    configuration's valence is searched at most once, and only when
+    the walk needs it. *)
+let find_critical (p : Valency.protocol) ~inputs ~max_steps =
+  let valence node = lazy (valence p node ~max_steps) in
+  let multivalent (_, v) =
+    match Lazy.force v with Multivalent _ -> true | _ -> false
+  in
+  let rec descend ((node : node), v) =
+    match Lazy.force v with
     | Univalent _ | Undetermined -> None
     | Multivalent _ -> (
-      let runnable = Valency.runnable node.config in
-      let succs = List.concat_map (step p node) runnable in
-      match
-        List.find_opt
-          (fun n -> match valence n with Multivalent _ -> true | _ -> false)
-          succs
-      with
-      | Some n -> descend n
+      let c = node.config in
+      let moves =
+        List.map
+          (fun i -> (i, List.map (fun n -> (n, valence n)) (step p node i)))
+          (Valency.runnable c)
+      in
+      match List.find_opt multivalent (List.concat_map snd moves) with
+      | Some child -> descend child
       | None ->
         (* Every successor is univalent (or undetermined): critical. *)
-        let move i =
-          ( Valency.poised node.config i,
-            match step p node i with n :: _ -> valence n | [] -> Undetermined
-          )
+        let move (i, succs) =
+          ( Valency.poised c i,
+            match succs with (_, v) :: _ -> Lazy.force v | [] -> Undetermined )
         in
-        Some
-          {
-            config = node.config;
-            moves = Array.of_list (List.map move runnable);
-          })
+        Some { config = c; moves = Array.of_list (List.map move moves) })
   in
-  descend (root p ~inputs)
+  let r = root p ~inputs in
+  descend (r, valence r)
 
 (** [commute_check p node i j ~max_steps] — Prop. 15's commutation
     argument, checked concretely: the decision sets after stepping
     i;j and j;i from [node] (every adversary branch), normalized.  A
     configuration with a path cut by the bound contributes nothing. *)
-let commute_check ?domains p node i j ~max_steps =
+let commute_check p node i j ~max_steps =
   let after a b = List.concat_map (fun n -> step p n b) (step p node a) in
   let ds nodes =
     List.concat_map
       (fun n ->
-        match decisions_from ?domains p n ~max_steps with
+        match decisions_from p n ~max_steps with
         | ds, true, _ -> ds
         | _, false, _ -> [])
       nodes

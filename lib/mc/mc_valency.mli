@@ -4,7 +4,8 @@
     tagging, critical-configuration search and the commutation check.
     Protocol steps on different base objects commute, so the
     interleaving tree collapses heavily under dedup.  Every search
-    can start from any node. *)
+    starts from a node, so the valence of any configuration on a
+    descent is one search. *)
 
 open Elin_spec
 open Elin_valency
@@ -32,24 +33,6 @@ val successors :
   ?por:bool -> ?pruned:int Atomic.t -> Valency.protocol -> node -> node list
 val fingerprint : node -> int64
 
-(** [decisions_from p node ~max_steps] — [(decisions, terminated,
-    stats)]: the decision vectors (sorted, duplicate-free) of the paths
-    from [node] that decide within [max_steps] total steps, and whether
-    every path did.  [dedup] and [por] default to [true]; the decision
-    set and [terminated] are invariant under both and under [domains].
-    [spill]/[resume] as in {!Mc.check}: external-memory visited tier
-    plus crash-safe checkpoint/resume. *)
-val decisions_from :
-  ?domains:int ->
-  ?dedup:bool ->
-  ?por:bool ->
-  ?spill:Mc.spill ->
-  ?resume:bool ->
-  Valency.protocol ->
-  node ->
-  max_steps:int ->
-  Value.t array list * bool * Search.stats
-
 type report = {
   decisions : Value.t array list;  (** sorted, duplicate-free *)
   agreement_violation : Value.t array option;
@@ -61,8 +44,10 @@ type report = {
 (** Exhaustively check the consensus specification on one input
     vector.  [decisions] is reported even when termination fails
     ([terminated = false]): the decision set of the paths that did
-    decide within the bound.  Optional arguments as in
-    {!decisions_from}. *)
+    decide within the bound.  [dedup] and [por] default to [true]; the
+    decision set and [terminated] are invariant under both and under
+    [domains].  [spill]/[resume] as in {!Mc.check}: external-memory
+    visited tier plus crash-safe checkpoint/resume. *)
 val check_consensus :
   Valency.protocol ->
   inputs:Value.t array ->
@@ -82,8 +67,7 @@ type valence =
 
 (** Process 0's decision values below [node], for agreement-correct
     protocols. *)
-val valence :
-  ?domains:int -> Valency.protocol -> node -> max_steps:int -> valence
+val valence : Valency.protocol -> node -> max_steps:int -> valence
 
 type critical = {
   config : Valency.config;
@@ -94,7 +78,6 @@ type critical = {
 (** Descend from the root through the first multivalent child to a
     configuration all of whose successors are univalent. *)
 val find_critical :
-  ?domains:int ->
   Valency.protocol ->
   inputs:Value.t array ->
   max_steps:int ->
@@ -104,7 +87,6 @@ val find_critical :
     i;j vs j;i from [node] (normalized; a configuration with a path cut
     by the bound contributes nothing). *)
 val commute_check :
-  ?domains:int ->
   Valency.protocol ->
   node ->
   int ->

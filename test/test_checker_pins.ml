@@ -87,6 +87,24 @@ let min_t_two_word () =
   check_int "nodes" ~want:5_394 nodes;
   check_int "memo hits" ~want:1_218 hits
 
+(* 130-180 operations: the placed and ready sets span three words, so
+   the scans cross two 62-bit word boundaries. *)
+let three_word () =
+  draw 11 20 (fun rng ->
+      let n_ops = 130 + Elin_kernel.Prng.int rng 51 in
+      fst
+        (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
+           ~suffix_ops:(n_ops - 10) ()))
+
+let min_t_three_word_history () =
+  check_min_t "`History" (Engine.for_spec fai) (three_word ()) ~sum_t:339
+    ~cuts:208 ~nodes:41_586 ~hits:72_455
+
+let min_t_three_word_smart () =
+  check_min_t "`Smart"
+    (Engine.for_spec ~order:`Smart fai)
+    (three_word ()) ~sum_t:339 ~cuts:208 ~nodes:42_037 ~hits:74_176
+
 let search_two_word () =
   let hists =
     draw 7 20 (fun rng -> Gen.linearizable rng ~spec:fai ~procs:3 ~n_ops:70 ())
@@ -114,5 +132,7 @@ let () =
           Support.quick "final_states with pending" final_states_with_pending;
           Support.quick "min_t 66 ops" min_t_two_word;
           Support.quick "search 70 ops" search_two_word;
+          Support.quick "min_t 130-180 ops `History" min_t_three_word_history;
+          Support.quick "min_t 130-180 ops `Smart" min_t_three_word_smart;
         ] );
     ]

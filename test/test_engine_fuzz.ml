@@ -347,12 +347,13 @@ let memo_full_hash_collisions () =
   Alcotest.(check bool) "other state added" true (Memo_key.add memo a s');
   Alcotest.(check int) "three keys" 3 (Memo_key.length memo)
 
-(* --- engine vs Faic on 60-70-op histories (two-word placed sets) ---- *)
+(* --- engine vs Faic on 60-70- and 130-180-op histories ------------ *)
 
 (* Generated shapes only: corrupted histories of this size can take
-   the DFS into its exponential worst case. *)
-let wide_history rng =
-  let n_ops = 60 + Elin_kernel.Prng.int rng 11 in
+   the DFS into its exponential worst case.  [n_ops] is drawn from
+   [lo, lo + span). *)
+let wide_history rng ~lo ~span =
+  let n_ops = lo + Elin_kernel.Prng.int rng span in
   match Elin_kernel.Prng.int rng 3 with
   | 0 -> Gen.linearizable rng ~spec:fai ~procs:3 ~n_ops ()
   | 1 -> Gen.linearizable_with_pending rng ~spec:fai ~procs:3 ~n_ops ()
@@ -361,10 +362,14 @@ let wide_history rng =
       (Gen.eventually_linearizable rng ~spec:fai ~procs:3 ~prefix_ops:6
          ~suffix_ops:(n_ops - 6) ())
 
-let wide_vs_faic =
-  Support.seeded_prop ~count:60 "engine = faic at random cuts (60-70 ops)"
+(* 60-70 operations span two placed-set words, 130-180 span three, so
+   the candidate scans cross one or two 62-bit word boundaries. *)
+let wide_vs_faic ~lo ~span =
+  Support.seeded_prop ~count:60
+    (Printf.sprintf "engine = faic at random cuts (%d-%d ops)" lo
+       (lo + span - 1))
     (fun rng ->
-      let h = wide_history rng in
+      let h = wide_history rng ~lo ~span in
       let t = random_cut rng h in
       Engine.t_linearizable (Engine.for_spec fai) h ~t
       = Faic.t_linearizable h ~t)
@@ -394,5 +399,6 @@ let () =
           Support.quick "structurally equal keys" memo_structural_hits;
           Support.quick "full-hash collisions" memo_full_hash_collisions;
         ] );
-      ("wide", [ wide_vs_faic ]);
+      ( "wide",
+        [ wide_vs_faic ~lo:60 ~span:11; wide_vs_faic ~lo:130 ~span:51 ] );
     ]

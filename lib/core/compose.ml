@@ -108,8 +108,7 @@ let consensus_from_cas () : Impl.t =
   let cas_spec =
     (* A CAS cell over arbitrary values, starting at [undecided]. *)
     Spec.deterministic ~name:"cas-cell" ~initial:undecided
-      ~apply:Cas_object.apply
-      ~all_ops:[ Op.read ]
+      ~response:Cas_object.response ~next:Cas_object.next ~all_ops:[ Op.read ]
   in
   let ( let* ) = Program.bind in
   {

@@ -13,14 +13,23 @@
 let announce v = Op.make "announce" ~args:[ v ]
 let read_log = Op.make "read-log"
 
-let apply q op =
+let unknown other = invalid_arg ("announce-board: unknown operation " ^ other)
+
+let response q op =
   let entries = Value.to_list q in
   match Op.name op, Op.args op with
-  | "announce", [ v ] ->
-    (Value.int (List.length entries), Value.list (entries @ [ v ]))
-  | "read-log", [] -> (q, q)
-  | other, _ -> invalid_arg ("announce-board: unknown operation " ^ other)
+  | "announce", [ _ ] -> Value.int (List.length entries)
+  | "read-log", [] -> q
+  | other, _ -> unknown other
+
+let next q op =
+  let entries = Value.to_list q in
+  match Op.name op, Op.args op with
+  | "announce", [ v ] -> Value.list (entries @ [ v ])
+  | "read-log", [] -> q
+  | other, _ -> unknown other
 
 let spec ?(domain = [ 0; 1 ]) () =
-  Spec.deterministic ~name:"announce-board" ~initial:(Value.list []) ~apply
+  Spec.deterministic ~name:"announce-board" ~initial:(Value.list [])
+    ~response ~next
     ~all_ops:(read_log :: List.map (fun v -> announce (Value.int v)) domain)

@@ -11,5 +11,8 @@ val announce : Value.t -> Op.t
 (** [read_log] returns the whole log. *)
 val read_log : Op.t
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?domain:int list -> unit -> Spec.t

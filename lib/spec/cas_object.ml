@@ -8,14 +8,22 @@
 
 let default_domain = [ 0; 1; 2 ]
 
-let apply q op =
+let unknown other = invalid_arg ("cas: unknown operation " ^ other)
+
+let response q op =
   match Op.name op, Op.args op with
-  | "read", [] -> (q, q)
-  | "write", [ v ] -> (Value.unit, v)
+  | "read", [] -> q
+  | "write", [ _ ] -> Value.unit
+  | "cas", [ expected; _ ] -> Value.bool (Value.equal q expected)
+  | other, _ -> unknown other
+
+let next q op =
+  match Op.name op, Op.args op with
+  | "read", [] -> q
+  | "write", [ v ] -> v
   | "cas", [ expected; desired ] ->
-    if Value.equal q expected then (Value.bool true, desired)
-    else (Value.bool false, q)
-  | other, _ -> invalid_arg ("cas: unknown operation " ^ other)
+    if Value.equal q expected then desired else q
+  | other, _ -> unknown other
 
 let spec ?(initial = 0) ?(domain = default_domain) () =
   let cas_ops =
@@ -23,5 +31,6 @@ let spec ?(initial = 0) ?(domain = default_domain) () =
       (fun e -> List.map (fun d -> Op.cas ~expected:e ~desired:d) domain)
       domain
   in
-  Spec.deterministic ~name:"compare&swap" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"compare&swap" ~initial:(Value.int initial)
+    ~response ~next
     ~all_ops:((Op.read :: List.map Op.write domain) @ cas_ops)

@@ -9,12 +9,14 @@
 
 let undecided = Value.str "undecided"
 
-let apply q op =
+(* The response and the next state coincide: the decided value. *)
+let response q op =
   match Op.name op, Op.args op with
-  | "propose", [ v ] ->
-    if Value.equal q undecided then (v, v) else (q, q)
+  | "propose", [ v ] -> if Value.equal q undecided then v else q
   | other, _ -> invalid_arg ("consensus: unknown operation " ^ other)
 
+let next = response
+
 let spec ?(domain = [ 0; 1 ]) () =
-  Spec.deterministic ~name:"consensus" ~initial:undecided ~apply
+  Spec.deterministic ~name:"consensus" ~initial:undecided ~response ~next
     ~all_ops:(List.map Op.propose domain)

@@ -6,7 +6,10 @@
 (** The pre-decision state value. *)
 val undecided : Value.t
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 
 (** [spec ?domain ()] — [domain] populates [Spec.all_ops] with
     [propose v] invocations. *)

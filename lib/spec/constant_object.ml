@@ -5,11 +5,15 @@
     without inter-process communication".  Used as the positive case of
     the Prop. 14 triviality classifier. *)
 
-let apply q op =
+(* The response and the next state are both the state. *)
+let response q op =
   match Op.name op with
-  | "read" -> (q, q)
+  | "read" -> q
   | other -> invalid_arg ("constant: unknown operation " ^ other)
 
+let next = response
+
 let spec ?(value = 42) () =
-  Spec.deterministic ~name:"constant" ~initial:(Value.int value) ~apply
+  Spec.deterministic ~name:"constant" ~initial:(Value.int value) ~response
+    ~next
     ~all_ops:[ Op.read ]

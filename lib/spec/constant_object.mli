@@ -2,5 +2,8 @@
     every operation's response is computable from the initial state
     alone.  The positive case of the Prop. 14 classifier. *)
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?value:int -> unit -> Spec.t

@@ -5,12 +5,21 @@
     for the introduction's reference-counting scenario and lets the
     benchmarks contrast "counting without reading" with fetch&inc. *)
 
-let apply q op =
+let unknown other = invalid_arg ("counter: unknown operation " ^ other)
+
+let response q op =
   match Op.name op with
-  | "inc" -> (Value.unit, Value.int (Value.to_int q + 1))
-  | "read" -> (q, q)
-  | other -> invalid_arg ("counter: unknown operation " ^ other)
+  | "inc" -> Value.unit
+  | "read" -> q
+  | other -> unknown other
+
+let next q op =
+  match Op.name op with
+  | "inc" -> Value.int (Value.to_int q + 1)
+  | "read" -> q
+  | other -> unknown other
 
 let spec ?(initial = 0) () =
-  Spec.deterministic ~name:"counter" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"counter" ~initial:(Value.int initial) ~response
+    ~next
     ~all_ops:[ Op.inc; Op.read ]

@@ -6,18 +6,24 @@
     state space, consensus number 2 — and the object for which eventual
     linearizability is provably as hard as linearizability (Prop. 18). *)
 
-let apply q op =
+let unknown other = invalid_arg ("fetch&increment: unknown operation " ^ other)
+
+(* [read] is a read-only probe; not part of the paper's minimal type but
+   convenient for examples.  Excluded from [all_ops] so that
+   theorem-level experiments use the pure one-operation type. *)
+
+let response q op =
   match Op.name op with
-  | "fetch&inc" ->
-    let n = Value.to_int q in
-    (Value.int n, Value.int (n + 1))
-  | "read" ->
-    (* A read-only probe; not part of the paper's minimal type but
-       convenient for examples.  Excluded from [all_ops] so that
-       theorem-level experiments use the pure one-operation type. *)
-    (q, q)
-  | other -> invalid_arg ("fetch&increment: unknown operation " ^ other)
+  | "fetch&inc" -> Value.int (Value.to_int q)
+  | "read" -> q
+  | other -> unknown other
+
+let next q op =
+  match Op.name op with
+  | "fetch&inc" -> Value.int (Value.to_int q + 1)
+  | "read" -> q
+  | other -> unknown other
 
 let spec ?(initial = 0) () =
   Spec.deterministic ~name:"fetch&increment" ~initial:(Value.int initial)
-    ~apply ~all_ops:[ Op.fetch_inc ]
+    ~response ~next ~all_ops:[ Op.fetch_inc ]

@@ -4,5 +4,8 @@
     object for which eventual linearizability is provably as hard as
     linearizability (Prop. 18). *)
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?initial:int -> unit -> Spec.t

@@ -5,13 +5,21 @@
 
 let fetch_add k = Op.make "fetch&add" ~args:[ Value.int k ]
 
-let apply q op =
+let unknown other = invalid_arg ("fetch&add: unknown operation " ^ other)
+
+let response q op =
   match Op.name op, Op.args op with
-  | "fetch&add", [ k ] -> (q, Value.int (Value.to_int q + Value.to_int k))
-  | "fetch&inc", [] -> (q, Value.int (Value.to_int q + 1))
-  | "read", [] -> (q, q)
-  | other, _ -> invalid_arg ("fetch&add: unknown operation " ^ other)
+  | ("fetch&add", [ _ ]) | ("fetch&inc", []) | ("read", []) -> q
+  | other, _ -> unknown other
+
+let next q op =
+  match Op.name op, Op.args op with
+  | "fetch&add", [ k ] -> Value.int (Value.to_int q + Value.to_int k)
+  | "fetch&inc", [] -> Value.int (Value.to_int q + 1)
+  | "read", [] -> q
+  | other, _ -> unknown other
 
 let spec ?(initial = 0) ?(increments = [ 1; 2; 5 ]) () =
-  Spec.deterministic ~name:"fetch&add" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"fetch&add" ~initial:(Value.int initial) ~response
+    ~next
     ~all_ops:(List.map fetch_add increments)

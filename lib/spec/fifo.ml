@@ -7,16 +7,22 @@
 
 let empty_response = Value.str "empty"
 
-let apply q op =
+let unknown other = invalid_arg ("queue: unknown operation " ^ other)
+
+let response q op =
   let items = Value.to_list q in
   match Op.name op, Op.args op with
-  | "enq", [ v ] -> (Value.unit, Value.list (items @ [ v ]))
-  | "deq", [] -> (
-    match items with
-    | [] -> (empty_response, q)
-    | hd :: tl -> (hd, Value.list tl))
-  | other, _ -> invalid_arg ("queue: unknown operation " ^ other)
+  | "enq", [ _ ] -> Value.unit
+  | "deq", [] -> ( match items with [] -> empty_response | hd :: _ -> hd)
+  | other, _ -> unknown other
+
+let next q op =
+  let items = Value.to_list q in
+  match Op.name op, Op.args op with
+  | "enq", [ v ] -> Value.list (items @ [ v ])
+  | "deq", [] -> ( match items with [] -> q | _ :: tl -> Value.list tl)
+  | other, _ -> unknown other
 
 let spec ?(domain = [ 0; 1; 2 ]) () =
-  Spec.deterministic ~name:"queue" ~initial:(Value.list []) ~apply
+  Spec.deterministic ~name:"queue" ~initial:(Value.list []) ~response ~next
     ~all_ops:(Op.deq :: List.map Op.enq domain)

@@ -8,14 +8,21 @@
 
 let default_domain = [ 0; 1; 2; 3 ]
 
-let apply q op =
+let unknown other = invalid_arg ("max-register: unknown operation " ^ other)
+
+let response q op =
   match Op.name op, Op.args op with
-  | "max-read", [] -> (q, q)
-  | "max-write", [ v ] ->
-    let m = max (Value.to_int q) (Value.to_int v) in
-    (Value.unit, Value.int m)
-  | other, _ -> invalid_arg ("max-register: unknown operation " ^ other)
+  | "max-read", [] -> q
+  | "max-write", [ _ ] -> Value.unit
+  | other, _ -> unknown other
+
+let next q op =
+  match Op.name op, Op.args op with
+  | "max-read", [] -> q
+  | "max-write", [ v ] -> Value.int (max (Value.to_int q) (Value.to_int v))
+  | other, _ -> unknown other
 
 let spec ?(initial = 0) ?(domain = default_domain) () =
-  Spec.deterministic ~name:"max-register" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"max-register" ~initial:(Value.int initial)
+    ~response ~next
     ~all_ops:(Op.max_read :: List.map Op.max_write domain)

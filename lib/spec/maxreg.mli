@@ -3,5 +3,9 @@
     maximal value is written. *)
 
 val default_domain : int list
-val apply : Value.t -> Op.t -> Value.t * Value.t
+
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?initial:int -> ?domain:int list -> unit -> Spec.t

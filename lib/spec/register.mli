@@ -4,8 +4,10 @@
 
 val default_domain : int list
 
-(** The raw transition function (exposed for spec-combination tests). *)
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 
 (** [spec ?initial ?domain ()] — [domain] populates [Spec.all_ops]. *)
 val spec : ?initial:int -> ?domain:int list -> unit -> Spec.t

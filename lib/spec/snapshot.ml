@@ -5,18 +5,32 @@
     that the locality experiments (Lemmas 7–8 / Prop. 9) exercise a
     type whose states are composite values. *)
 
-let apply q op =
+let unknown other = invalid_arg ("snapshot: unknown operation " ^ other)
+
+(* The component [update] writes, checked against the state's width. *)
+let component components idx =
+  let i = Value.to_int idx in
+  if i < 0 || i >= List.length components then
+    invalid_arg "snapshot: component index out of range"
+  else i
+
+let response q op =
   let components = Value.to_list q in
   match Op.name op, Op.args op with
-  | "scan", [] -> (q, q)
+  | "scan", [] -> q
+  | "update", [ idx; _ ] ->
+    ignore (component components idx);
+    Value.unit
+  | other, _ -> unknown other
+
+let next q op =
+  let components = Value.to_list q in
+  match Op.name op, Op.args op with
+  | "scan", [] -> q
   | "update", [ idx; v ] ->
-    let i = Value.to_int idx in
-    if i < 0 || i >= List.length components then
-      invalid_arg "snapshot: component index out of range"
-    else
-      let components' = List.mapi (fun j c -> if j = i then v else c) components in
-      (Value.unit, Value.list components')
-  | other, _ -> invalid_arg ("snapshot: unknown operation " ^ other)
+    let i = component components idx in
+    Value.list (List.mapi (fun j c -> if j = i then v else c) components)
+  | other, _ -> unknown other
 
 let spec ?(components = 2) ?(domain = [ 0; 1 ]) () =
   let updates =
@@ -26,4 +40,4 @@ let spec ?(components = 2) ?(domain = [ 0; 1 ]) () =
   in
   Spec.deterministic ~name:"snapshot"
     ~initial:(Value.list (List.init components (fun _ -> Value.int 0)))
-    ~apply ~all_ops:(Op.scan :: updates)
+    ~response ~next ~all_ops:(Op.scan :: updates)

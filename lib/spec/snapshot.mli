@@ -1,5 +1,8 @@
 (** Atomic snapshot with [components] cells: [update i v] and [scan].
     Exercises composite state values in the locality experiments. *)
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?components:int -> ?domain:int list -> unit -> Spec.t

@@ -7,49 +7,76 @@
     applicable in [q] (all of the paper's types are total; partial
     specs are permitted so that tests can probe illegal histories).
 
+    A deterministic type is stored as two functions, [response] and
+    [next], rather than as a one-element list, so that the checkers'
+    DFS reads a response without allocating and computes a next state
+    only for a response it admits.
+
     [all_ops] gives a finite representative set of invocations, used by
     generators and by the triviality decision procedure (Prop. 14). *)
+
+type transitions =
+  | Deterministic of {
+      response : Value.t -> Op.t -> Value.t;
+      next : Value.t -> Op.t -> Value.t;
+    }
+  | Relation of (Value.t -> Op.t -> (Value.t * Value.t) list)
 
 type t = {
   name : string;
   initial : Value.t;
-  apply : Value.t -> Op.t -> (Value.t * Value.t) list; (* (response, next state) *)
+  transitions : transitions;
   all_ops : Op.t list;
 }
 
-let make ~name ~initial ~apply ~all_ops = { name; initial; apply; all_ops }
+let make ~name ~initial ~apply ~all_ops =
+  { name; initial; transitions = Relation apply; all_ops }
 
-(** [deterministic ~name ~initial ~apply ~all_ops] builds a spec from a
-    function returning the unique transition. *)
-let deterministic ~name ~initial ~apply ~all_ops =
-  { name; initial; all_ops; apply = (fun q op -> [ apply q op ]) }
+(** [deterministic ~name ~initial ~response ~next ~all_ops] builds a
+    spec whose unique transition from [q] on [op] is
+    [(response q op, next q op)]. *)
+let deterministic ~name ~initial ~response ~next ~all_ops =
+  { name; initial; all_ops; transitions = Deterministic { response; next } }
 
 let with_initial t initial = { t with initial }
 
 let name t = t.name
 let initial t = t.initial
-let apply t q op = t.apply q op
+let transitions t = t.transitions
+
+(* The response is computed before the next state, so a spec that
+   rejects [op] raises from [response] as the pair-returning function
+   it replaced did. *)
+let apply t q op =
+  match t.transitions with
+  | Deterministic d ->
+    let r = d.response q op in
+    [ (r, d.next q op) ]
+  | Relation f -> f q op
+
 let all_ops t = t.all_ops
 
 (** [responses t q op] enumerates legal responses of [op] in state [q]. *)
-let responses t q op = List.map fst (t.apply q op)
+let responses t q op = List.map fst (apply t q op)
 
 (** [is_legal_response t q op r] holds iff some transition from [q] on
     [op] yields response [r]. *)
 let is_legal_response t q op r =
-  List.exists (fun (r', _) -> Value.equal r r') (t.apply q op)
+  match t.transitions with
+  | Deterministic d -> Value.equal r (d.response q op)
+  | Relation f -> List.exists (fun (r', _) -> Value.equal r r') (f q op)
 
 (** [successors t q op r] enumerates states reachable from [q] by [op]
     returning [r] (several, if the type is nondeterministic in state). *)
 let successors t q op r =
   List.filter_map
     (fun (r', q') -> if Value.equal r r' then Some q' else None)
-    (t.apply q op)
+    (apply t q op)
 
 (** [apply_det t q op] is the unique transition, for deterministic
     types.  Raises [Invalid_argument] if there is not exactly one. *)
 let apply_det t q op =
-  match t.apply q op with
+  match apply t q op with
   | [ rq ] -> rq
   | [] -> invalid_arg (Printf.sprintf "Spec.apply_det: %s not applicable" (Op.to_string op))
   | _ -> invalid_arg (Printf.sprintf "Spec.apply_det: %s is nondeterministic" t.name)
@@ -74,7 +101,7 @@ let run t ops =
 let is_deterministic_on t states =
   List.for_all
     (fun q ->
-      List.for_all (fun op -> List.length (t.apply q op) <= 1) t.all_ops)
+      List.for_all (fun op -> List.length (apply t q op) <= 1) t.all_ops)
     states
 
 (** [has_finite_nondeterminism_on t states] — trivially true for our
@@ -82,7 +109,7 @@ let is_deterministic_on t states =
     documentation value. *)
 let has_finite_nondeterminism_on t states =
   List.for_all
-    (fun q -> List.for_all (fun op -> List.length (t.apply q op) < max_int) t.all_ops)
+    (fun q -> List.for_all (fun op -> List.length (apply t q op) < max_int) t.all_ops)
     states
 
 (** [reachable t ~max_states] explores the state graph from the initial
@@ -112,7 +139,7 @@ let reachable t ~max_states =
                  Hashtbl.replace seen q' ();
                  Queue.add q' queue
                end)
-             (t.apply q op))
+             (apply t q op))
          t.all_ops
      done
    with Exit -> ());

@@ -8,6 +8,19 @@
 
 type t
 
+(** How a spec enumerates its transitions.  A [Deterministic] spec has
+    exactly one transition from [q] on [op], [(response q op, next q
+    op)]; a [Relation] lists all of them.  The checkers' DFS reads
+    this directly, so that a deterministic candidate costs no list and
+    its next state is computed only when its response is admitted;
+    every other caller uses {!apply}. *)
+type transitions =
+  | Deterministic of {
+      response : Value.t -> Op.t -> Value.t;
+      next : Value.t -> Op.t -> Value.t;
+    }
+  | Relation of (Value.t -> Op.t -> (Value.t * Value.t) list)
+
 (** [make ~name ~initial ~apply ~all_ops] — general (possibly
     nondeterministic) spec.  [all_ops] is a finite representative set
     of invocations used by generators and the Prop. 14 classifier. *)
@@ -18,12 +31,15 @@ val make :
   all_ops:Op.t list ->
   t
 
-(** [deterministic ~name ~initial ~apply ~all_ops] builds a spec from a
-    function returning the unique transition. *)
+(** [deterministic ~name ~initial ~response ~next ~all_ops] — the spec
+    whose unique transition from [q] on [op] is [(response q op, next
+    q op)].  A spec rejects an operation by raising from [response]
+    (and from [next]). *)
 val deterministic :
   name:string ->
   initial:Value.t ->
-  apply:(Value.t -> Op.t -> Value.t * Value.t) ->
+  response:(Value.t -> Op.t -> Value.t) ->
+  next:(Value.t -> Op.t -> Value.t) ->
   all_ops:Op.t list ->
   t
 
@@ -33,7 +49,12 @@ val with_initial : t -> Value.t -> t
 val name : t -> string
 val initial : t -> Value.t
 
-(** [apply t q op] — all transitions [(response, next state)]. *)
+(** [transitions t] — the representation the DFS checkers read. *)
+val transitions : t -> transitions
+
+(** [apply t q op] — all transitions [(response, next state)]; for a
+    deterministic spec the one-element list [[(response q op, next q
+    op)]]. *)
 val apply : t -> Value.t -> Op.t -> (Value.t * Value.t) list
 
 val all_ops : t -> Op.t list

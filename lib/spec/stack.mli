@@ -2,5 +2,9 @@
     Consensus number 2. *)
 
 val empty_response : Value.t
-val apply : Value.t -> Op.t -> Value.t * Value.t
+
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?domain:int list -> unit -> Spec.t

@@ -6,12 +6,20 @@
 
 let swap v = Op.make "swap" ~args:[ Value.int v ]
 
-let apply q op =
+let unknown other = invalid_arg ("swap-register: unknown operation " ^ other)
+
+let response q op =
   match Op.name op, Op.args op with
-  | "swap", [ v ] -> (q, v)
-  | "read", [] -> (q, q)
-  | other, _ -> invalid_arg ("swap-register: unknown operation " ^ other)
+  | ("swap", [ _ ]) | ("read", []) -> q
+  | other, _ -> unknown other
+
+let next q op =
+  match Op.name op, Op.args op with
+  | "swap", [ v ] -> v
+  | "read", [] -> q
+  | other, _ -> unknown other
 
 let spec ?(initial = 0) ?(domain = [ 0; 1; 2 ]) () =
-  Spec.deterministic ~name:"swap-register" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"swap-register" ~initial:(Value.int initial)
+    ~response ~next
     ~all_ops:(Op.read :: List.map swap domain)

@@ -3,5 +3,9 @@
     fetch&increment. *)
 
 val swap : int -> Op.t
-val apply : Value.t -> Op.t -> Value.t * Value.t
+
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?initial:int -> ?domain:int list -> unit -> Spec.t

@@ -7,12 +7,20 @@
     others return 1 — after the first operation the object never
     changes again. *)
 
-let apply q op =
+let unknown other = invalid_arg ("test&set: unknown operation " ^ other)
+
+let response q op =
   match Op.name op with
-  | "test&set" -> (q, Value.int 1)
-  | "read" -> (q, q)
-  | other -> invalid_arg ("test&set: unknown operation " ^ other)
+  | "test&set" | "read" -> q
+  | other -> unknown other
+
+let next q op =
+  match Op.name op with
+  | "test&set" -> Value.int 1
+  | "read" -> q
+  | other -> unknown other
 
 let spec ?(initial = 0) () =
-  Spec.deterministic ~name:"test&set" ~initial:(Value.int initial) ~apply
+  Spec.deterministic ~name:"test&set" ~initial:(Value.int initial) ~response
+    ~next
     ~all_ops:[ Op.test_and_set ]

@@ -2,5 +2,8 @@
     "interesting only in a finite prefix" of each execution, hence
     trivially eventually linearizable (Section 4). *)
 
-val apply : Value.t -> Op.t -> Value.t * Value.t
+(** [response q op] and [next q op] — the unique transition from [q]
+    on [op]. *)
+val response : Value.t -> Op.t -> Value.t
+val next : Value.t -> Op.t -> Value.t
 val spec : ?initial:int -> unit -> Spec.t

@@ -49,8 +49,11 @@ let list = function [] -> nil | xs -> List xs
 (* Structural equality/comparison/hashing are exactly what we need:
    values contain no functions or cycles.  [equal] takes the
    physical-equality fast path first — interned atoms (and any shared
-   substructure) succeed without a walk. *)
-let equal (a : t) (b : t) = a == b || a = b
+   substructure) succeed without a walk — then compares two ints
+   without calling the polymorphic [caml_equal], which is what a
+   checker pays to reject a fixed int response. *)
+let equal (a : t) (b : t) =
+  a == b || match (a, b) with Int x, Int y -> x = y | _ -> a = b
 
 (* [compare] must remain exactly [Stdlib.compare]: adversary-choice
    dedup ([Ev_base]), verdict ordering and the seeded [Base.pick] all

@@ -169,6 +169,54 @@ let reachable_infinite_hits_bound () =
   let _, complete = Spec.reachable spec ~max_states:50 in
   Alcotest.(check bool) "bound hit" false complete
 
+(* --- the transition representation --- *)
+
+(* What the checkers' DFS reads: [Spec.transitions], with a
+   deterministic spec's one transition rebuilt from [response] and
+   [next]. *)
+let via_transitions spec q op =
+  match Spec.transitions spec with
+  | Spec.Deterministic d -> [ (d.response q op, d.next q op) ]
+  | Spec.Relation f -> f q op
+
+let same_transitions a b =
+  List.equal
+    (fun (r, q) (r', q') -> Value.equal r r' && Value.equal q q')
+    a b
+
+(* For every zoo type and the nondeterministic coin, over reachable
+   states x [all_ops]: [Spec.transitions] yields [Spec.apply]'s
+   transitions element for element, in order, and a type is
+   [Deterministic] exactly when the zoo documents it deterministic. *)
+let transitions_match_apply () =
+  let zoo =
+    List.map (fun (e : Zoo.entry) -> (e.Zoo.spec, e.Zoo.deterministic))
+      (Zoo.all ())
+  in
+  List.iter
+    (fun (spec, deterministic) ->
+      let name = Spec.name spec in
+      Alcotest.(check bool)
+        (name ^ " representation") deterministic
+        (match Spec.transitions spec with
+        | Spec.Deterministic _ -> true
+        | Spec.Relation _ -> false);
+      let states, _ = Spec.reachable spec ~max_states:60 in
+      List.iter
+        (fun q ->
+          List.iter
+            (fun op ->
+              if
+                not
+                  (same_transitions (via_transitions spec q op)
+                     (Spec.apply spec q op))
+              then
+                Alcotest.failf "%s: transitions of %s in %s differ" name
+                  (Op.to_string op) (Value.to_string q))
+            (Spec.all_ops spec))
+        states)
+    ((Nd_coin.spec (), false) :: zoo)
+
 (* --- zoo --- *)
 
 let zoo_determinism () =
@@ -243,5 +291,6 @@ let () =
           Support.quick "finite-state flags" zoo_finite_state;
           Support.quick "find" zoo_find;
           Support.quick "apply_det errors" apply_det_errors;
+          Support.quick "transitions = apply" transitions_match_apply;
         ] );
     ]

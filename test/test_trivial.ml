@@ -50,11 +50,14 @@ let unknown_on_unrefutable_bound () =
      reachable exploration completes.  With max_states tiny the verdict
      is Unknown. *)
   let hidden_growth =
+    let poke op = if Op.name op <> "poke" then invalid_arg (Op.name op) in
     Spec.deterministic ~name:"hidden-growth" ~initial:(Value.int 0)
-      ~apply:(fun q op ->
-        match Op.name op with
-        | "poke" -> (Value.int 0, Value.int (Value.to_int q + 1))
-        | other -> invalid_arg other)
+      ~response:(fun _ op ->
+        poke op;
+        Value.int 0)
+      ~next:(fun q op ->
+        poke op;
+        Value.int (Value.to_int q + 1))
       ~all_ops:[ Op.make "poke" ]
   in
   (match Trivial.classify ~max_states:5 hidden_growth with

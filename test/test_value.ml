@@ -38,6 +38,55 @@ let equality_structural () =
   Alcotest.(check int) "compare" 0 (Value.compare v w);
   Alcotest.(check int) "hash equal" (Value.hash v) (Value.hash w)
 
+(* A random value: ints on both sides of the interned -256..1024
+   range, built by [Value.int] and by the raw constructor, and nested
+   pairs and lists. *)
+let rec random_value rng depth =
+  let module P = Elin_kernel.Prng in
+  let int () =
+    let n = P.int rng 3000 - 1500 in
+    if P.bool rng then Value.int n else Value.Int n
+  in
+  match P.int rng (if depth = 0 then 4 else 6) with
+  | 0 -> Value.unit
+  | 1 -> Value.bool (P.bool rng)
+  | 2 -> int ()
+  | 3 -> Value.str (P.choose rng [ ""; "a"; "b"; "empty" ])
+  | 4 -> Value.pair (random_value rng (depth - 1)) (random_value rng (depth - 1))
+  | _ -> Value.list (List.init (P.int rng 4) (fun _ -> random_value rng (depth - 1)))
+
+(* A structurally equal copy sharing no block with [v]. *)
+let rec copy (v : Value.t) : Value.t =
+  match v with
+  | Value.Unit -> Value.Unit
+  | Value.Bool b -> Value.Bool b
+  | Value.Int n -> Value.Int n
+  | Value.Str s -> Value.Str (String.init (String.length s) (String.get s))
+  | Value.Pair (a, b) -> Value.Pair (copy a, copy b)
+  | Value.List xs -> Value.List (List.map copy xs)
+
+(* [Value.equal] agrees with [Stdlib.(=)] on random pairs: unrelated
+   values, fresh copies, and a copy with one int nudged. *)
+let equal_is_structural =
+  Support.seeded_prop ~count:500 "equal = Stdlib.(=)" (fun rng ->
+      let a = random_value rng 3 in
+      let rec nudge (v : Value.t) : Value.t =
+        match v with
+        | Value.Int n -> Value.Int (n + 1)
+        | Value.Pair (x, y) ->
+          if Elin_kernel.Prng.bool rng then Value.Pair (nudge x, y)
+          else Value.Pair (x, nudge y)
+        | Value.List (x :: xs) -> Value.List (nudge x :: xs)
+        | v -> v
+      in
+      let b =
+        match Elin_kernel.Prng.int rng 3 with
+        | 0 -> random_value rng 3
+        | 1 -> copy a
+        | _ -> nudge (copy a)
+      in
+      Value.equal a b = (a = b) && Value.equal b a = (b = a))
+
 let pp_forms () =
   let s v = Value.to_string v in
   Alcotest.(check string) "unit" "()" (s Value.unit);
@@ -98,6 +147,7 @@ let () =
           Support.quick "accessors" accessors;
           Support.quick "type errors" accessor_type_errors;
           Support.quick "structural equality" equality_structural;
+          equal_is_structural;
           Support.quick "pretty-printing" pp_forms;
         ] );
       ( "op",

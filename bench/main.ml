@@ -518,6 +518,76 @@ let binary_min_t (cfg : Engine.config) h =
     Some !lo
   end
 
+(* The 300 svc_check-shaped histories of test_checker_pins (seed 1,
+   4 processes, 10 + 10 fetch&inc operations): one whole min_t pass is
+   the checker layer of perfbench's svc_check workload, timed in
+   process where no socket noise reaches it.  Its totals are pinned in
+   test_checker_pins and gated here exactly, at every size. *)
+let b4_pass ~smoke =
+  let fai = Faicounter.spec () in
+  let cfg = Engine.for_spec fai in
+  let hists =
+    let rng = Elin_kernel.Prng.create 1 in
+    List.init 300 (fun _ ->
+        fst
+          (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
+             ~suffix_ops:10 ()))
+  in
+  let pass () =
+    List.fold_left
+      (fun (sum_t, cuts, nodes, hits) h ->
+        let mt, st = Eventual.min_t_stats cfg h in
+        ( sum_t + Option.get mt,
+          cuts + st.Eventual.cuts_probed,
+          nodes + st.Eventual.nodes,
+          hits + st.Eventual.memo_hits ))
+      (0, 0, 0, 0) hists
+  in
+  let ((sum_t, cuts, nodes, hits) as totals) = pass () in
+  Printf.printf
+    "\n== B4: svc_check-shaped x300 min_t pass (the checker alone) ==\n";
+  Printf.printf "%-24s %9s %9s %11s %11s\n" "" "sum-min_t" "cuts" "nodes"
+    "memo-hits";
+  Printf.printf "%-24s %9d %9d %11d %11d\n" "svc_check-shaped x300" sum_t
+    cuts nodes hits;
+  if totals <> (5_133, 3_104, 484_783, 1_076_672) then begin
+    Printf.eprintf
+      "b4: svc_check-shaped pass drifted: sum of min_t %d, cuts %d, nodes \
+       %d, memo hits %d (pinned 5133, 3104, 484783, 1076672)\n"
+      sum_t cuts nodes hits;
+    exit 1
+  end;
+  if not smoke then begin
+    (* The median and quartiles of 11 timed passes after the one
+       above, which warmed the heap. *)
+    let walls =
+      Array.init 11 (fun _ ->
+          let t0 = Elin_obs.Clock.now_s () in
+          ignore (pass ());
+          Elin_obs.Clock.now_s () -. t0)
+    in
+    Array.sort compare walls;
+    let ms i = 1000. *. walls.(i) in
+    Printf.printf "%-24s median %.1f ms, quartiles %.1f-%.1f ms (11 passes)\n"
+      "whole pass wall" (ms 5) (ms 2) (ms 8);
+    let open Elin_svc.Jsonl in
+    write_series "b4_pass"
+      [
+        Obj
+          [
+            ("name", Str "min_t/svc_check-shaped x300 pass");
+            ("sum_min_t", Int sum_t);
+            ("cuts", Int cuts);
+            ("nodes", Int nodes);
+            ("memo_hits", Int hits);
+            ("wall_ms_p50", Float (ms 5));
+            ("wall_ms_q1", Float (ms 2));
+            ("wall_ms_q3", Float (ms 8));
+          ];
+      ]
+  end;
+  flush stdout
+
 (* Families and seeds match the pre-PR baseline recorded in
    EXPERIMENTS.md §B4 (fai / register / queue eventually-linearizable
    shapes, plus the E16 delayed-winner test&set family). *)
@@ -582,6 +652,7 @@ let b4 ?(smoke = false) () =
         !bin_nodes !bin_cuts)
     families;
   flush stdout;
+  b4_pass ~smoke;
   if not smoke then begin
     let specs =
       List.concat_map
@@ -1818,7 +1889,8 @@ let regress ~update () =
 let () =
   if Array.exists (fun a -> a = "--smoke") Sys.argv then begin
     (* CI smoke: B4 at tiny sizes; the asserts inside [b4] require
-       nonzero exploration counts, and any Budget_exceeded escaping is
+       nonzero exploration counts, the svc_check-shaped pass must hit
+       its pinned totals exactly, and any Budget_exceeded escaping is
        a leak (no budget is configured anywhere in the series).  Then
        the B3/B6 exploration-count gates. *)
     (try b4 ~smoke:true ()

@@ -27,17 +27,29 @@
     array, object slots, initial spec states — are built once by
     {!prepare} and reused across every cut [Eventual.min_t] probes;
     only the cut-dependent [fixed_resp]/predecessor tables are rebuilt
-    per cut.  Readiness ("all real-time predecessors placed") is
-    tracked incrementally with predecessor counts and a forward
-    adjacency, replacing a per-candidate scan of predecessor lists at
-    every DFS node.
+    per cut.
 
-    A node expansion allocates nothing of its own: the placed set
-    ([Bitset]) and the state vector are mutated in place and undone on
-    backtrack, failures go into one unboxed [Memo_key] table per run,
-    and the per-node loops are [for]/[while] loops or recursive
-    functions defined once per run, never closures built per node.
-    What a node still allocates is [Spec.apply]'s transition list.
+    A node visits only its ready candidates: the unplaced operations
+    none of whose real-time predecessors is still unplaced.  They are
+    held in a [Bitset] that entering a child and backtracking update
+    through counts of unplaced immediate predecessors and a forward
+    adjacency, and the node walks it word by word, lowest member
+    first, so its scan costs O(ready) plus a read per word, not O(n).
+    The walk visits ids in ascending order; under [`Smart] order the
+    run relabels operations into its scan order when it starts, so
+    the same walk visits them in that order.
+
+    A node expansion allocates nothing: the placed and ready sets and
+    the state vector are mutated in place and undone on backtrack,
+    failures go into one unboxed [Memo_key] table per run, and the
+    per-node loops are [while] loops or recursive functions defined
+    once per run, never closures built per node.  A deterministic
+    spec ([Spec.Deterministic]) is read through its [response] and
+    [next] functions, the next state computed only for a response the
+    cut admits; only a relational spec ([Spec.Relation]) still builds
+    its transition list.  A child's key is hashed once, by the memo
+    lookahead, and the hash travels with the child to its failure
+    insert.
 
     Multi-object histories are handled directly (a sequential history
     is legal iff each per-object projection is legal, cf. [11]), which
@@ -94,7 +106,7 @@ type prepared = {
   len : int;                    (* history length in events *)
   n : int;                      (* operations *)
   ops : Operation.t array;      (* indexed by operation id *)
-  specs : Spec.t array;         (* per object slot *)
+  kinds : Spec.transitions array;  (* per object slot *)
   slot : int array;             (* operation id -> object slot *)
   init_states : Value.t array;  (* per object slot *)
   completed : bool array;
@@ -159,7 +171,7 @@ let prepare cfg h =
       len = History.length h;
       n = Array.length ops;
       ops;
-      specs;
+      kinds = Array.map Spec.transitions specs;
       slot;
       init_states = Array.map Spec.initial specs;
       completed;
@@ -174,16 +186,33 @@ let prepare cfg h =
 
 let history_length p = p.len
 
-(* Cut-dependent tables.  At cut [t], op j is a real-time predecessor
-   of op i iff j's response index r_j and i's invocation index both
-   survive the cut (>= t) and r_j < inv_i.  We store predecessor
-   COUNTS ([n_preds]) plus the forward adjacency ([succs]), so the DFS
-   maintains the ready set incrementally — O(out-degree) bookkeeping
-   per placement and an O(1) readiness test per candidate — instead of
-   re-running [List.for_all] over predecessor lists for every
-   candidate at every node. *)
-let cut_tables p ~t =
-  let n = p.n and ops = p.ops in
+(* The DFS frontier: the placed set, the ready set, and the counts
+   that maintain the ready set.  Indices are positions in the run's
+   scan order (operation ids under [`History]). *)
+type frontier = {
+  placed : Bitset.t;
+  ready : Bitset.t;
+      (* unplaced positions with [missing = 0], walked by every node *)
+  missing : int array;  (* unplaced immediate real-time predecessors *)
+  succs : int array array;  (* immediate real-time successors *)
+}
+
+(* Cut-dependent tables over [ops] (one operation per position).  At
+   cut [t], op j is a real-time predecessor of op i iff j's response
+   index r_j and i's invocation index both survive the cut (>= t) and
+   r_j < inv_i.  The relation is transitive and the DFS places an
+   operation only once all its predecessors are placed, so the placed
+   set is always closed under predecessors, and an unplaced operation
+   is ready iff its immediate predecessors are placed.  j's immediate
+   successors are the operations invoked after r_j but before the
+   first response of an operation invoked after r_j (any later one
+   follows that operation).  We store counts of unplaced immediate
+   predecessors plus the forward adjacency, so the DFS maintains the
+   ready set incrementally: O(immediate successors) bookkeeping per
+   placement — a few with a few processes, not O(n) — and no
+   readiness test at all for a candidate. *)
+let cut_tables (ops : Operation.t array) ~t =
+  let n = Array.length ops in
   (* Response constraint: Some r if the response event index >= t. *)
   let fixed_resp =
     Array.map
@@ -193,24 +222,31 @@ let cut_tables p ~t =
         | Some _ | None -> None)
       ops
   in
-  let n_preds = Array.make n 0 in
+  let missing = Array.make n 0 in
   let succs = Array.make n [||] in
   for j = 0 to n - 1 do
     match ops.(j).Operation.resp with
     | Some (_, rj) when rj >= t ->
-      (* Count j's successors, then fill an array of exactly that
-         size: no intermediate list per run. *)
+      let horizon = ref max_int in
+      for k = 0 to n - 1 do
+        match ops.(k).Operation.resp with
+        | Some (_, rk) when ops.(k).Operation.inv > rj && rk < !horizon ->
+          horizon := rk
+        | Some _ | None -> ()
+      done;
+      (* Count j's immediate successors, then fill an array of exactly
+         that size: no intermediate list per run. *)
       let k = ref 0 in
       for i = 0 to n - 1 do
         let inv = ops.(i).Operation.inv in
-        if inv >= t && rj < inv then incr k
+        if rj < inv && inv < !horizon then incr k
       done;
       let out = Array.make !k 0 in
       k := 0;
       for i = 0 to n - 1 do
         let inv = ops.(i).Operation.inv in
-        if inv >= t && rj < inv then begin
-          n_preds.(i) <- n_preds.(i) + 1;
+        if rj < inv && inv < !horizon then begin
+          missing.(i) <- missing.(i) + 1;
           out.(!k) <- i;
           incr k
         end
@@ -218,7 +254,38 @@ let cut_tables p ~t =
       succs.(j) <- out
     | Some _ | None -> ()
   done;
-  (fixed_resp, n_preds, succs)
+  let ready = Bitset.create n in
+  for i = 0 to n - 1 do
+    if missing.(i) = 0 then Bitset.set ready i
+  done;
+  (fixed_resp, { placed = Bitset.create n; ready; missing; succs })
+
+(* Enter the child that placed [i]: [i] leaves the ready set, and every
+   successor whose last unplaced predecessor it was joins it.  The
+   caller sets [i]'s placed bit before the memo lookahead, which reads
+   it, and calls [enter] only for a child it expands, so a memoized
+   child costs no ready-set work. *)
+let enter fr i =
+  Bitset.clear fr.ready i;
+  let out = fr.succs.(i) in
+  for k = 0 to Array.length out - 1 do
+    let j = out.(k) in
+    let m = fr.missing.(j) - 1 in
+    fr.missing.(j) <- m;
+    if m = 0 then Bitset.set fr.ready j
+  done
+
+(* Undo [enter fr i] exactly, so a node's ready set is the same before
+   and after each child it tries. *)
+let leave fr i =
+  let out = fr.succs.(i) in
+  for k = 0 to Array.length out - 1 do
+    let j = out.(k) in
+    let m = fr.missing.(j) in
+    if m = 0 then Bitset.clear fr.ready j;
+    fr.missing.(j) <- m + 1
+  done;
+  Bitset.set fr.ready i
 
 (* ------------------------------------------------------------------ *)
 (* The shared DFS core                                                *)
@@ -235,22 +302,43 @@ let rec any_admitted fixed = function
   | [] -> false
   | (r, _) :: rest -> admits fixed r || any_admitted fixed rest
 
-let decr_all missing (out : int array) =
-  for k = 0 to Array.length out - 1 do
-    missing.(out.(k)) <- missing.(out.(k)) - 1
-  done
-
-let incr_all missing (out : int array) =
-  for k = 0 to Array.length out - 1 do
-    missing.(out.(k)) <- missing.(out.(k)) + 1
-  done
-
 let start_states ~who init_states = function
   | None -> Array.copy init_states
   | Some s ->
     if Array.length s <> Array.length init_states then
       invalid_arg (who ^ ": init state vector has wrong arity");
     Array.copy s
+
+(* The [`Smart] scan order: position -> operation id, earliest response
+   first (pending operations last, by invocation), stable-sorted under
+   the caller's failure hints. *)
+let smart_order ?hint p =
+  let key =
+    Array.map
+      (fun (o : Operation.t) ->
+        match o.Operation.resp with
+        | Some (_, ri) -> ri
+        | None -> p.len + o.Operation.inv)
+      p.ops
+  in
+  let penalty =
+    match hint with Some h -> fun i -> h.(i) | None -> fun _ -> 0
+  in
+  let a = Array.init p.n (fun i -> i) in
+  Array.sort
+    (fun i j ->
+      let c = compare (penalty i) (penalty j) in
+      if c <> 0 then c
+      else
+        let c = compare key.(i) key.(j) in
+        if c <> 0 then c else compare i j)
+    a;
+  a
+
+(* [a] read in scan order: [perm] maps positions to ids; [None] is
+   the identity, which costs no copy. *)
+let relabel perm a =
+  match perm with None -> a | Some perm -> Array.map (fun id -> a.(id)) perm
 
 (* [run p ~t ~trace] — the one DFS behind search AND witness.  When
    [trace] is given, it accumulates the (operation, response) choices
@@ -271,87 +359,95 @@ let start_states ~who init_states = function
    predicate. *)
 let run ?hint ?init p ~t ~trace =
   let span_ts = Obs.Trace.begin_ns () in
-  let { cfg; n; ops; specs; slot; init_states; completed; n_completed; _ } =
-    p
+  let { cfg; kinds; init_states; n_completed; _ } = p in
+  (* Under [`Smart] every per-operation table is read by position in
+     the scan order, fixed here from the hints as they stand. *)
+  let perm =
+    match cfg.order with
+    | `History -> None
+    | `Smart -> Some (smart_order ?hint p)
   in
-  let fixed_resp, n_preds, succs = cut_tables p ~t in
-  (* missing.(i): i's real-time predecessors not yet placed; the ready
-     set is { i | not placed, missing.(i) = 0 }.  [cut_tables] is
-     fresh per run, so we mutate [n_preds] in place. *)
-  let missing = n_preds in
+  let ops = relabel perm p.ops in
+  let slot = relabel perm p.slot in
+  let completed = relabel perm p.completed in
+  let fixed_resp, fr = cut_tables ops ~t in
+  let placed = fr.placed and ready = fr.ready in
+  let nw = Bitset.word_count ready in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let memoize = cfg.memoize in
   let memo_hits = ref 0 in
-  (* The placed set and the state vector of the current DFS node,
-     mutated in place and restored on backtrack; the memo copies them
-     only when inserting a failure. *)
-  let placed = Bitset.create n in
+  (* The state vector of the current DFS node, mutated in place and
+     restored on backtrack; the memo copies it and the placed set only
+     when inserting a failure. *)
   let states = start_states ~who:"Engine.run" init_states init in
-  let memo = Memo_key.create ~width:n ~arity:(Array.length states) in
-  (* Smart order: a static candidate permutation, earliest response
-     first (pending operations last, by invocation), stable-sorted
-     under the caller's failure hints.  [None] = scan by id, the
-     pinned default. *)
-  let scan =
-    match cfg.order with
-    | `History -> None
-    | `Smart ->
-      let key =
-        Array.map
-          (fun (o : Operation.t) ->
-            match o.Operation.resp with
-            | Some (_, ri) -> ri
-            | None -> p.len + o.Operation.inv)
-          ops
-      in
-      let penalty =
-        match hint with Some h -> fun i -> h.(i) | None -> fun _ -> 0
-      in
-      let a = Array.init n (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          let c = compare (penalty i) (penalty j) in
-          if c <> 0 then c
-          else
-            let c = compare key.(i) key.(j) in
-            if c <> 0 then c else compare i j)
-        a;
-      Some a
-  in
-  let bump_hint id =
-    match hint with Some h -> h.(id) <- h.(id) + 1 | None -> ()
+  let memo = Memo_key.create ~width:p.n ~arity:(Array.length states) in
+  (* Hint bumps land on operation ids, whatever the scan order. *)
+  let bump_hint pos =
+    match hint with
+    | Some h ->
+      let id = match perm with None -> pos | Some a -> a.(pos) in
+      h.(id) <- h.(id) + 1
+    | None -> ()
   in
   (* slot_left.(s): unplaced operations on slot [s] — maintained only
      under [`Smart] for the dead-node early rejection below. *)
+  let smart = Option.is_some perm in
   let slot_left =
-    match cfg.order with
-    | `History -> [||]
-    | `Smart ->
+    if smart then begin
       let a = Array.make (Array.length init_states) 0 in
       Array.iter (fun s -> a.(s) <- a.(s) + 1) slot;
       a
+    end
+    else [||]
   in
-  let smart = cfg.order = `Smart in
-  let rec dfs n_placed_completed =
+  (* [h] is the hash of this node's key, computed by its parent's memo
+     lookahead, for the failure insert. *)
+  let rec dfs n_placed_completed h =
     Budget.bump budget;
     if n_placed_completed = n_completed then true
     else begin
       let success = ref false in
       let dead = ref false in
-      let i = ref 0 in
-      while (not !success) && (not !dead) && !i < n do
-        let id = match scan with None -> !i | Some a -> a.(!i) in
-        incr i;
-        if (not (Bitset.mem placed id)) && missing.(id) = 0 then begin
+      let w = ref 0 in
+      while (not !success) && (not !dead) && !w < nw do
+        (* Children restore [ready] before returning, so the word read
+           here stays this node's ready set while its members run. *)
+        let bits = ref (Bitset.word ready !w) in
+        while (not !success) && (not !dead) && !bits <> 0 do
+          let b = !bits land - !bits in
+          bits := !bits lxor b;
+          let id = (!w * Bitset.bits_per_word) + Bitset.bit_index b in
           let sl = slot.(id) in
           let fixed = fixed_resp.(id) in
-          let transitions =
-            Spec.apply specs.(sl) states.(sl) ops.(id).Operation.op
+          let q = states.(sl) and op = ops.(id).Operation.op in
+          let n' = n_placed_completed + Bool.to_int completed.(id) in
+          (* A deterministic candidate's next state is computed only
+             once the cut admits its response. *)
+          let admitted =
+            match kinds.(sl) with
+            | Spec.Deterministic d ->
+              let r = d.response q op in
+              let ok = admits fixed r in
+              if ok then begin
+                Bitset.set placed id;
+                success := try_one id sl r (d.next q op) n'
+              end;
+              ok
+            | Spec.Relation f ->
+              let transitions = f q op in
+              let ok = any_admitted fixed transitions in
+              if ok then begin
+                Bitset.set placed id;
+                success := try_list id sl fixed n' transitions
+              end;
+              ok
           in
-          if any_admitted fixed transitions then
-            success :=
-              place id sl fixed transitions
-                (n_placed_completed + Bool.to_int completed.(id))
+          if admitted then begin
+            if not !success then begin
+              states.(sl) <- q;
+              Bitset.clear placed id
+            end
+          end
           else if smart && completed.(id) && slot_left.(sl) = 1 then
             (* Early rejection: [id] must eventually appear in S (it is
                completed), takes no legal transition from the current
@@ -359,57 +455,50 @@ let run ?hint ?init p ~t ~trace =
                ever change that state — this node is dead regardless of
                the remaining choices. *)
             dead := true
-        end
+        done;
+        incr w
       done;
-      if memoize && not !success then ignore (Memo_key.add memo placed states);
+      if memoize && not !success then
+        ignore (Memo_key.add_hashed memo placed states h);
       !success
     end
-  (* Place [id] on slot [sl] and try its admitted transitions; undo
-     everything unless one of them succeeds. *)
-  and place id sl fixed transitions n' =
-    Bitset.set placed id;
-    let out = succs.(id) in
-    decr_all missing out;
-    if smart then slot_left.(sl) <- slot_left.(sl) - 1;
-    let saved = states.(sl) in
-    let ok = try_transitions id sl fixed n' transitions in
-    if not ok then begin
-      states.(sl) <- saved;
-      if smart then slot_left.(sl) <- slot_left.(sl) + 1;
-      incr_all missing out;
-      Bitset.clear placed id
-    end;
-    ok
-  (* Memo lookahead: a child whose (placed set, state vector) failure
-     is already memoized is pruned {e before} expansion, not bumped and
+  (* Try the admitted transition (r, q') of the placed [id].  Memo
+     lookahead: a child whose (placed set, state vector) failure is
+     already memoized is pruned {e before} expansion, not bumped and
      re-entered — memoized children cost one table lookup, not a DFS
      node.  The bit for [id] is already set, so the probe reads the
      child's key from the live [placed] and [states]. *)
-  and try_transitions id sl fixed n' = function
+  and try_one id sl r q' n' =
+    states.(sl) <- q';
+    let h = if memoize then Memo_key.hash placed states else 0 in
+    if memoize && Memo_key.mem_hashed memo placed states h then begin
+      incr memo_hits;
+      bump_hint id;
+      false
+    end
+    else begin
+      (match trace with
+      | Some tr -> tr := (ops.(id), r) :: !tr
+      | None -> ());
+      enter fr id;
+      if smart then slot_left.(sl) <- slot_left.(sl) - 1;
+      dfs n' h
+      || begin
+           if smart then slot_left.(sl) <- slot_left.(sl) + 1;
+           leave fr id;
+           bump_hint id;
+           (match trace with Some tr -> tr := List.tl !tr | None -> ());
+           false
+         end
+    end
+  (* A relational spec's transitions, in [Spec.apply]'s order. *)
+  and try_list id sl fixed n' = function
     | [] -> false
     | (r, q') :: rest ->
-      if not (admits fixed r) then try_transitions id sl fixed n' rest
-      else begin
-        states.(sl) <- q';
-        if memoize && Memo_key.mem memo placed states then begin
-          incr memo_hits;
-          bump_hint id;
-          try_transitions id sl fixed n' rest
-        end
-        else begin
-          (match trace with
-          | Some tr -> tr := (ops.(id), r) :: !tr
-          | None -> ());
-          dfs n'
-          || begin
-               bump_hint id;
-               (match trace with Some tr -> tr := List.tl !tr | None -> ());
-               try_transitions id sl fixed n' rest
-             end
-        end
-      end
+      (admits fixed r && try_one id sl r q' n')
+      || try_list id sl fixed n' rest
   in
-  let ok = dfs 0 in
+  let ok = dfs 0 (if memoize then Memo_key.hash placed states else 0) in
   let v = { ok; nodes_explored = Budget.spent budget; memo_hits = !memo_hits } in
   if Obs.Metrics.on () then begin
     Obs.Metrics.Counter.incr m_runs;
@@ -459,17 +548,15 @@ let witness_at ?init p ~t =
     from [init]. *)
 let final_states ?init p =
   let span_ts = Obs.Trace.begin_ns () in
-  let { cfg; n; ops; specs; slot; init_states; completed; n_completed; _ } =
-    p
-  in
-  let fixed_resp, n_preds, succs = cut_tables p ~t:0 in
-  let missing = n_preds in
+  let { cfg; ops; kinds; slot; init_states; completed; n_completed; _ } = p in
+  let fixed_resp, fr = cut_tables ops ~t:0 in
+  let placed = fr.placed and ready = fr.ready in
+  let nw = Bitset.word_count ready in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let visited_hits = ref 0 in
-  let placed = Bitset.create n in
   let states = start_states ~who:"Engine.final_states" init_states init in
   let arity = Array.length states in
-  let visited = Memo_key.create ~width:n ~arity in
+  let visited = Memo_key.create ~width:p.n ~arity in
   (* End states, keyed with the empty placed set. *)
   let finals = Memo_key.create ~width:0 ~arity in
   let no_ops = Bitset.create 0 in
@@ -481,36 +568,49 @@ let final_states ?init p =
        inclusion reaches further states. *)
     if n_placed_completed = n_completed then
       ignore (Memo_key.add finals no_ops states);
-    for id = 0 to n - 1 do
-      if (not (Bitset.mem placed id)) && missing.(id) = 0 then begin
+    for w = 0 to nw - 1 do
+      let bits = ref (Bitset.word ready w) in
+      while !bits <> 0 do
+        let b = !bits land - !bits in
+        bits := !bits lxor b;
+        let id = (w * Bitset.bits_per_word) + Bitset.bit_index b in
         let sl = slot.(id) in
         let fixed = fixed_resp.(id) in
-        let transitions =
-          Spec.apply specs.(sl) states.(sl) ops.(id).Operation.op
-        in
-        if any_admitted fixed transitions then begin
-          Bitset.set placed id;
-          let out = succs.(id) in
-          decr_all missing out;
-          let saved = states.(sl) in
-          visit sl fixed
-            (n_placed_completed + Bool.to_int completed.(id))
-            transitions;
-          states.(sl) <- saved;
-          incr_all missing out;
-          Bitset.clear placed id
-        end
-      end
+        let q = states.(sl) and op = ops.(id).Operation.op in
+        let n' = n_placed_completed + Bool.to_int completed.(id) in
+        match kinds.(sl) with
+        | Spec.Deterministic d ->
+          let r = d.response q op in
+          if admits fixed r then begin
+            let q' = d.next q op in
+            Bitset.set placed id;
+            visit id sl n' q';
+            states.(sl) <- q;
+            Bitset.clear placed id
+          end
+        | Spec.Relation f ->
+          let transitions = f q op in
+          if any_admitted fixed transitions then begin
+            Bitset.set placed id;
+            visit_list id sl fixed n' transitions;
+            states.(sl) <- q;
+            Bitset.clear placed id
+          end
+      done
     done
-  and visit sl fixed n' = function
+  and visit id sl n' q' =
+    states.(sl) <- q';
+    if Memo_key.add visited placed states then begin
+      enter fr id;
+      dfs n';
+      leave fr id
+    end
+    else incr visited_hits
+  and visit_list id sl fixed n' = function
     | [] -> ()
     | (r, q') :: rest ->
-      if admits fixed r then begin
-        states.(sl) <- q';
-        if Memo_key.add visited placed states then dfs n'
-        else incr visited_hits
-      end;
-      visit sl fixed n' rest
+      if admits fixed r then visit id sl n' q';
+      visit_list id sl fixed n' rest
   in
   dfs 0;
   let out =

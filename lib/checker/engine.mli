@@ -8,13 +8,15 @@
     first [t] events; and responses that survive the removal are kept.
 
     One Wing–Gong-style DFS core — failure memoization on
-    (placed-operation set, object-state vector), incremental readiness
-    tracking via predecessor counts — serves both {!search} and
-    {!witness}, so budget and memoization semantics are identical in
-    both.  The placed set and the state vector are mutated in place
-    and undone on backtrack, and failures go into one unboxed
-    [Memo_key] table per run, so a node expansion allocates nothing
-    beyond [Spec.apply]'s transition list.  {!prepare} builds the
+    (placed-operation set, object-state vector), an incrementally
+    maintained ready set that each node walks word by word — serves
+    both {!search} and {!witness}, so budget and memoization semantics
+    are identical in both.  The placed and ready sets and the state
+    vector are mutated in place and undone on backtrack, failures go
+    into one unboxed [Memo_key] table per run, and a deterministic
+    spec is read through {!Spec.Deterministic}'s [response] and [next]
+    without a transition list, so a node expansion allocates nothing
+    (a relational spec still returns its list).  {!prepare} builds the
     cut-independent structures once so that [Eventual.min_t] can probe
     many cuts against the same history cheaply; a [prepared] holds no
     mutable search state, so any domain may probe it.  Multi-object

@@ -5,7 +5,9 @@
     a legal sequential execution where [op] returns [resp]".  This is
     the same search as Definition 1's per-operation condition
     ([Weak.op_ok]) but over an explicit op pool rather than a history,
-    so the Prop. 11 guard can run it online. *)
+    so the Prop. 11 guard can run it online, with the same node loop:
+    a walk over the unplaced operations, word by word, that allocates
+    nothing for a deterministic spec and hashes each memo key once. *)
 
 open Elin_kernel
 open Elin_spec
@@ -25,6 +27,12 @@ let justifiable spec ~pool ~required ~op ~resp =
   (* The placed set and the (one-object) state of the current DFS
      node, mutated in place and restored on backtrack. *)
   let placed = Bitset.create n in
+  let all = Bitset.create n in
+  for i = 0 to n - 1 do
+    Bitset.set all i
+  done;
+  let nw = Bitset.word_count placed in
+  let kind = Spec.transitions spec in
   let state = [| Spec.initial spec |] in
   let memo = Memo_key.create ~width:n ~arity:1 in
   let rec dfs n_placed_required =
@@ -32,32 +40,43 @@ let justifiable spec ~pool ~required ~op ~resp =
       n_placed_required = n_required
       && Spec.is_legal_response spec state.(0) op resp
     then true
-    else if Memo_key.mem memo placed state then false
-    else begin
-      let success = ref false in
-      let i = ref 0 in
-      while (not !success) && !i < n do
-        let id = !i in
-        incr i;
-        if not (Bitset.mem placed id) then begin
-          let saved = state.(0) in
-          let transitions =
-            List.sort_uniq by_state (Spec.apply spec saved pool.(id))
+    else
+      let h = Memo_key.hash placed state in
+      if Memo_key.mem_hashed memo placed state h then false
+      else begin
+        let success = ref false in
+        let w = ref 0 in
+        while (not !success) && !w < nw do
+          (* The unplaced operations of word [w]; children restore
+             [placed] before returning. *)
+          let bits =
+            ref (Bitset.word all !w land lnot (Bitset.word placed !w))
           in
-          Bitset.set placed id;
-          success :=
-            try_transitions
-              (n_placed_required + Bool.to_int is_required.(id))
-              transitions;
-          if not !success then begin
-            state.(0) <- saved;
-            Bitset.clear placed id
-          end
-        end
-      done;
-      if not !success then ignore (Memo_key.add memo placed state);
-      !success
-    end
+          while (not !success) && !bits <> 0 do
+            let b = !bits land - !bits in
+            bits := !bits lxor b;
+            let id = (!w * Bitset.bits_per_word) + Bitset.bit_index b in
+            let saved = state.(0) in
+            let n' = n_placed_required + Bool.to_int is_required.(id) in
+            Bitset.set placed id;
+            (success :=
+               match kind with
+               | Spec.Deterministic d ->
+                 state.(0) <- d.next saved pool.(id);
+                 dfs n'
+               | Spec.Relation f ->
+                 try_transitions n'
+                   (List.sort_uniq by_state (f saved pool.(id))));
+            if not !success then begin
+              state.(0) <- saved;
+              Bitset.clear placed id
+            end
+          done;
+          incr w
+        done;
+        if not !success then ignore (Memo_key.add_hashed memo placed state h);
+        !success
+      end
   and try_transitions n' = function
     | [] -> false
     | ((_ : Value.t), q') :: rest ->

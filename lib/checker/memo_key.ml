@@ -9,8 +9,11 @@
 
     A hit compares the full key: every placed word and [Value.equal] on
     every state.  States are never compared with [==]: ints past the
-    interned range and structured values are built afresh by
-    [Spec.apply].
+    interned range and structured values are built afresh by each
+    transition ([next] of a deterministic spec, or the list of a
+    relational one).  A search that probes a key and later inserts the
+    same key passes the probe's hash to {!add_hashed}, so the DFS
+    hashes a failed node's key once.
 
     The arrays start at 16 slots and 8 keys, so for any placed set
     under 32 words every block sits in the minor heap (at most 256
@@ -87,10 +90,11 @@ let check_key t placed states =
   if Bitset.word_count placed <> t.nw || Array.length states <> t.arity then
     invalid_arg "Memo_key: key shape differs from the table's"
 
-let mem t placed states =
+let mem_hashed t placed states h =
   check_key t placed states;
-  let h = hash placed states in
   probe t placed states h (h land (Array.length t.slots - 1)) >= 0
+
+let mem t placed states = mem_hashed t placed states (hash placed states)
 
 let rec free_slot slots i =
   if slots.(i) < 0 then i
@@ -114,9 +118,8 @@ let grow t =
   t.words <- words;
   t.states <- states
 
-let add t placed states =
+let add_hashed t placed states h =
   check_key t placed states;
-  let h = hash placed states in
   let r = probe t placed states h (h land (Array.length t.slots - 1)) in
   if r >= 0 then false
   else begin
@@ -137,6 +140,8 @@ let add t placed states =
     t.count <- e + 1;
     true
   end
+
+let add t placed states = add_hashed t placed states (hash placed states)
 
 let states t =
   List.init t.count (fun e -> Array.sub t.states (e * t.arity) t.arity)

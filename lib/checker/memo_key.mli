@@ -36,3 +36,11 @@ val states : t -> Value.t array list
 (** [hash placed states] — the hash the table files a key under;
     equal keys hash equal. *)
 val hash : Bitset.t -> Value.t array -> int
+
+(** [mem_hashed t placed states h] and [add_hashed t placed states h]
+    are {!mem} and {!add} given [h = hash placed states], so a search
+    that probes a key and later inserts it hashes it once.  Any other
+    [h] makes the table's answers unspecified. *)
+val mem_hashed : t -> Bitset.t -> Value.t array -> int -> bool
+
+val add_hashed : t -> Bitset.t -> Value.t array -> int -> bool

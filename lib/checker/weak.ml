@@ -9,7 +9,11 @@
 
     The search reuses the DFS-with-memo idea of [Engine]: place any
     subset of the candidate operations in any legal order; once all
-    required operations are placed, try to finish with [op]. *)
+    required operations are placed, try to finish with [op].  Like
+    [Engine]'s, a node walks only its unplaced candidates, word by
+    word, allocates nothing for a deterministic spec (only the next
+    state matters here, so only [next] is called) and hashes its memo
+    key once. *)
 
 open Elin_kernel
 open Elin_spec
@@ -46,14 +50,14 @@ let op_ok cfg h (target : Operation.t) =
   (* Candidates: invoked before [target]'s response, excluding target.
      Required: same process, precede target in H (their response is
      before target's invocation; well-formedness makes them complete). *)
-  let candidate = Array.make n false in
+  let candidates = Bitset.create n in
   let is_required = Array.make n false in
   let n_required = ref 0 in
   Array.iter
     (fun (o : Operation.t) ->
       let id = o.Operation.id in
       if id <> target.Operation.id then begin
-        candidate.(id) <- o.Operation.inv < resp_idx;
+        if o.Operation.inv < resp_idx then Bitset.set candidates id;
         if
           o.Operation.proc = target.Operation.proc
           && o.Operation.inv < target.Operation.inv
@@ -66,6 +70,7 @@ let op_ok cfg h (target : Operation.t) =
   let n_required = !n_required in
   let objs, slot = Engine.object_slots ops in
   let specs = Array.map cfg.spec_of_obj objs in
+  let kinds = Array.map Spec.transitions specs in
   let target_slot = slot.(target.Operation.id) in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   (* The placed set and the state vector of the current DFS node,
@@ -73,6 +78,7 @@ let op_ok cfg h (target : Operation.t) =
   let placed = Bitset.create n in
   let states = Array.map Spec.initial specs in
   let memo = Memo_key.create ~width:n ~arity:(Array.length states) in
+  let nw = Bitset.word_count placed in
   let rec dfs n_placed_required =
     Budget.bump budget;
     (* Can we close with the target now? *)
@@ -82,36 +88,45 @@ let op_ok cfg h (target : Operation.t) =
            target.Operation.op resp_value
     in
     if closes then true
-    else if Memo_key.mem memo placed states then false
-    else begin
-      let success = ref false in
-      let i = ref 0 in
-      while (not !success) && !i < n do
-        let id = !i in
-        incr i;
-        if candidate.(id) && not (Bitset.mem placed id) then begin
-          let sl = slot.(id) in
-          let saved = states.(sl) in
-          (* Any legal transition: S need not preserve responses of
-             other operations. *)
-          let transitions =
-            List.sort_uniq by_state
-              (Spec.apply specs.(sl) saved ops.(id).Operation.op)
+    else
+      let h = Memo_key.hash placed states in
+      if Memo_key.mem_hashed memo placed states h then false
+      else begin
+        let success = ref false in
+        let w = ref 0 in
+        while (not !success) && !w < nw do
+          (* The unplaced candidates of word [w]; children restore
+             [placed] before returning. *)
+          let bits =
+            ref (Bitset.word candidates !w land lnot (Bitset.word placed !w))
           in
-          Bitset.set placed id;
-          success :=
-            try_transitions sl
-              (n_placed_required + Bool.to_int is_required.(id))
-              transitions;
-          if not !success then begin
-            states.(sl) <- saved;
-            Bitset.clear placed id
-          end
-        end
-      done;
-      if not !success then ignore (Memo_key.add memo placed states);
-      !success
-    end
+          while (not !success) && !bits <> 0 do
+            let b = !bits land - !bits in
+            bits := !bits lxor b;
+            let id = (!w * Bitset.bits_per_word) + Bitset.bit_index b in
+            let sl = slot.(id) in
+            let saved = states.(sl) and op = ops.(id).Operation.op in
+            let n' = n_placed_required + Bool.to_int is_required.(id) in
+            Bitset.set placed id;
+            (* Any legal transition: S need not preserve responses of
+               other operations. *)
+            (success :=
+               match kinds.(sl) with
+               | Spec.Deterministic d ->
+                 states.(sl) <- d.next saved op;
+                 dfs n'
+               | Spec.Relation f ->
+                 try_transitions sl n' (List.sort_uniq by_state (f saved op)));
+            if not !success then begin
+              states.(sl) <- saved;
+              Bitset.clear placed id
+            end
+          done;
+          incr w
+        done;
+        if not !success then ignore (Memo_key.add_hashed memo placed states h);
+        !success
+      end
   and try_transitions sl n' = function
     | [] -> false
     | ((_ : Value.t), q') :: rest ->

@@ -12,15 +12,32 @@ type t = { width : int; words : int array }
 
 let bits_per_word = 62 (* stay clear of the tag bit and sign *)
 
+(* [bit_index]: OCaml 5.1 has no count-trailing-zeros, but 2 is a
+   primitive root modulo 67, so the powers 2^0 .. 2^61 are distinct
+   modulo 67 and one table lookup inverts them.  The table is
+   immutable after initialization, so any domain may read it. *)
+let log2_mod67 =
+  let a = Array.make 67 (-1) in
+  for i = 0 to bits_per_word - 1 do
+    a.((1 lsl i) mod 67) <- i
+  done;
+  a
+
+let bit_index b = log2_mod67.(b mod 67)
+
 let nwords width = (width + bits_per_word - 1) / bits_per_word
 
 let create width =
   if width < 0 then invalid_arg "Bitset.create: negative width";
   { width; words = Array.make (nwords width) 0 }
 
-let check_index t i =
-  if i < 0 || i >= t.width then
-    invalid_arg (Printf.sprintf "Bitset: index %d out of width %d" i t.width)
+(* The error path is a function of its own so that [check_index]
+   stays small enough to inline into [mem]/[set]/[clear], which the
+   checkers' DFS calls several times per node. *)
+let out_of_range t i =
+  invalid_arg (Printf.sprintf "Bitset: index %d out of width %d" i t.width)
+
+let[@inline] check_index t i = if i < 0 || i >= t.width then out_of_range t i
 
 let mem t i =
   check_index t i;

@@ -21,11 +21,23 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 
 (** The backing words, for tables that store a set's contents
-    unboxed: [word t k] for [k] in [0, word_count t).  Equal sets of
-    equal width have equal words. *)
+    unboxed and for scans that walk the members word by word: [word t
+    k] for [k] in [0, word_count t) holds members [k * bits_per_word]
+    to [(k + 1) * bits_per_word - 1], member [k * bits_per_word + i]
+    as bit [i].  Equal sets of equal width have equal words. *)
 val word_count : t -> int
 
 val word : t -> int -> int
+
+(** Members per word: 62, so every word is a non-negative [int]. *)
+val bits_per_word : int
+
+(** [bit_index b] — [i] for the word [b = 1 lsl i], [0 <= i <
+    bits_per_word]; unspecified for any other [b].  With [b = w land
+    (-w)] it is the lowest member of a nonzero word [w], so a scan
+    visits the members of [word t k] in ascending order by clearing
+    [b] from [w] each step, without allocating. *)
+val bit_index : int -> int
 
 val cardinal : t -> int
 val is_empty : t -> bool

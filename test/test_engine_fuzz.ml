@@ -7,7 +7,10 @@
     size) — plus fixed-seed min_t tables pinning the galloping search
     to plain binary search on the paper's E3/E16 families, and a
     randomized search/witness budget-parity property (both run the
-    identical tree, so they must exhaust any budget together). *)
+    identical tree, so they must exhaust any budget together).  A
+    relational spec whose candidates have two admitted transitions is
+    checked against the Oracle at every cut, alone and beside
+    fetch&increment, with every witness replayed. *)
 
 open Elin_spec
 open Elin_history
@@ -66,6 +69,105 @@ let weak_vs_faic =
       let h = random_history rng fai ~n_ops:(6 + Elin_kernel.Prng.int rng 5) in
       Weak.is_weakly_consistent (Weak.for_spec fai) h
       = Faic.weakly_consistent h)
+
+(* --- a relational spec: several admitted transitions per candidate - *)
+
+(* [fetch] returns the old value and adds 1 or 2, nondeterministically:
+   both transitions carry the same response and reach different
+   states, so the DFS must try each admitted transition of a candidate
+   in turn.  [read] tells the states apart. *)
+let fetch_1_or_2 =
+  Spec.make ~name:"fetch-1-or-2" ~initial:(Value.int 0)
+    ~apply:(fun q op ->
+      match Op.name op with
+      | "fetch" ->
+        let n = Value.to_int q in
+        [ (q, Value.int (n + 1)); (q, Value.int (n + 2)) ]
+      | "read" -> [ (q, q) ]
+      | other -> invalid_arg ("fetch-1-or-2: unknown operation " ^ other))
+    ~all_ops:[ Op.make "fetch"; Op.read ]
+
+(* Does [w] replay as a t-linearization of [h] (Definition 2)?  No
+   operation twice, every completed one present, surviving responses
+   kept, real-time order kept among surviving pairs, and each object's
+   projection legal for its spec. *)
+let replays spec_of h ~t w =
+  let ids = List.map (fun ((o : Operation.t), _) -> o.Operation.id) w in
+  let rec pos id i = function
+    | [] -> None
+    | x :: rest -> if x = id then Some i else pos id (i + 1) rest
+  in
+  List.length (List.sort_uniq compare ids) = List.length ids
+  && List.for_all
+       (fun (o : Operation.t) -> List.mem o.Operation.id ids)
+       (History.complete_ops h)
+  && List.for_all
+       (fun ((o : Operation.t), r) ->
+         match o.Operation.resp with
+         | Some (v, ri) when ri >= t -> Value.equal v r
+         | Some _ | None -> true)
+       w
+  && List.for_all
+       (fun ((b : Operation.t), _) ->
+         List.for_all
+           (fun (a : Operation.t) ->
+             match a.Operation.resp with
+             | Some (_, ra) when ra >= t && b.Operation.inv >= t
+                                 && ra < b.Operation.inv -> (
+               match (pos a.Operation.id 0 ids, pos b.Operation.id 0 ids) with
+               | Some i, Some j -> i < j
+               | _ -> false)
+             | Some _ | None -> true)
+           (History.ops h))
+       w
+  && List.for_all
+       (fun obj ->
+         Legal.is_legal (spec_of obj)
+           (List.filter_map
+              (fun ((o : Operation.t), r) ->
+                if o.Operation.obj = obj then Some (o.Operation.op, r) else None)
+              w))
+       (History.objs h)
+
+(* At every cut: the engine's verdict is the Oracle's, and its witness
+   exists exactly when it accepts and replays. *)
+let agrees_at_every_cut spec_of h =
+  let cfg = Engine.config spec_of in
+  List.for_all
+    (fun t ->
+      let ok = Engine.t_linearizable cfg h ~t in
+      ok = Oracle.t_linearizable spec_of h ~t
+      &&
+      match Engine.witness cfg h ~t with
+      | Some w -> ok && replays spec_of h ~t w
+      | None -> not ok)
+    (List.init (History.length h + 1) Fun.id)
+
+let relational_alone =
+  Support.seeded_prop ~count:100 "relational spec = oracle at every cut"
+    (fun rng ->
+      agrees_at_every_cut
+        (fun _ -> fetch_1_or_2)
+        (random_history rng fetch_1_or_2 ~n_ops:4))
+
+(* Object 0 is relational, object 1 fetch&increment. *)
+let relational_with_fai =
+  Support.seeded_prop ~count:100
+    "relational + fetch&increment = oracle at every cut" (fun rng ->
+      let spec_of o = if o = 0 then fetch_1_or_2 else fai in
+      let h =
+        match Elin_kernel.Prng.int rng 3 with
+        | 0 -> Gen.mixed rng ~spec_of_obj:spec_of ~objs:2 ~procs:2 ~n_ops:5 ()
+        | 1 ->
+          Gen.mixed_with_pending rng ~spec_of_obj:spec_of ~objs:2 ~procs:2
+            ~n_ops:5 ()
+        | _ -> (
+          let h =
+            Gen.mixed rng ~spec_of_obj:spec_of ~objs:2 ~procs:2 ~n_ops:5 ()
+          in
+          match Gen.corrupt rng h with Some h' -> h' | None -> h)
+      in
+      agrees_at_every_cut spec_of h)
 
 (* --- galloping min_t = binary-search min_t --- *)
 
@@ -384,6 +486,8 @@ let () =
           vs_oracle "queue" (Fifo.spec ());
           vs_faic;
           weak_vs_faic;
+          relational_alone;
+          relational_with_fai;
         ] );
       ( "min_t",
         [

@@ -186,11 +186,10 @@ let prepare cfg h =
 
 let history_length p = p.len
 
-(* The DFS frontier: the placed set, the ready set, and the counts
-   that maintain the ready set.  Indices are positions in the run's
-   scan order (operation ids under [`History]). *)
+(* The DFS frontier: the ready set and the counts that maintain it.
+   Indices are positions in the run's scan order (operation ids under
+   [`History]). *)
 type frontier = {
-  placed : Bitset.t;
   ready : Bitset.t;
       (* unplaced positions with [missing = 0], walked by every node *)
   missing : int array;  (* unplaced immediate real-time predecessors *)
@@ -258,7 +257,7 @@ let cut_tables (ops : Operation.t array) ~t =
   for i = 0 to n - 1 do
     if missing.(i) = 0 then Bitset.set ready i
   done;
-  (fixed_resp, { placed = Bitset.create n; ready; missing; succs })
+  (fixed_resp, { ready; missing; succs })
 
 (* Enter the child that placed [i]: [i] leaves the ready set, and every
    successor whose last unplaced predecessor it was joins it.  The
@@ -371,7 +370,7 @@ let run ?hint ?init p ~t ~trace =
   let slot = relabel perm p.slot in
   let completed = relabel perm p.completed in
   let fixed_resp, fr = cut_tables ops ~t in
-  let placed = fr.placed and ready = fr.ready in
+  let placed = Bitset.create p.n and ready = fr.ready in
   let nw = Bitset.word_count ready in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let memoize = cfg.memoize in
@@ -550,7 +549,7 @@ let final_states ?init p =
   let span_ts = Obs.Trace.begin_ns () in
   let { cfg; ops; kinds; slot; init_states; completed; n_completed; _ } = p in
   let fixed_resp, fr = cut_tables ops ~t:0 in
-  let placed = fr.placed and ready = fr.ready in
+  let placed = Bitset.create p.n and ready = fr.ready in
   let nw = Bitset.word_count ready in
   let budget = Budget.counter ?limit:cfg.node_budget ?poll:cfg.poll () in
   let visited_hits = ref 0 in

@@ -11,7 +11,6 @@ let unknown other = invalid_arg ("fetch&increment: unknown operation " ^ other)
 (* [read] is a read-only probe; not part of the paper's minimal type but
    convenient for examples.  Excluded from [all_ops] so that
    theorem-level experiments use the pure one-operation type. *)
-
 let response q op =
   match Op.name op with
   | "fetch&inc" -> Value.int (Value.to_int q)

@@ -318,7 +318,7 @@ let no_major_allocation_per_check () =
    through [response] and [next], with no transition list), so what
    remains is the per-run tables: the cut tables, the memo and its
    growth.  This build ([dune runtest], dev profile) reads 6.5 words
-   per node and 228.9 per check, against 34.8 and 286.4 while
+   per node and 227.9 per check, against 34.8 and 286.4 while
    [Spec.apply]'s lists were built and 200.6 and 940.3 before the
    placed set and the memo went in place; the bounds leave about 15 %
    headroom. *)

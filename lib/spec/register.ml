@@ -6,7 +6,6 @@
 
 let default_domain = [ 0; 1; 2 ]
 
-(* The written value. *)
 let written op =
   match Op.args op with
   | [ v ] -> v

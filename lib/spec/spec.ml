@@ -44,9 +44,8 @@ let name t = t.name
 let initial t = t.initial
 let transitions t = t.transitions
 
-(* The response is computed before the next state, so a spec that
-   rejects [op] raises from [response] as the pair-returning function
-   it replaced did. *)
+(* The response is computed first, so a spec that rejects [op] raises
+   from [response], the function the checkers call first too. *)
 let apply t q op =
   match t.transitions with
   | Deterministic d ->

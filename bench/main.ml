@@ -1510,7 +1510,7 @@ let b11 () =
   (* Sub-series 3: the same decomposition through the service — each
      sub-history becomes one pool job (Split).  Statuses and min_t are
      cross-gated against the undecomposed pool; node counts differ by
-     design (summed over sub-jobs, `Smart order), so only the jobs/s
+     design (summed over the per-object sub-jobs), so only the jobs/s
      rates are emitted, tolerance-gated. *)
   let svc_jobs =
     List.init 12 (fun i ->

@@ -26,8 +26,8 @@
      For t > 0 the cut-forgiven operations may float across gap
      boundaries, so gaps are not used there.
 
-   Sub-checks run under [`Smart] engine order with a failure-hint
-   array threaded through the gallop.  Budget semantics match the
+   Each sub-history's gallop threads one failure-hint array through
+   its probes ([Engine.check_at]).  Budget semantics match the
    monolithic path: [node_budget] bounds each engine run. *)
 
 open Elin_spec
@@ -45,8 +45,7 @@ let config ?node_budget ?poll spec_of_obj = { spec_of_obj; node_budget; poll }
 let for_spec ?node_budget ?poll spec = config ?node_budget ?poll (fun _ -> spec)
 
 let engine_cfg dcfg =
-  Engine.config ?node_budget:dcfg.node_budget ?poll:dcfg.poll ~order:`Smart
-    dcfg.spec_of_obj
+  Engine.config ?node_budget:dcfg.node_budget ?poll:dcfg.poll dcfg.spec_of_obj
 
 let weak_cfg dcfg =
   Weak.config ?node_budget:dcfg.node_budget ?poll:dcfg.poll dcfg.spec_of_obj
@@ -183,7 +182,7 @@ let sub_cut imap ~t =
   go 0
 
 (* Decide t-linearizability of one single-object sub-history, with
-   gap cuts at t = 0 and the hint-biased smart order elsewhere. *)
+   gap cuts at t = 0 and the hint-biased scan elsewhere. *)
 let check_sub ecfg a ~prepared ~hint ~q0 ho ~t =
   a.a_cuts <- a.a_cuts + 1;
   if t = 0 then
@@ -202,7 +201,7 @@ let check_sub ecfg a ~prepared ~hint ~q0 ho ~t =
 
 let min_t_sub dcfg ecfg a ho =
   let prepared = Engine.prepare ecfg ho in
-  let hint = Array.make (max 1 (History.n_ops ho)) 0 in
+  let hint = Array.make (History.n_ops ho) 0 in
   let q0 =
     match History.objs ho with
     | [ o ] -> Spec.initial (dcfg.spec_of_obj o)
@@ -252,7 +251,7 @@ let t_linearizable_stats dcfg h ~t =
         let ho = History.proj_obj h o in
         let t_o = sub_cut (History.index_map_obj h o) ~t in
         let prepared = Engine.prepare ecfg ho in
-        let hint = Array.make (max 1 (History.n_ops ho)) 0 in
+        let hint = Array.make (History.n_ops ho) 0 in
         let q0 = Spec.initial (dcfg.spec_of_obj o) in
         let ok = check_sub ecfg a ~prepared ~hint ~q0 ho ~t:t_o in
         if Trace.on () then
@@ -329,8 +328,8 @@ let analyze ?node_budget ?poll spec h =
     guard ~absent:None (fun () -> Some (weak_check dcfg h))
   in
   let witness =
-    (* Monolithic default-order witness at the composed bound, so the
-       rendered report is bit-identical to [Report.analyze]. *)
+    (* Monolithic witness at the composed bound, so the rendered report
+       is bit-identical to [Report.analyze]. *)
     guard ~absent:None (fun () ->
         match min_t with
         | None -> None

@@ -22,11 +22,11 @@
       [t > 0] (cut-forgiven operations may cross gap boundaries), so
       they serve only the [t = 0] probe of the gallop.
 
-    Sub-checks run under [`Smart] engine order with a failure-hint
-    array threaded through each sub-history's gallop.  [node_budget]
-    bounds each engine run, as in the monolithic path; verdicts,
-    [min_t], and first violators are bit-identical to the monolithic
-    checkers whenever neither path exhausts its budget. *)
+    Each sub-history's gallop threads one failure-hint array through
+    its probes ({!Engine.check_at}).  [node_budget] bounds each engine
+    run, as in the monolithic path; verdicts, [min_t], and first
+    violators are bit-identical to the monolithic checkers whenever
+    neither path exhausts its budget. *)
 
 open Elin_spec
 open Elin_history
@@ -81,7 +81,7 @@ val check : config -> History.t -> Eventual.verdict
 
 (** Decomposed drop-in for {!Report.analyze}: the returned report
     renders bit-identically (the witness is reconstructed by the
-    default-order monolithic engine at the composed bound) except for
+    monolithic engine at the composed bound) except for
     the [search] statistics, which count the decomposed exploration. *)
 val analyze :
   ?node_budget:int ->

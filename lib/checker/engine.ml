@@ -35,9 +35,9 @@
     through counts of unplaced immediate predecessors and a forward
     adjacency, and the node walks it word by word, lowest member
     first, so its scan costs O(ready) plus a read per word, not O(n).
-    The walk visits ids in ascending order; under [`Smart] order the
-    run relabels operations into its scan order when it starts, so
-    the same walk visits them in that order.
+    The walk visits ids in ascending (invocation) order; a run given
+    a failure hint with a non-zero score relabels operations into hint
+    order when it starts, so the same walk visits them in that order.
 
     A node expansion allocates nothing: the placed and ready sets and
     the state vector are mutated in place and undone on backtrack,
@@ -59,8 +59,6 @@ open Elin_kernel
 open Elin_spec
 open Elin_history
 
-type order = [ `History | `Smart ]
-
 type config = {
   (* Spec of each object appearing in the history. *)
   spec_of_obj : int -> Spec.t;
@@ -74,26 +72,16 @@ type config = {
      (see [Budget.counter]); the serving layer's wall-clock timeouts
      and job cancellation raise from here. *)
   poll : (unit -> unit) option;
-  (* Candidate scan order at each DFS node.  [`History] (the default)
-     scans operations by id — invocation order — and is the
-     node-count-pinned behaviour behind the committed goldens and
-     baselines.  [`Smart] scans earliest-response-first (pending ops
-     last, by invocation), optionally biased by a caller-threaded
-     failure [hint], and early-rejects dead nodes where a completed
-     operation can no longer take any legal response.  Verdicts are
-     identical in both orders; only exploration counts differ. *)
-  order : order;
 }
 
 exception Budget_exceeded = Budget.Exceeded
 
-let config ?node_budget ?(memoize = true) ?poll ?(order = `History)
-    spec_of_obj =
-  { spec_of_obj; node_budget; memoize; poll; order }
+let config ?node_budget ?(memoize = true) ?poll spec_of_obj =
+  { spec_of_obj; node_budget; memoize; poll }
 
 (** One-object convenience. *)
-let for_spec ?node_budget ?memoize ?poll ?order spec =
-  config ?node_budget ?memoize ?poll ?order (fun _ -> spec)
+let for_spec ?node_budget ?memoize ?poll spec =
+  config ?node_budget ?memoize ?poll (fun _ -> spec)
 
 type verdict = { ok : bool; nodes_explored : int; memo_hits : int }
 
@@ -187,8 +175,8 @@ let prepare cfg h =
 let history_length p = p.len
 
 (* The DFS frontier: the ready set and the counts that maintain it.
-   Indices are positions in the run's scan order (operation ids under
-   [`History]). *)
+   Indices are positions in the run's scan order (operation ids unless
+   a hint reorders them). *)
 type frontier = {
   ready : Bitset.t;
       (* unplaced positions with [missing = 0], walked by every node *)
@@ -308,31 +296,21 @@ let start_states ~who init_states = function
       invalid_arg (who ^ ": init state vector has wrong arity");
     Array.copy s
 
-(* The [`Smart] scan order: position -> operation id, earliest response
-   first (pending operations last, by invocation), stable-sorted under
-   the caller's failure hints. *)
-let smart_order ?hint p =
-  let key =
-    Array.map
-      (fun (o : Operation.t) ->
-        match o.Operation.resp with
-        | Some (_, ri) -> ri
-        | None -> p.len + o.Operation.inv)
-      p.ops
-  in
-  let penalty =
-    match hint with Some h -> fun i -> h.(i) | None -> fun _ -> 0
-  in
-  let a = Array.init p.n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let c = compare (penalty i) (penalty j) in
-      if c <> 0 then c
-      else
-        let c = compare key.(i) key.(j) in
-        if c <> 0 then c else compare i j)
-    a;
-  a
+(* The scan order a run's failure hints ask for: [None] (ids in
+   ascending, invocation order) without hints or while every score is
+   0, else position -> operation id, ids stably sorted by score so
+   that ties keep invocation order. *)
+let hint_order p = function
+  | None -> None
+  | Some h ->
+    if Array.length h <> p.n then
+      invalid_arg "Engine.check_at: hint length is not the operation count";
+    if Array.for_all (fun s -> s = 0) h then None
+    else begin
+      let a = Array.init p.n Fun.id in
+      Array.stable_sort (fun i j -> Int.compare h.(i) h.(j)) a;
+      Some a
+    end
 
 (* [a] read in scan order: [perm] maps positions to ids; [None] is
    the identity, which costs no copy. *)
@@ -349,23 +327,18 @@ let relabel perm a =
    slot) — the gap-cut composition of [Decompose] checks segment
    sub-histories from the states the previous segment can reach.
 
-   [hint], only read under [`Smart] order, biases the candidate scan:
-   operations with a higher hint score are tried later.  The run
-   mutates [hint] in place — a bump per failed subtree and per
-   memo-lookahead prune — so a caller probing many cuts against one
-   history (the min_t gallop) carries what earlier cuts learned into
-   later ones.  Purely heuristic: any scan order decides the same
-   predicate. *)
+   [hint], one score per operation, biases the candidate scan:
+   operations with a higher score are tried later.  The run mutates
+   [hint] in place — a bump per failed subtree and per memo-lookahead
+   prune — so a caller probing many cuts against one history (the
+   min_t gallop) carries what earlier cuts learned into later ones.
+   Purely heuristic: any scan order decides the same predicate. *)
 let run ?hint ?init p ~t ~trace =
   let span_ts = Obs.Trace.begin_ns () in
   let { cfg; kinds; init_states; n_completed; _ } = p in
-  (* Under [`Smart] every per-operation table is read by position in
-     the scan order, fixed here from the hints as they stand. *)
-  let perm =
-    match cfg.order with
-    | `History -> None
-    | `Smart -> Some (smart_order ?hint p)
-  in
+  (* Under a hint order every per-operation table is read by position
+     in the scan order, fixed here from the hints as they stand. *)
+  let perm = hint_order p hint in
   let ops = relabel perm p.ops in
   let slot = relabel perm p.slot in
   let completed = relabel perm p.completed in
@@ -388,17 +361,6 @@ let run ?hint ?init p ~t ~trace =
       h.(id) <- h.(id) + 1
     | None -> ()
   in
-  (* slot_left.(s): unplaced operations on slot [s] — maintained only
-     under [`Smart] for the dead-node early rejection below. *)
-  let smart = Option.is_some perm in
-  let slot_left =
-    if smart then begin
-      let a = Array.make (Array.length init_states) 0 in
-      Array.iter (fun s -> a.(s) <- a.(s) + 1) slot;
-      a
-    end
-    else [||]
-  in
   (* [h] is the hash of this node's key, computed by its parent's memo
      lookahead, for the failure insert. *)
   let rec dfs n_placed_completed h =
@@ -406,13 +368,12 @@ let run ?hint ?init p ~t ~trace =
     if n_placed_completed = n_completed then true
     else begin
       let success = ref false in
-      let dead = ref false in
       let w = ref 0 in
-      while (not !success) && (not !dead) && !w < nw do
+      while (not !success) && !w < nw do
         (* Children restore [ready] before returning, so the word read
            here stays this node's ready set while its members run. *)
         let bits = ref (Bitset.word ready !w) in
-        while (not !success) && (not !dead) && !bits <> 0 do
+        while (not !success) && !bits <> 0 do
           let b = !bits land - !bits in
           bits := !bits lxor b;
           let id = (!w * Bitset.bits_per_word) + Bitset.bit_index b in
@@ -441,19 +402,10 @@ let run ?hint ?init p ~t ~trace =
               end;
               ok
           in
-          if admitted then begin
-            if not !success then begin
-              states.(sl) <- q;
-              Bitset.clear placed id
-            end
+          if admitted && not !success then begin
+            states.(sl) <- q;
+            Bitset.clear placed id
           end
-          else if smart && completed.(id) && slot_left.(sl) = 1 then
-            (* Early rejection: [id] must eventually appear in S (it is
-               completed), takes no legal transition from the current
-               state of its object, and no other unplaced operation can
-               ever change that state — this node is dead regardless of
-               the remaining choices. *)
-            dead := true
         done;
         incr w
       done;
@@ -480,10 +432,8 @@ let run ?hint ?init p ~t ~trace =
       | Some tr -> tr := (ops.(id), r) :: !tr
       | None -> ());
       enter fr id;
-      if smart then slot_left.(sl) <- slot_left.(sl) - 1;
       dfs n' h
       || begin
-           if smart then slot_left.(sl) <- slot_left.(sl) + 1;
            leave fr id;
            bump_hint id;
            (match trace with Some tr -> tr := List.tl !tr | None -> ());

@@ -27,58 +27,30 @@ open Elin_history
 
 type config
 
-(** Candidate scan order at each DFS node.  [`History] (the default)
-    scans operations by id (invocation order) — the node-count-pinned
-    behaviour behind the committed svc goldens and bench baselines.
-    [`Smart] scans earliest-response-first (pending operations last,
-    by invocation), biased by the caller's failure {e hint} scores
-    when given, and early-rejects dead nodes in which a completed
-    operation has no legal response and no other unplaced operation
-    can ever change its object's state.  Both orders decide the same
-    predicate; only exploration counts differ.  [Decompose] runs its
-    per-object sub-checks under [`Smart].
-
-    What [`Smart] wins (EXPERIMENTS.md "Checker nodes over the ready
-    set"): on B11's decomposed sub-checks 10–12 % fewer nodes than
-    [`History] (80 against 90 on register_family k = 10), which keeps
-    B11's 10× node floor at k = 4.  On the 300 svc_check-shaped
-    histories of test_checker_pins it explores more nodes (491 595
-    against 484 783, same cuts and min_t), allocates a little more per
-    node (it relabels the operations into its order at every run) and
-    is no faster. *)
-type order = [ `History | `Smart ]
-
 (** Raised when [node_budget] is exhausted.  This is an alias of
     {!Elin_kernel.Budget.Exceeded} (as is [Weak.Budget_exceeded]), so
     catching any one of them catches budget exhaustion from every
     checker. *)
 exception Budget_exceeded
 
-(** [config ?node_budget ?memoize ?poll ?order spec_of_obj] —
+(** [config ?node_budget ?memoize ?poll spec_of_obj] —
     [spec_of_obj] maps each object id appearing in checked histories
     to its spec; exceeding [node_budget] DFS expansions raises
     {!Budget_exceeded}; [memoize] (default true) toggles failure
     memoization — exposed only for the ablation benchmark.  [poll] is
     run every [Elin_kernel.Budget.poll_interval] expansions and may
     raise to abort the search cooperatively (wall-clock timeouts,
-    cancellation — see [lib/svc]).  [order] (default [`History])
-    picks the candidate scan heuristic — see {!type:order}. *)
+    cancellation — see [lib/svc]). *)
 val config :
   ?node_budget:int ->
   ?memoize:bool ->
   ?poll:(unit -> unit) ->
-  ?order:order ->
   (int -> Spec.t) ->
   config
 
 (** One-object convenience. *)
 val for_spec :
-  ?node_budget:int ->
-  ?memoize:bool ->
-  ?poll:(unit -> unit) ->
-  ?order:order ->
-  Spec.t ->
-  config
+  ?node_budget:int -> ?memoize:bool -> ?poll:(unit -> unit) -> Spec.t -> config
 
 type verdict = {
   ok : bool;
@@ -111,12 +83,22 @@ val object_slots : Operation.t array -> int array * int array
     mismatch) — the gap-cut composition checks segment sub-histories
     from the states the previous segment can reach.
 
-    [hint], read only under [`Smart] order, carries per-operation
-    failure scores across runs: higher scores scan later, and the run
-    bumps an operation's score for every failed subtree and every
-    memo-lookahead prune below it.  Thread one zero-initialized array
-    through a gallop of cuts to bias later probes by what earlier
-    probes learned.  Purely heuristic — the verdict is unaffected. *)
+    Without [hint] a node scans its candidates by id (invocation
+    order).  [hint] carries one failure score per operation across
+    runs ([Invalid_argument] unless its length is the operation
+    count): a run whose hint holds a non-zero score scans ids stably
+    sorted by score, so higher scores scan later and ties keep
+    invocation order, and every run bumps an operation's score for
+    each failed subtree and each memo-lookahead prune below it.
+    Thread one zero-initialized array through a gallop of cuts to bias
+    later probes by what earlier probes learned; [Decompose] does so
+    for every sub-history.  Purely heuristic — the verdict is
+    unaffected.
+
+    What the hints win (EXPERIMENTS.md): on B11's decomposed
+    sub-checks 10–12 % fewer nodes than no hint (80 against 90 on
+    register_family k = 10), which keeps B11's 10× node floor at
+    k = 4. *)
 val check_at :
   ?hint:int array -> ?init:Value.t array -> prepared -> t:int -> verdict
 

@@ -2,9 +2,11 @@
 
     The svc goldens, the decomposed goldens and the B4/B11 baselines
     carry the DFS's node counts and memo hits, so any change to the
-    engine's scan order, hint bumps, dead-node rejection, memo or
-    budget cadence must leave every value below bit-identical.  Each
-    family draws its histories in sequence from its own fresh
+    engine's scan order, hint order and bumps, memo or budget cadence
+    must leave every value below bit-identical.  The hinted pins
+    thread one hint array through each history's gallop, as
+    [Decompose] does, and the decomposed pin runs [Decompose] itself.
+    Each family draws its histories in sequence from its own fresh
     [Prng.create seed]; a pin is the family's summed counts. *)
 
 open Elin_spec
@@ -66,17 +68,11 @@ let min_t_history_order () =
   check_min_t "`History" (Engine.for_spec fai) (svc_check_shaped ())
     ~sum_t:5_133 ~cuts:3_104 ~nodes:484_783 ~hits:1_076_672
 
-let min_t_smart_order () =
-  check_min_t "`Smart"
-    (Engine.for_spec ~order:`Smart fai)
-    (svc_check_shaped ()) ~sum_t:5_133 ~cuts:3_104 ~nodes:491_595
-    ~hits:1_098_899
-
 let min_t_hinted () =
   check_min_t ~stats:hinted_min_t_stats "hinted"
-    (Engine.for_spec ~order:`Smart fai)
-    (svc_check_shaped ()) ~sum_t:5_133 ~cuts:3_104 ~nodes:360_436
-    ~hits:777_229
+    (Engine.for_spec fai)
+    (svc_check_shaped ()) ~sum_t:5_133 ~cuts:3_104 ~nodes:356_520
+    ~hits:768_853
 
 let final_states_with_pending () =
   let hists =
@@ -124,15 +120,10 @@ let min_t_three_word_history () =
   check_min_t "`History" (Engine.for_spec fai) (three_word ()) ~sum_t:339
     ~cuts:208 ~nodes:41_586 ~hits:72_455
 
-let min_t_three_word_smart () =
-  check_min_t "`Smart"
-    (Engine.for_spec ~order:`Smart fai)
-    (three_word ()) ~sum_t:339 ~cuts:208 ~nodes:42_037 ~hits:74_176
-
 let min_t_three_word_hinted () =
   check_min_t ~stats:hinted_min_t_stats "hinted"
-    (Engine.for_spec ~order:`Smart fai)
-    (three_word ()) ~sum_t:339 ~cuts:208 ~nodes:32_542 ~hits:49_921
+    (Engine.for_spec fai)
+    (three_word ()) ~sum_t:339 ~cuts:208 ~nodes:32_336 ~hits:49_556
 
 (* [Decompose.min_t_stats] on mixed register/fetch&increment histories
    of one to four objects: per-object gallops with hint arrays, gap
@@ -165,8 +156,8 @@ let decomposed_mixed () =
   check_int "gap segments" ~want:1_797 segments;
   check_int "gap fallbacks" ~want:0 fallbacks;
   check_int "cuts probed" ~want:1_281 cuts;
-  check_int "nodes" ~want:9_032 nodes;
-  check_int "memo hits" ~want:362 hits
+  check_int "nodes" ~want:8_990 nodes;
+  check_int "memo hits" ~want:365 hits
 
 let search_two_word () =
   let hists =
@@ -191,13 +182,11 @@ let () =
       ( "checker pins",
         [
           Support.quick "min_t svc_check-shaped `History" min_t_history_order;
-          Support.quick "min_t svc_check-shaped `Smart" min_t_smart_order;
           Support.quick "min_t svc_check-shaped hinted" min_t_hinted;
           Support.quick "final_states with pending" final_states_with_pending;
           Support.quick "min_t 66 ops" min_t_two_word;
           Support.quick "search 70 ops" search_two_word;
           Support.quick "min_t 130-180 ops `History" min_t_three_word_history;
-          Support.quick "min_t 130-180 ops `Smart" min_t_three_word_smart;
           Support.quick "min_t 130-180 ops hinted" min_t_three_word_hinted;
           Support.quick "decomposed min_t mixed" decomposed_mixed;
         ] );

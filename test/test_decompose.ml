@@ -3,7 +3,7 @@
     and full-report equality on random multi-object histories at
     random cuts, budget self-consistency, gap-cut unit tests
     (including nondeterministic boundary-state threading), and
-    [`Smart]-order verdict equivalence. *)
+    hinted-scan verdict equivalence. *)
 
 open Elin_spec
 open Elin_history
@@ -184,22 +184,25 @@ let empty_history () =
   Alcotest.(check bool) "empty linearizable" true
     (Decompose.linearizable dcfg History.empty)
 
-(* --- [`Smart] order decides the same predicate as [`History] --- *)
+(* --- a hinted scan decides the same predicate as the unhinted one --- *)
 
-let smart_order_equiv =
-  Support.seeded_prop ~count:150 "`Smart order = `History order" (fun rng ->
+let hinted_equiv =
+  Support.seeded_prop ~count:150 "hinted = unhinted" (fun rng ->
       let objs = random_objs rng in
       let h = random_mixed rng ~spec_of:spec_of_obj ~objs ~n_ops:6 in
       let t = random_cut rng h in
-      let smart = Engine.config ~order:`Smart spec_of_obj in
-      let p = Engine.prepare smart h in
-      let hint = Array.make (max 1 (History.n_ops h)) 0 in
+      let p = Engine.prepare mono h in
+      let n = History.n_ops h in
+      let unhinted = (Engine.check_at p ~t).Engine.ok in
+      let hint = Array.make n 0 in
       let v1 = Engine.check_at ~hint p ~t in
-      (* Same hint array threaded through a second run: the verdict is
-         heuristic-independent. *)
+      (* Same hint array threaded through a second run, then random
+         scores with ties: the verdict is heuristic-independent. *)
       let v2 = Engine.check_at ~hint p ~t in
-      v1.Engine.ok = Engine.t_linearizable mono h ~t
-      && v2.Engine.ok = v1.Engine.ok)
+      let scores = Array.init n (fun _ -> Elin_kernel.Prng.int rng 3) in
+      let v3 = Engine.check_at ~hint:scores p ~t in
+      v1.Engine.ok = unhinted && v2.Engine.ok = unhinted
+      && v3.Engine.ok = unhinted)
 
 let () =
   Alcotest.run "decompose"
@@ -219,5 +222,5 @@ let () =
           Support.quick "register_family exact" family_min_t_exact;
           Support.quick "empty history" empty_history;
         ] );
-      ("smart order", [ smart_order_equiv ]);
+      ("hinted scan", [ hinted_equiv ]);
     ]

@@ -312,16 +312,19 @@ let no_major_allocation_per_check () =
 
 (* Minor-heap words per DFS node of [Eventual.min_t_stats] on 50
    svc_check-shaped histories (the first 50 of test_checker_pins'
-   family), and per 8-op [Engine.linearizable] check (the model
-   checker's leaf check, prepare included), each after a warm-up pass.
-   A node expansion allocates nothing (a deterministic spec is read
-   through [response] and [next], with no transition list), so what
+   family), per 8-op [Engine.linearizable] check (the model checker's
+   leaf check, prepare included), and per 8-op check given an all-zero
+   hint array, as [Decompose]'s first probe is, each after a warm-up
+   pass.  A node expansion allocates nothing (a deterministic spec is
+   read through [response] and [next], with no transition list), and
+   a run whose hints are all 0 builds no scan permutation, so what
    remains is the per-run tables: the cut tables, the memo and its
    growth.  This build ([dune runtest], dev profile) reads 6.5 words
-   per node and 227.9 per check, against 34.8 and 286.4 while
-   [Spec.apply]'s lists were built and 200.6 and 940.3 before the
-   placed set and the memo went in place; the bounds leave about 15 %
-   headroom. *)
+   per node, 225.9 per check and 242.9 per hinted check (the hint
+   array included), against 34.8 and 286.4 while [Spec.apply]'s lists
+   were built, 200.6 and 940.3 before the placed set and the memo went
+   in place, and 369.8 per hinted check while hints came with a
+   per-run scan order; the bounds leave about 15 % headroom. *)
 let checker_minor_words () =
   let words_per f =
     ignore (f ());
@@ -353,10 +356,23 @@ let checker_minor_words () =
         List.iter (fun h -> assert (Engine.linearizable fcfg h)) small;
         1000)
   in
+  let per_hinted_check =
+    words_per (fun () ->
+        List.iter
+          (fun h ->
+            let hint = Array.make (History.n_ops h) 0 in
+            let p = Engine.prepare fcfg h in
+            assert (Engine.check_at ~hint p ~t:0).Engine.ok)
+          small;
+        1000)
+  in
   if per_node >= 7.5 then
     Alcotest.failf "%.1f minor words per DFS node (bound 7.5)" per_node;
   if per_check >= 263. then
-    Alcotest.failf "%.1f minor words per 8-op check (bound 263)" per_check
+    Alcotest.failf "%.1f minor words per 8-op check (bound 263)" per_check;
+  if per_hinted_check >= 263. then
+    Alcotest.failf "%.1f minor words per hinted 8-op check (bound 263)"
+      per_hinted_check
 
 (* Minor-heap words per state of the model checker's work outside the
    leaf check (successors, fingerprints, dedup, routing): fai/board
@@ -474,6 +490,22 @@ let witness_valid =
             | Some _ | None -> true)
           (History.ops h))
 
+(* [check_at] takes one hint score per operation and rejects any other
+   length before it searches. *)
+let hint_length_checked () =
+  let hist = paper_fai_family 3 in
+  let p = Engine.prepare fcfg hist and n = History.n_ops hist in
+  List.iter
+    (fun len ->
+      Alcotest.check_raises
+        (Printf.sprintf "hint of %d scores for %d operations" len n)
+        (Invalid_argument
+           "Engine.check_at: hint length is not the operation count")
+        (fun () -> ignore (Engine.check_at ~hint:(Array.make len 1) p ~t:0)))
+    [ 0; n - 1; n + 1 ];
+  Alcotest.(check bool) "hint of n scores" false
+    (Engine.check_at ~hint:(Array.make n 1) p ~t:0).Engine.ok
+
 let verdict_counts_nodes () =
   let hist = paper_fai_family 3 in
   let v = Engine.search fcfg hist ~t:0 in
@@ -526,5 +558,6 @@ let () =
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;
+          Support.quick "hint length checked" hint_length_checked;
         ] );
     ]

@@ -95,10 +95,11 @@ val object_slots : Operation.t array -> int array * int array
     for every sub-history.  Purely heuristic — the verdict is
     unaffected.
 
-    What the hints win (EXPERIMENTS.md): on B11's decomposed
-    sub-checks 10–12 % fewer nodes than no hint (80 against 90 on
-    register_family k = 10), which keeps B11's 10× node floor at
-    k = 4. *)
+    What the hints win (EXPERIMENTS.md "The scan order is the
+    hints"): on B11's decomposed sub-checks 11 % fewer nodes than no
+    hint on register_family (80 against 90 at k = 10), which keeps
+    B11's 10× node floor at k = 4, and 5–8 % fewer on the mixed
+    cells. *)
 val check_at :
   ?hint:int array -> ?init:Value.t array -> prepared -> t:int -> verdict
 

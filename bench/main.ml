@@ -559,17 +559,26 @@ let b4_pass ~smoke =
   end;
   if not smoke then begin
     (* The median and quartiles of 11 timed passes after the one
-       above, which warmed the heap. *)
+       above, which warmed the heap, and the words those passes
+       allocated in the minor heap and straight in the major heap
+       (major words less those promoted from the minor heap). *)
+    let minor0, promoted0, major0 = Gc.counters () in
     let walls =
       Array.init 11 (fun _ ->
           let t0 = Elin_obs.Clock.now_s () in
           ignore (pass ());
           Elin_obs.Clock.now_s () -. t0)
     in
+    let minor1, promoted1, major1 = Gc.counters () in
+    let per_pass w = w /. 11. in
+    let minor_words = per_pass (minor1 -. minor0) in
+    let major_words = per_pass (major1 -. major0 -. (promoted1 -. promoted0)) in
     Array.sort compare walls;
     let ms i = 1000. *. walls.(i) in
     Printf.printf "%-24s median %.1f ms, quartiles %.1f-%.1f ms (11 passes)\n"
       "whole pass wall" (ms 5) (ms 2) (ms 8);
+    Printf.printf "%-24s %.0f straight in the major heap, %.0f minor\n"
+      "words per pass" major_words minor_words;
     let open Elin_svc.Jsonl in
     write_series "b4_pass"
       [
@@ -583,6 +592,8 @@ let b4_pass ~smoke =
             ("wall_ms_p50", Float (ms 5));
             ("wall_ms_q1", Float (ms 2));
             ("wall_ms_q3", Float (ms 8));
+            ("major_words_per_pass", Float major_words);
+            ("minor_words_per_pass", Float minor_words);
           ];
       ]
   end;

@@ -41,7 +41,7 @@
 
     A node expansion allocates nothing: the placed and ready sets and
     the state vector are mutated in place and undone on backtrack,
-    failures go into one unboxed [Memo_key] table per run, and the
+    failures go into the domain's unboxed [Memo_key] table, and the
     per-node loops are [while] loops or recursive functions defined
     once per run, never closures built per node.  A deterministic
     spec ([Spec.Deterministic]) is read through its [response] and
@@ -352,7 +352,7 @@ let run ?hint ?init p ~t ~trace =
      restored on backtrack; the memo copies it and the placed set only
      when inserting a failure. *)
   let states = start_states ~who:"Engine.run" init_states init in
-  let memo = Memo_key.create ~width:p.n ~arity:(Array.length states) in
+  Memo_key.borrow ~width:p.n ~arity:(Array.length states) @@ fun memo ->
   (* Hint bumps land on operation ids, whatever the scan order. *)
   let bump_hint pos =
     match hint with
@@ -505,7 +505,7 @@ let final_states ?init p =
   let visited_hits = ref 0 in
   let states = start_states ~who:"Engine.final_states" init_states init in
   let arity = Array.length states in
-  let visited = Memo_key.create ~width:p.n ~arity in
+  Memo_key.borrow ~width:p.n ~arity @@ fun visited ->
   (* End states, keyed with the empty placed set. *)
   let finals = Memo_key.create ~width:0 ~arity in
   let no_ops = Bitset.create 0 in

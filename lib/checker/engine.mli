@@ -13,7 +13,7 @@
     both {!search} and {!witness}, so budget and memoization semantics
     are identical in both.  The placed and ready sets and the state
     vector are mutated in place and undone on backtrack, failures go
-    into one unboxed [Memo_key] table per run, and a deterministic
+    into the domain's unboxed [Memo_key] table, and a deterministic
     spec is read through {!Spec.Deterministic}'s [response] and [next]
     without a transition list, so a node expansion allocates nothing
     (a relational spec still returns its list).  {!prepare} builds the

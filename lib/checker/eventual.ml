@@ -55,12 +55,12 @@ let min_t_search check ~len =
 
 type search_stats = { cuts_probed : int; nodes : int; memo_hits : int }
 
+let m_probes = Elin_obs.Metrics.counter "engine.min_t_probes"
+
 (** [min_t_prepared p] — least stabilization bound against a prepared
     history, with aggregate exploration statistics over all probed
     cuts.  The cut-independent structures of [p] are shared by every
     probe. *)
-let m_probes = Elin_obs.Metrics.counter "engine.min_t_probes"
-
 let min_t_prepared (p : Engine.prepared) =
   let span_ts = Elin_obs.Trace.begin_ns () in
   let cuts = ref 0 and nodes = ref 0 and hits = ref 0 in

@@ -34,7 +34,7 @@ let justifiable spec ~pool ~required ~op ~resp =
   let nw = Bitset.word_count placed in
   let kind = Spec.transitions spec in
   let state = [| Spec.initial spec |] in
-  let memo = Memo_key.create ~width:n ~arity:1 in
+  Memo_key.borrow ~width:n ~arity:1 @@ fun memo ->
   let rec dfs n_placed_required =
     if
       n_placed_required = n_required

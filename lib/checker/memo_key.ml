@@ -18,8 +18,15 @@
     The arrays start at 16 slots and 8 keys, so for any placed set
     under 32 words every block sits in the minor heap (at most 256
     words) and a small history's check never touches the major heap;
-    the table doubles once it is more than half full.  Tables are
-    per-run values, never shared between domains. *)
+    the table doubles once it is more than half full.
+
+    A run of a DFS checker does not build its own table: {!borrow}
+    lends it the spare table its domain keeps, which earlier runs
+    already grew, so a min_t gallop's ten or so probes stop regrowing
+    a table past the minor heap's 256-word limit on every probe.  A
+    table is used by one run at a time: a borrow takes it out of its
+    domain's slot, and a nested run or another systhread on the same
+    domain finds the slot empty and builds its own. *)
 
 open Elin_kernel
 open Elin_spec
@@ -36,8 +43,12 @@ type t = {
 
 let initial_slots = 16
 
+let words_of_width width =
+  if width < 0 then invalid_arg "Memo_key: negative width";
+  (width + Bitset.bits_per_word - 1) / Bitset.bits_per_word
+
 let create ~width ~arity =
-  let nw = Bitset.word_count (Bitset.create width) in
+  let nw = words_of_width width in
   let keys = initial_slots / 2 in
   {
     nw;
@@ -145,3 +156,72 @@ let add t placed states = add_hashed t placed states (hash placed states)
 
 let states t =
   List.init t.count (fun e -> Array.sub t.states (e * t.arity) t.arity)
+
+(* Every key was placed at the first free slot on its probe sequence,
+   past slots that held keys of lower index, and nothing is removed
+   during a run; so, walking the keys from the last inserted down, the
+   probe from a key's home slot meets only occupied slots until its
+   own.  The states are reset too, so an emptied table keeps no
+   checker state alive. *)
+let clear t =
+  let mask = Array.length t.slots - 1 in
+  for e = t.count - 1 downto 0 do
+    let i = ref (t.hashes.(e) land mask) in
+    while t.slots.(!i) <> e do
+      i := (!i + 1) land mask
+    done;
+    t.slots.(!i) <- -1
+  done;
+  Array.fill t.states 0 (t.count * t.arity) Value.unit;
+  t.count <- 0
+
+(* --- One spare table per domain ------------------------------------ *)
+
+(* A table grown past this many slots is dropped when its run ends
+   rather than kept: the 300 svc_check-shaped histories of
+   test_checker_pins need at most 890 keys (2 048 slots), and a bound
+   twice that lets one costly job pin at most 4 096 slots and 2 048
+   keys on a domain (DESIGN.md §4.1 "Memo sizing"). *)
+let retained_slots = 4096
+
+(* The empty slot: no key has -1 words, so {!borrow} never takes it
+   for a spare of the right shape, and an empty slot costs no option
+   box per run. *)
+let none =
+  {
+    nw = -1;
+    arity = -1;
+    slots = [||];
+    count = 0;
+    hashes = [||];
+    words = [||];
+    states = [||];
+  }
+
+(* Systhreads share their domain's slot, so it is emptied and refilled
+   with atomic operations: a table is never lent twice at once. *)
+let spare = Domain.DLS.new_key (fun () -> Atomic.make none)
+
+let give_back slot t =
+  if Array.length t.slots <= retained_slots then begin
+    clear t;
+    Atomic.set slot t
+  end
+
+let borrow ~width ~arity f =
+  let slot = Domain.DLS.get spare in
+  let t = Atomic.exchange slot none in
+  let t =
+    if t.nw = words_of_width width && t.arity = arity then t
+    else create ~width ~arity
+  in
+  match f t with
+  | v ->
+    give_back slot t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    give_back slot t;
+    Printexc.raise_with_backtrace e bt
+
+let spare_slots () = Array.length (Atomic.get (Domain.DLS.get spare)).slots

@@ -4,8 +4,9 @@
 
     Keys are copied into flat arrays on insertion and compared in full
     on every hash match; lookups read the caller's live placed set and
-    state vector and allocate nothing.  One table per search: a table
-    is not safe to share between domains. *)
+    state vector and allocate nothing.  A table serves one search at a
+    time and is not safe to share between domains: the checkers
+    {!borrow} their domain's spare table for the length of a run. *)
 
 open Elin_kernel
 open Elin_spec
@@ -14,8 +15,24 @@ type t
 
 (** [create ~width ~arity] — an empty table for placed sets of
     [width] bits and state vectors of [arity] entries.  Small enough
-    to live in the minor heap; it grows as the search needs it. *)
+    to live in the minor heap; it grows as the search needs it.
+    [Invalid_argument] if [width] is negative. *)
 val create : width:int -> arity:int -> t
+
+(** [borrow ~width ~arity f] — [f t] on an empty table [t] of that
+    shape: the spare table of the calling domain when it has one of
+    that shape, else a fresh one.  The table goes back to the domain,
+    emptied, when [f] returns or raises, unless it has grown past a
+    fixed retention bound (4 096 slots), in which case it is dropped.
+    While [f] runs the domain has no spare, so a borrow nested inside
+    [f] (from a [poll] hook) or made by another systhread of the
+    domain gets a fresh table.  [t] must not be used after [f]
+    returns. *)
+val borrow : width:int -> arity:int -> (t -> 'a) -> 'a
+
+(** [clear t] — remove every key, in time proportional to the number
+    of keys, not the table's capacity, which it keeps. *)
+val clear : t -> unit
 
 (** [mem t placed states] — is the key present?  [Invalid_argument]
     if the key's shape differs from the table's. *)
@@ -44,3 +61,7 @@ val hash : Bitset.t -> Value.t array -> int
 val mem_hashed : t -> Bitset.t -> Value.t array -> int -> bool
 
 val add_hashed : t -> Bitset.t -> Value.t array -> int -> bool
+
+(** [spare_slots ()] — the slot count of the spare table the calling
+    domain holds, 0 if it holds none.  For tests. *)
+val spare_slots : unit -> int

@@ -77,7 +77,7 @@ let op_ok cfg h (target : Operation.t) =
      mutated in place and restored on backtrack. *)
   let placed = Bitset.create n in
   let states = Array.map Spec.initial specs in
-  let memo = Memo_key.create ~width:n ~arity:(Array.length states) in
+  Memo_key.borrow ~width:n ~arity:(Array.length states) @@ fun memo ->
   let nw = Bitset.word_count placed in
   let rec dfs n_placed_required =
     Budget.bump budget;

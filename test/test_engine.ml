@@ -278,6 +278,23 @@ let object_slots_ascending () =
     (Array.to_list objs);
   Alcotest.(check (array int)) "slots" [| 1; 0; 2; 0 |] slot
 
+(* The first 50 histories of test_checker_pins' svc_check-shaped
+   family (seed 1, 4 processes, 10 + 10 fetch&inc operations). *)
+let svc_check_shaped () =
+  let rng = Elin_kernel.Prng.create 1 in
+  List.init 50 (fun _ ->
+      fst
+        (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
+           ~suffix_ops:10 ()))
+
+(* Summed nodes and memo hits of the min_t gallops of [hists]. *)
+let gallop_counts cfg hists =
+  List.fold_left
+    (fun (nodes, hits) h ->
+      let st = snd (Eventual.min_t_stats cfg h) in
+      (nodes + st.Eventual.nodes, hits + st.Eventual.memo_hits))
+    (0, 0) hists
+
 (* Words this domain allocated straight into the major heap while [f]
    ran: major words minus the ones promoted from the minor heap. *)
 let direct_major_words f =
@@ -310,21 +327,38 @@ let no_major_allocation_per_check () =
         (fun p -> assert (snd (Engine.final_states p)).Engine.ok)
         prepared)
 
+(* A min_t gallop probes about ten cuts, and a long probe grows its
+   memo past the 256 words the minor heap takes: when every probe
+   built its own table from 16 slots, the 50 histories below put
+   12 735 words per history straight in the major heap (dev profile).
+   Runs now borrow their domain's spare table, which the warm-up pass
+   grows, so the timed pass regrows nothing. *)
+let no_major_allocation_per_gallop () =
+  let hists = svc_check_shaped () in
+  let pass () = ignore (gallop_counts fcfg hists) in
+  pass ();
+  let words = direct_major_words pass /. 50. in
+  if words >= 1. then
+    Alcotest.failf "%.1f words allocated in the major heap per min_t gallop"
+      words
+
 (* Minor-heap words per DFS node of [Eventual.min_t_stats] on 50
    svc_check-shaped histories (the first 50 of test_checker_pins'
    family), per 8-op [Engine.linearizable] check (the model checker's
    leaf check, prepare included), and per 8-op check given an all-zero
    hint array, as [Decompose]'s first probe is, each after a warm-up
    pass.  A node expansion allocates nothing (a deterministic spec is
-   read through [response] and [next], with no transition list), and
-   a run whose hints are all 0 builds no scan permutation, so what
-   remains is the per-run tables: the cut tables, the memo and its
-   growth.  This build ([dune runtest], dev profile) reads 6.5 words
-   per node, 225.9 per check and 242.9 per hinted check (the hint
-   array included), against 34.8 and 286.4 while [Spec.apply]'s lists
-   were built, 200.6 and 940.3 before the placed set and the memo went
-   in place, and 369.8 per hinted check while hints came with a
-   per-run scan order; the bounds leave about 15 % headroom. *)
+   read through [response] and [next], with no transition list), a
+   run whose hints are all 0 builds no scan permutation, and a run
+   borrows its domain's memo table, which the warm-up pass grew, so
+   what remains is the per-run cut tables and closures.  This build
+   ([dune runtest], dev profile) reads 1.5 words per node, 190.9 per
+   check and 207.9 per hinted check (the hint array included),
+   against 6.5, 225.9 and 242.9 while every run built its own memo
+   from 16 slots, 34.8 and 286.4 while [Spec.apply]'s lists were
+   built, 200.6 and 940.3 before the placed set and the memo went in
+   place, and 369.8 per hinted check while hints came with a per-run
+   scan order; the bounds leave about 15 % headroom. *)
 let checker_minor_words () =
   let words_per f =
     ignore (f ());
@@ -332,20 +366,8 @@ let checker_minor_words () =
     let units = f () in
     (Gc.minor_words () -. w0) /. float_of_int units
   in
-  let rng = Elin_kernel.Prng.create 1 in
-  let hists =
-    List.init 50 (fun _ ->
-        fst
-          (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
-             ~suffix_ops:10 ()))
-  in
-  let per_node =
-    words_per (fun () ->
-        List.fold_left
-          (fun acc h ->
-            acc + (snd (Eventual.min_t_stats fcfg h)).Eventual.nodes)
-          0 hists)
-  in
+  let hists = svc_check_shaped () in
+  let per_node = words_per (fun () -> fst (gallop_counts fcfg hists)) in
   let rng = Elin_kernel.Prng.create 0xa110c in
   let small =
     List.init 1000 (fun _ ->
@@ -366,12 +388,12 @@ let checker_minor_words () =
           small;
         1000)
   in
-  if per_node >= 7.5 then
-    Alcotest.failf "%.1f minor words per DFS node (bound 7.5)" per_node;
-  if per_check >= 263. then
-    Alcotest.failf "%.1f minor words per 8-op check (bound 263)" per_check;
-  if per_hinted_check >= 263. then
-    Alcotest.failf "%.1f minor words per hinted 8-op check (bound 263)"
+  if per_node >= 1.75 then
+    Alcotest.failf "%.2f minor words per DFS node (bound 1.75)" per_node;
+  if per_check >= 220. then
+    Alcotest.failf "%.1f minor words per 8-op check (bound 220)" per_check;
+  if per_hinted_check >= 240. then
+    Alcotest.failf "%.1f minor words per hinted 8-op check (bound 240)"
       per_hinted_check
 
 (* Minor-heap words per state of the model checker's work outside the
@@ -395,6 +417,88 @@ let mc_minor_words_per_state () =
   Alcotest.(check int) "states" 23_951 stats.Search.states;
   if words >= 150. then
     Alcotest.failf "%.1f minor words per state (bound 150)" words
+
+(* --- Runs borrow their domain's memo table ------------------------ *)
+
+(* [n] pending fetch&inc calls beside one completed call whose
+   response (1 000) no order allows: the DFS at t = 0 fails on every
+   subset of the pending calls, so it explores 2^n nodes and keeps
+   2^n failure keys. *)
+let pending_fai n =
+  h
+    (List.init n (fun i -> inv (i + 1) Op.fetch_inc)
+    @ [ inv 0 Op.fetch_inc; resi 0 1000 ])
+
+let counts v = (v.Engine.nodes_explored, v.Engine.memo_hits)
+
+(* A run started from another run's [poll] hook finds its domain's
+   spare lent out and builds its own table: the inner gallops read the
+   isolated counts, and the outer ones, whose memo the inner runs
+   would otherwise empty or fill, do too. *)
+let borrow_nested_run () =
+  let hists = svc_check_shaped () in
+  let isolated = gallop_counts fcfg hists in
+  let inner = List.nth hists 7 in
+  let inner_isolated = gallop_counts fcfg [ inner ] in
+  let inner_runs = ref 0 in
+  let poll () =
+    incr inner_runs;
+    Alcotest.(check (pair int int))
+      "inner gallop" inner_isolated
+      (gallop_counts fcfg [ inner ])
+  in
+  Alcotest.(check (pair int int))
+    "outer gallops" isolated
+    (gallop_counts (Engine.for_spec ~poll fai) hists);
+  Alcotest.(check bool) "inner runs started" true (!inner_runs > 0)
+
+(* Two systhreads on one domain, each yielding to the other from its
+   runs' [poll] hook, so each holds a run open while the other starts
+   one: both read the isolated counts. *)
+let borrow_systhreads () =
+  let hists = svc_check_shaped () in
+  let isolated = gallop_counts fcfg hists in
+  let last = ref (-1) and switches = ref 0 in
+  let poll me () =
+    if !last <> me then incr switches;
+    last := me;
+    Thread.yield ()
+  in
+  let got = Array.make 2 (0, 0) in
+  let run me =
+    got.(me) <- gallop_counts (Engine.for_spec ~poll:(poll me) fai) hists
+  in
+  let threads = List.init 2 (fun me -> Thread.create run me) in
+  List.iter Thread.join threads;
+  Alcotest.(check (pair int int)) "thread 0" isolated got.(0);
+  Alcotest.(check (pair int int)) "thread 1" isolated got.(1);
+  Alcotest.(check bool) "runs interleaved" true (!switches > 2)
+
+(* A run that raises still gives its table back, emptied: the same
+   search afterwards reads the isolated counts, not fewer nodes from
+   the failures the cut-short run left behind. *)
+let borrow_after_budget_exceeded () =
+  let hist = pending_fai 10 in
+  let isolated = counts (Engine.search fcfg hist ~t:0) in
+  Alcotest.(check bool) "cut short" true
+    (match Engine.search (Engine.for_spec ~node_budget:600 fai) hist ~t:0 with
+    | exception Engine.Budget_exceeded -> true
+    | _ -> false);
+  Alcotest.(check (pair int int))
+    "next run" isolated
+    (counts (Engine.search fcfg hist ~t:0))
+
+(* A table is kept up to 4 096 slots (2 048 keys): one grown past that
+   is dropped, so a costly job leaves no table on its domain. *)
+let borrow_retention_bound () =
+  let v = Engine.search fcfg (pending_fai 11) ~t:0 in
+  Alcotest.(check int) "2 048 keys" 2048 v.Engine.nodes_explored;
+  Alcotest.(check int) "kept at the bound" 4096 (Memo_key.spare_slots ());
+  let v = Engine.search fcfg (pending_fai 12) ~t:0 in
+  Alcotest.(check int) "4 096 keys" 4096 v.Engine.nodes_explored;
+  Alcotest.(check int) "dropped past it" 0 (Memo_key.spare_slots ());
+  ignore (Engine.search fcfg (pending_fai 2) ~t:0);
+  Alcotest.(check int) "a fresh table kept" 16 (Memo_key.spare_slots ())
 
 (* Property: generated linearizable histories always pass. *)
 let generated_pass =
@@ -554,10 +658,19 @@ let () =
           Support.quick "no major-heap allocation per check"
             no_major_allocation_per_check;
           Support.quick "mc minor words per state" mc_minor_words_per_state;
+          Support.quick "no major-heap allocation per gallop"
+            no_major_allocation_per_gallop;
           Support.quick "checker minor words per node" checker_minor_words;
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;
           Support.quick "hint length checked" hint_length_checked;
+        ] );
+      ( "memo borrow",
+        [
+          Support.quick "nested run" borrow_nested_run;
+          Support.quick "systhreads on one domain" borrow_systhreads;
+          Support.quick "after Budget_exceeded" borrow_after_budget_exceeded;
+          Support.quick "retention bound" borrow_retention_bound;
         ] );
     ]

@@ -305,40 +305,74 @@ let widths = [ 0; 62; 63; 125 ]
 
 let sorted_states l = List.sort compare (List.map Array.to_list l)
 
-(* Random adds and lookups, each on a freshly built key: answers,
-   sizes and the stored state vectors agree with the reference. *)
+(* [ops] random adds and lookups on [memo], each on a freshly built
+   key, against a fresh reference: answers, sizes and the stored state
+   vectors agree.  Returns the verdict and the recipes it inserted. *)
+let memo_round rng memo ~width ~arity ~ops =
+  let reference = Ref_memo.create 16 in
+  let seen = ref [] in
+  let agree = ref true in
+  for _ = 1 to ops do
+    let recipe =
+      if !seen <> [] && Elin_kernel.Prng.int rng 3 = 0 then
+        List.nth !seen (Elin_kernel.Prng.int rng (List.length !seen))
+      else random_recipe rng ~width ~arity
+    in
+    let placed, states = build ~width recipe in
+    let ref_key = (fst recipe, states) in
+    if Elin_kernel.Prng.bool rng then begin
+      let fresh = not (Ref_memo.mem reference ref_key) in
+      Ref_memo.replace reference (fst recipe, Array.copy states) ();
+      seen := recipe :: !seen;
+      agree := !agree && Memo_key.add memo placed states = fresh
+    end
+    else
+      agree :=
+        !agree
+        && Memo_key.mem memo placed states = Ref_memo.mem reference ref_key
+  done;
+  ( !agree
+    && Memo_key.length memo = Ref_memo.length reference
+    && sorted_states (Memo_key.states memo)
+       = sorted_states
+           (Ref_memo.fold (fun (_, s) () acc -> s :: acc) reference []),
+    !seen )
+
+let random_shape rng =
+  (List.nth widths (Elin_kernel.Prng.int rng 4), Elin_kernel.Prng.int rng 4)
+
 let memo_matches_reference =
   Support.seeded_prop ~count:60 "memo = Hashtbl reference" (fun rng ->
-      let width = List.nth widths (Elin_kernel.Prng.int rng 4) in
-      let arity = Elin_kernel.Prng.int rng 4 in
+      let width, arity = random_shape rng in
       let memo = Memo_key.create ~width ~arity in
-      let reference = Ref_memo.create 16 in
-      let seen = ref [] in
-      let agree = ref true in
-      for _ = 1 to 600 do
-        let recipe =
-          if !seen <> [] && Elin_kernel.Prng.int rng 3 = 0 then
-            List.nth !seen (Elin_kernel.Prng.int rng (List.length !seen))
-          else random_recipe rng ~width ~arity
-        in
-        let placed, states = build ~width recipe in
-        let ref_key = (fst recipe, states) in
-        if Elin_kernel.Prng.bool rng then begin
-          let fresh = not (Ref_memo.mem reference ref_key) in
-          Ref_memo.replace reference (fst recipe, Array.copy states) ();
-          seen := recipe :: !seen;
-          agree := !agree && Memo_key.add memo placed states = fresh
-        end
-        else
-          agree :=
-            !agree
-            && Memo_key.mem memo placed states = Ref_memo.mem reference ref_key
-      done;
-      !agree
-      && Memo_key.length memo = Ref_memo.length reference
-      && sorted_states (Memo_key.states memo)
-         = sorted_states
-             (Ref_memo.fold (fun (_, s) () acc -> s :: acc) reference []))
+      fst (memo_round rng memo ~width ~arity ~ops:600))
+
+(* One table through rounds of random lengths, emptied by
+   [Memo_key.clear] between them, as a domain's spare table is between
+   the runs it is lent to: rounds of up to 1 200 operations grow most
+   tables well past their 16 starting slots, and later rounds start
+   from the grown, emptied table.  Every round agrees with a fresh
+   reference, and after each clear the table is empty and every key
+   inserted before the clear reads absent. *)
+let memo_clear_matches_reference =
+  Support.seeded_prop ~count:30 "memo clear and reuse = Hashtbl reference"
+    (fun rng ->
+      let width, arity = random_shape rng in
+      let memo = Memo_key.create ~width ~arity in
+      List.for_all
+        (fun _ ->
+          let ops = 1 + Elin_kernel.Prng.int rng 1200 in
+          let agree, inserted = memo_round rng memo ~width ~arity ~ops in
+          Memo_key.clear memo;
+          agree
+          && Memo_key.length memo = 0
+          && Memo_key.states memo = []
+          && List.for_all
+               (fun recipe ->
+                 let placed, states = build ~width recipe in
+                 not (Memo_key.mem memo placed states))
+               inserted)
+        (List.init 6 Fun.id))
 
 (* Keys whose hashes share their low 6 bits start their probes in a
    few slots and form long runs; each is still found, and none answers
@@ -499,6 +533,7 @@ let () =
       ( "memo",
         [
           memo_matches_reference;
+          memo_clear_matches_reference;
           Support.quick "colliding low bits" memo_colliding_low_bits;
           Support.quick "structurally equal keys" memo_structural_hits;
           Support.quick "full-hash collisions" memo_full_hash_collisions;

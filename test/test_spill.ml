@@ -333,27 +333,49 @@ let obs_zero_interference_under_spill () =
   Elin_obs.Trace.clear ();
   Elin_obs.Metrics.reset ()
 
-(* --- Bloom filters keep cold probes off the disk -------------------- *)
+(* --- The B10 shape: fai/board 2x3 d22, hot tier 1024, 2 domains ---- *)
+
+(* One run shared by the tests below. *)
+let b10_store =
+  lazy
+    (let impl = Impls.fai_from_board () in
+     let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
+     let sp = Mc.spill ~hot:1024 (fresh_dir ()) in
+     ignore
+       (Mc.count_states impl ~workloads:wl ~max_steps:22 ~domains:2 ~spill:sp
+          ());
+     match sp.Mc.store with
+     | None -> Alcotest.fail "no store stats"
+     | Some s -> s)
+
+(* Every store count of the B10 shape, exactly.  The shape (segments,
+   bytes, spilled, hot, flushes) is a function of the insertion
+   sequence; the probe counts of each shard's probe sequence, which
+   the domain count fixes. *)
+let b10_store_counts () =
+  let s = Lazy.force b10_store in
+  let open Elin_store.Tiered_set in
+  let pin name want got = Alcotest.(check int) name want got in
+  pin "segments" 22 s.segments;
+  pin "disk_bytes" 362_296 s.disk_bytes;
+  pin "spilled" 22_528 s.spilled;
+  pin "hot" 1_423 s.hot;
+  pin "flushes" 22 s.flushes;
+  pin "disk_probes" 43_663 s.disk_probes;
+  pin "disk_probe_hits" 0 s.disk_probe_hits;
+  pin "block_reads" 1_453 s.block_reads
 
 (* Without the per-segment filters a cold miss reads a block from
    every segment of its shard; with them, from about 1 in 100.  The
-   B10 spill shape (fai/board 2x3 d22, hot tier 1024, 2 domains)
-   seals 22 segments and must read fewer than 1 block per 10 cold
-   probes. *)
+   B10 shape seals 22 segments and must read fewer than 1 block per
+   10 cold probes. *)
 let bloom_keeps_probes_off_disk () =
-  let impl = Impls.fai_from_board () in
-  let wl = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
-  let sp = Mc.spill ~hot:1024 (fresh_dir ()) in
-  ignore
-    (Mc.count_states impl ~workloads:wl ~max_steps:22 ~domains:2 ~spill:sp ());
-  match sp.Mc.store with
-  | None -> Alcotest.fail "no store stats"
-  | Some s ->
-    let open Elin_store.Tiered_set in
-    if s.segments < 10 then Alcotest.failf "only %d segments sealed" s.segments;
-    if s.block_reads * 10 >= s.disk_probes then
-      Alcotest.failf "%d block reads for %d cold probes over %d segments"
-        s.block_reads s.disk_probes s.segments
+  let s = Lazy.force b10_store in
+  let open Elin_store.Tiered_set in
+  if s.segments < 10 then Alcotest.failf "only %d segments sealed" s.segments;
+  if s.block_reads * 10 >= s.disk_probes then
+    Alcotest.failf "%d block reads for %d cold probes over %d segments"
+      s.block_reads s.disk_probes s.segments
 
 let () =
   Alcotest.run "spill"
@@ -388,5 +410,7 @@ let () =
         [
           Alcotest.test_case "bloom filters: < 1 block read per 10 probes"
             `Quick bloom_keeps_probes_off_disk;
+          Alcotest.test_case "B10 shape: store counts" `Quick
+            b10_store_counts;
         ] );
     ]

@@ -74,14 +74,6 @@ type ('s, 'v) expansion =
   | Leaf of 'v option    (** terminal; [Some v] records a verdict *)
   | Cut of 'v option     (** terminal because of the bound *)
 
-(* One domain's view of its visited shard, reduced to the two
-   operations the search needs, over either the RAM set
-   ({!Elin_kernel.Shard_set}) or the spill tier
-   ({!Elin_store.Tiered_set}); the closures erase the difference,
-   which is what keeps the dedup semantics — and hence the
-   determinism contract — representation-independent. *)
-type vset = { vadd : int64 -> bool; vmem : int64 -> bool }
-
 (* Observability.  Live counters/gauges let `elin mc --progress` read
    exploration rates mid-level; the trace gets one expansion span plus
    aggregated POR-pruned / dedup-dropped instants per (level, worker)
@@ -301,39 +293,26 @@ let m_handoff_batches = Elin_obs.Metrics.counter "mc.handoff_batches"
 let m_handoff_states = Elin_obs.Metrics.counter "mc.handoff_states"
 
 (* One domain's share of a BFS level: the first [n] entries of
-   [states], in first-arrival order, with their fingerprints at the
-   same index of [fps] (8 bytes each, unboxed).  A worker keeps two,
-   the frontier it expands and the level it builds, and swaps them at
-   each level boundary: they double when full and never shrink, so a
-   level costs no allocation once the widest one has been seen.
-   [clear] overwrites the used prefix with [filler] (any live state) so
-   that an expanded level's states can be collected. *)
+   [states], in first-arrival order.  A worker keeps two, the frontier
+   it expands and the level it builds, and swaps them at each level
+   boundary: they double when full and never shrink, so a level costs
+   no allocation once the widest one has been seen.  [clear]
+   overwrites the used prefix with [filler] (any live state) so that
+   an expanded level's states can be collected. *)
 module Level = struct
-  type 's t = {
-    mutable states : 's array;
-    mutable fps : Bytes.t;
-    mutable n : int;
-  }
+  type 's t = { mutable states : 's array; mutable n : int }
 
-  let of_array states =
-    let n = Array.length states in
-    { states; fps = Bytes.create (8 * n); n }
+  let of_array states = { states; n = Array.length states }
 
-  let push t ~filler fp s =
+  let push t ~filler s =
     if t.n = Array.length t.states then begin
-      let cap = max 64 (2 * t.n) in
-      let states = Array.make cap filler in
+      let states = Array.make (max 64 (2 * t.n)) filler in
       Array.blit t.states 0 states 0 t.n;
-      let fps = Bytes.create (8 * cap) in
-      Bytes.blit t.fps 0 fps 0 (8 * t.n);
-      t.states <- states;
-      t.fps <- fps
+      t.states <- states
     end;
     t.states.(t.n) <- s;
-    Bytes.set_int64_le t.fps (8 * t.n) fp;
     t.n <- t.n + 1
 
-  let fp t i = Bytes.get_int64_le t.fps (8 * i)
   let to_array t = Array.sub t.states 0 t.n
 
   let clear t ~filler =
@@ -538,21 +517,18 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     let m_worker =
       if Elin_obs.Metrics.on () then Some (worker_counter d) else None
     in
-    (* This domain's view of its own visited shard. *)
-    let vops =
+    (* The one operation the search needs of this domain's visited
+       shard: insert, [true] iff the fingerprint was not yet a member.
+       The closure erases the difference between the RAM set
+       ({!Elin_kernel.Shard_set}) and the spill tier
+       ({!Elin_store.Tiered_set}), which is what keeps the dedup
+       semantics — and hence the determinism contract —
+       representation-independent. *)
+    let vadd =
       match tiered, visited with
       | Some tv, _ ->
-        Some
-          {
-            vadd = (fun fp -> Elin_store.Tiered_set.add_owned tv ~shard:d fp);
-            vmem = (fun fp -> Elin_store.Tiered_set.mem_owned tv ~shard:d fp);
-          }
-      | None, Some v ->
-        Some
-          {
-            vadd = (fun fp -> Shard_set.add v ~shard:d fp);
-            vmem = (fun fp -> Shard_set.mem v ~shard:d fp);
-          }
+        Some (fun fp -> Elin_store.Tiered_set.add_owned tv ~shard:d fp)
+      | None, Some v -> Some (fun fp -> Shard_set.add v ~shard:d fp)
       | None, None -> None
     in
     let g_shard =
@@ -575,21 +551,28 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     in
     (* One kept successor arriving at its owner (locally generated or
        drained from a peer's batch): the single point where dedup and
-       merge decisions are made — single-threaded per fingerprint. *)
+       merge decisions are made — single-threaded per fingerprint.
+       A new state enters the visited set when its first copy arrives.
+       Under merge, [slots] maps each fingerprint the level keeps to
+       the index of its first-arrived copy, so a later copy merges
+       there without asking the visited set again. *)
     let process_kept fp s =
       let lv = !next in
-      match vops, merge with
-      | None, _ -> Level.push lv ~filler:root fp s
-      | Some v, None ->
-        if v.vadd fp then Level.push lv ~filler:root fp s else incr hits
-      | Some v, Some merge_fn ->
-        if v.vmem fp then incr hits
-        else if Fp_table.add slots fp lv.n then Level.push lv ~filler:root fp s
-        else begin
+      match vadd, merge with
+      | None, _ -> Level.push lv ~filler:root s
+      | Some vadd, None ->
+        if vadd fp then Level.push lv ~filler:root s else incr hits
+      | Some vadd, Some merge_fn -> (
+        match Fp_table.find slots fp with
+        | i ->
           incr hits;
-          let i = Fp_table.find slots fp in
           lv.states.(i) <- merge_fn lv.states.(i) s
-        end
+        | exception Not_found ->
+          if vadd fp then begin
+            ignore (Fp_table.add slots fp lv.n);
+            Level.push lv ~filler:root s
+          end
+          else incr hits)
     in
     let route s' =
       let fp = fingerprint s' in
@@ -648,8 +631,8 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       global_size := !total;
       Barrier.await barrier
     | _ -> (
-      match vops with
-      | Some v when root_owner = d -> ignore (v.vadd root_fp)
+      match vadd with
+      | Some vadd when root_owner = d -> ignore (vadd root_fp)
       | _ -> ()));
     let stop = ref false in
     while not !stop do
@@ -687,14 +670,7 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
         drain ()
       done;
       let lv = !next in
-      (match vops, merge with
-      | Some v, Some _ ->
-        (* The level's survivors enter the visited set newest first. *)
-        for i = lv.n - 1 downto 0 do
-          ignore (v.vadd (Level.fp lv i))
-        done;
-        Fp_table.clear slots
-      | _ -> ());
+      Fp_table.clear slots;
       kept := !kept + lv.n;
       next_sizes.(d) <- lv.n;
       found_counts.(d) <- List.length !level_found;

@@ -67,16 +67,26 @@ let write ~dir ~name records =
       ]
 
 (* The in-RAM Bloom filter over a segment's fingerprints, built at
-   open time and never written to disk: [bloom_bits] bits per record
-   and [bloom_probes] bit tests per lookup (the optimal count for 10
-   bits), about 1% false positives.  The positions are double-hashed
-   from a splitmix64 avalanche of the fingerprint, not from
-   [Fingerprint.mix]: the high bits of that word pick the owner
-   shard, so they are correlated across all of one shard's segments. *)
-let bloom_bits = 10
+   open time and never written to disk.  Its size in bits is the
+   smallest power of two of at least [bloom_min_bits] per record, so a
+   bit position is a mask, not a division: 16 bits per record at
+   1 024-record segments, between 10 and 20 in general.  [bloom_probes]
+   bit tests per lookup give about 0.07% false positives at 16 bits
+   per record (about 1% at 10).  The positions are double-hashed from a
+   splitmix64 avalanche of the fingerprint ([filter_hash]), not from
+   [Fingerprint.mix]: the high bits of that word pick the owner shard,
+   so they are correlated across all of one shard's segments. *)
+let bloom_min_bits = 10
 let bloom_probes = 7
 
-let bloom_hash fp =
+(* Filter bits for [n] records: a power of two, at least 8. *)
+let bloom_size n =
+  let rec bits m = if m >= n * bloom_min_bits then m else bits (2 * m) in
+  bits 8
+
+(* The avalanche, truncated to an [int]: its low 32 bits are the first
+   position, the bits above them the stride. *)
+let filter_hash fp =
   let z = Int64.add fp 0x9E3779B97F4A7C15L in
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
@@ -84,28 +94,29 @@ let bloom_hash fp =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
   in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31))
 
-(* [f] on each of [fp]'s bit positions in [bits] while it returns
-   true; true iff it always did. *)
-let bloom_for_all bits fp f =
-  let m = Bytes.length bits * 8 in
-  let h = bloom_hash fp in
-  let h1 = Int64.to_int h land 0xFFFF_FFFF in
-  let h2 = Int64.to_int (Int64.shift_right_logical h 32) lor 1 in
-  let rec go i = i = bloom_probes || (f ((h1 + (i * h2)) mod m) && go (i + 1)) in
-  go 0
+let[@inline] bloom_stride h = (h lsr 32) lor 1
+let[@inline] bit_set bits b =
+  Char.code (Bytes.get bits (b lsr 3)) land (1 lsl (b land 7)) <> 0
 
-let bloom_add bits fp =
-  ignore
-    (bloom_for_all bits fp (fun b ->
-         let byte = Char.code (Bytes.get bits (b lsr 3)) in
-         Bytes.set bits (b lsr 3) (Char.chr (byte lor (1 lsl (b land 7))));
-         true))
+let bloom_add bits mask h =
+  let stride = bloom_stride h in
+  for i = 0 to bloom_probes - 1 do
+    let b = (h + (i * stride)) land mask in
+    let byte = Char.code (Bytes.get bits (b lsr 3)) in
+    Bytes.set bits (b lsr 3) (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
+  done
 
-let bloom_mem bits fp =
-  bloom_for_all bits fp (fun b ->
-      Char.code (Bytes.get bits (b lsr 3)) land (1 lsl (b land 7)) <> 0)
+(* Every one of [h]'s bit positions is set in [bits]. *)
+let bloom_mem bits mask h =
+  let stride = bloom_stride h in
+  let i = ref 0 and b = ref h in
+  while !i < bloom_probes && bit_set bits (!b land mask) do
+    incr i;
+    b := !b + stride
+  done;
+  !i = bloom_probes
 
 type reader = {
   rname : string;
@@ -116,10 +127,11 @@ type reader = {
   data_off : int;
   index : int64 array;  (* first fingerprint of each block *)
   fbytes : int;
-  bloom : Bytes.t;  (* holds every member; empty iff [n = 0] *)
+  bloom : Bytes.t;  (* holds every member *)
+  bloom_mask : int;  (* bit count of [bloom] - 1 *)
   cache : Bytes.t;  (* the one cached, CRC-verified block, CRC included *)
   mutable cached : int;  (* block number in [cache]; -1 = none *)
-  mutable block_reads : int;  (* blocks [probe] loaded from the file *)
+  mutable block_reads : int;  (* blocks probes loaded from the file *)
   mutable closed : bool;
 }
 
@@ -200,6 +212,7 @@ let validate ~name fd =
   for i = 1 to n_blocks - 1 do
     if index.(i) <=^ index.(i - 1) then corrupt "%s: index not sorted" name
   done;
+  let bloom_bits = bloom_size n in
   let r =
     {
       rname = name;
@@ -210,7 +223,8 @@ let validate ~name fd =
       data_off;
       index;
       fbytes;
-      bloom = Bytes.make (((n * bloom_bits) + 7) / 8) '\000';
+      bloom = Bytes.make (bloom_bits / 8) '\000';
+      bloom_mask = bloom_bits - 1;
       cache = Bytes.create ((min n br * record_bytes) + 4);
       cached = -1;
       block_reads = 0;
@@ -220,7 +234,8 @@ let validate ~name fd =
   for b = 0 to n_blocks - 1 do
     load_block r b;
     for i = 0 to block_len r b - 1 do
-      bloom_add r.bloom (Bytes.get_int64_le r.cache (i * record_bytes))
+      bloom_add r.bloom r.bloom_mask
+        (filter_hash (Bytes.get_int64_le r.cache (i * record_bytes)))
     done
   done;
   r
@@ -241,33 +256,44 @@ let length r = r.n
 let file_bytes r = r.fbytes
 let block_reads r = r.block_reads
 
+(* Loads the block that would hold [fp] and returns the index of
+   [fp]'s record in it, or -1.  [fp] must not precede the first
+   record. *)
+let find_record r fp =
+  (* Last block whose first fingerprint is <= fp. *)
+  let lo = ref 0 and hi = ref (r.n_blocks - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if r.index.(mid) <=^ fp then lo := mid else hi := mid - 1
+  done;
+  let b = !lo in
+  if r.cached <> b then begin
+    r.block_reads <- r.block_reads + 1;
+    if Elin_obs.Metrics.on () then Elin_obs.Metrics.Counter.incr m_block_reads
+  end;
+  load_block r b;
+  let lo = ref 0 and hi = ref (block_len r b - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let cand = Bytes.get_int64_le r.cache (mid * record_bytes) in
+    if Int64.equal cand fp then found := mid
+    else if cand <^ fp then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !found
+
+(* The filter, and the first record, turn [fp] away without I/O. *)
+let[@inline] may_hold r ~hash fp =
+  r.n > 0 && (not (fp <^ r.index.(0))) && bloom_mem r.bloom r.bloom_mask hash
+
+let mem r ~hash fp = may_hold r ~hash fp && find_record r fp >= 0
+
 let probe r fp =
-  if r.n = 0 || fp <^ r.index.(0) || not (bloom_mem r.bloom fp) then None
-  else begin
-    (* Last block whose first fingerprint is <= fp. *)
-    let lo = ref 0 and hi = ref (r.n_blocks - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if r.index.(mid) <=^ fp then lo := mid else hi := mid - 1
-    done;
-    let b = !lo in
-    if r.cached <> b then begin
-      r.block_reads <- r.block_reads + 1;
-      if Elin_obs.Metrics.on () then Elin_obs.Metrics.Counter.incr m_block_reads
-    end;
-    load_block r b;
-    let k = block_len r b in
-    let lo = ref 0 and hi = ref (k - 1) and found = ref None in
-    while !found = None && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let cand = Bytes.get_int64_le r.cache (mid * record_bytes) in
-      if cand = fp then
-        found := Some (Bytes.get_int64_le r.cache ((mid * record_bytes) + 8))
-      else if cand <^ fp then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-  end
+  if not (may_hold r ~hash:(filter_hash fp) fp) then None
+  else
+    let i = find_record r fp in
+    if i < 0 then None
+    else Some (Bytes.get_int64_le r.cache ((i * record_bytes) + 8))
 
 let iter r f =
   for b = 0 to r.n_blocks - 1 do

@@ -68,12 +68,14 @@ type reader
 
 (** Opens [dir/name] and validates it in one pass: header, size
     arithmetic, index checksum, and the checksum of every block, whose
-    fingerprints fill the reader's Bloom filter (10 bits of RAM per
-    record, about 1% false positives); raises {!Corrupt} on any
-    mismatch.  The reader holds one file descriptor, the filter and a
-    one-block cache; it is {e not} concurrency-safe — one domain uses
-    it at a time (the tiered set's readers are used only by their
-    shard's owning domain). *)
+    fingerprints fill the reader's Bloom filter; raises {!Corrupt} on
+    any mismatch.  The filter takes the smallest power of two of at
+    least 10 bits per record: 16 bits (2 bytes of RAM) per record for
+    1 024-record segments, at most 20 in general, and about 0.07%
+    false positives at 16.  The reader holds one file descriptor, the
+    filter and a one-block cache; it is {e not} concurrency-safe — one
+    domain uses it at a time (the tiered set's readers are used only
+    by their shard's owning domain). *)
 val open_reader : dir:string -> name:string -> reader
 
 val name : reader -> string
@@ -89,9 +91,17 @@ val file_bytes : reader -> int
     + CRC check per miss of the cache. *)
 val probe : reader -> int64 -> int64 option
 
-(** Blocks [probe] has loaded from the file so far: CRC-verified
-    reads, not counting filter rejections or cache hits.  Also counted
-    in the [store.block_reads] metric. *)
+(** The Bloom-filter hash of a fingerprint, for {!mem}: a probe that
+    visits several segments computes it once. *)
+val filter_hash : int64 -> int
+
+(** [mem r ~hash fp] — [probe r fp <> None], given [hash = filter_hash
+    fp].  Allocates nothing. *)
+val mem : reader -> hash:int -> int64 -> bool
+
+(** Blocks [probe] and [mem] have loaded from the file so far:
+    CRC-verified reads, not counting filter rejections or cache hits.
+    Also counted in the [store.block_reads] metric. *)
 val block_reads : reader -> int
 
 (** Sequential, fully CRC-checked scan in fingerprint order. *)

@@ -107,23 +107,35 @@ let shards t = Shard_set.shards t.hot
 
 let owner t fp = Shard_set.owner t.hot fp
 
+(* [fp] is in one of [readers]; [hash] is its filter hash. *)
+let rec mem_any readers ~hash fp =
+  match readers with
+  | [] -> false
+  | r :: rest -> Segment.mem r ~hash fp || mem_any rest ~hash fp
+
+(* Out of line, so that a probe builds its span's arguments only when
+   tracing is on. *)
+let[@inline never] probe_span ts hit =
+  Trace.complete ~cat:"store" ~ts "store.probe"
+    ~args:[ ("hit", Jsonl.Bool hit) ]
+
 (* Probe the sealed segments of [s] for [fp].  Caller owns the shard.
    [disk_probes] counts calls, not the segments a call visits; most
-   visits end at the segment's Bloom filter without a read. *)
+   visits end at the segment's Bloom filter without a read.  The
+   filter hash is computed once for all of them. *)
 let probe_disk t s fp =
   match s.readers with
   | [] -> false
   | readers ->
       let ts = Trace.begin_ns () in
       s.disk_probes <- s.disk_probes + 1;
-      let hit = List.exists (fun r -> Segment.probe r fp <> None) readers in
+      let hit = mem_any readers ~hash:(Segment.filter_hash fp) fp in
       if hit then s.disk_probe_hits <- s.disk_probe_hits + 1;
       if Metrics.on () then begin
         Metrics.Counter.incr t.m_disk_probes;
         if hit then Metrics.Counter.incr t.m_disk_hits
       end;
-      Trace.complete ~cat:"store" ~ts "store.probe"
-        ~args:[ ("hit", Elin_obs.Jsonl.Bool hit) ];
+      if Trace.on () then probe_span ts hit;
       hit
 
 (* Seal [s]'s hot tier as one sorted segment.  Caller owns the shard. *)

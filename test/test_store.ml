@@ -173,7 +173,8 @@ let segment_bloom_no_false_negatives () =
 
 (* Non-members rarely get past the filter: 10^5 probes of fingerprints
    outside the segment (the fixed-seed [fp_of] family) read a block
-   under 2% of the time.  10 bits and 7 probes per record give ~1%. *)
+   under 0.25% of the time.  1 000 records take a 16 384-bit filter;
+   7 probes at 16.4 bits per record give about 0.06%. *)
 let segment_bloom_false_positives () =
   let dir = fresh_dir () in
   let n = 1000 and probes = 100_000 in
@@ -184,7 +185,7 @@ let segment_bloom_false_positives () =
       Alcotest.failf "fp_of %d is not a member" i
   done;
   let reads = Segment.block_reads r in
-  if reads * 50 >= probes then
+  if reads * 400 >= probes then
     Alcotest.failf "%d block reads for %d non-member probes" reads probes;
   Segment.close r
 
@@ -443,6 +444,37 @@ let tiered_flush_cadence_deterministic () =
   let a = shape (fresh_dir ()) and b = shape (fresh_dir ()) in
   Alcotest.(check bool) "identical spill shape" true (a = b)
 
+(* A cold miss allocates nothing: the filter hash is computed once per
+   probe, each segment's filter is tested in a closure-free loop, and
+   the probe span is built only when tracing is on.  100 000 misses
+   over 11 sealed 1 024-record segments stay under 4 minor words per
+   probe (dev profile); a closure and a boxed hash per segment visited
+   read about 171. *)
+let tiered_cold_miss_allocation () =
+  let dir = fresh_dir () in
+  let t = Tiered_set.create ~dir ~shards:1 ~hot_capacity:1024 () in
+  let members = 11 * 1024 in
+  for i = 0 to members - 1 do
+    ignore (Tiered_set.add_owned t ~shard:0 (fp_of i))
+  done;
+  let n = 100_000 in
+  let probes = Array.init n (fun i -> fp_of (members + i)) in
+  let probes0 = (Tiered_set.stats t).Tiered_set.disk_probes in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    if Tiered_set.mem_owned t ~shard:0 probes.(i) then incr hits
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  let s = Tiered_set.stats t in
+  Tiered_set.close t;
+  Alcotest.(check int) "segments" 11 s.Tiered_set.segments;
+  Alcotest.(check int) "hot tier empty" 0 s.Tiered_set.hot;
+  Alcotest.(check int) "every probe a miss" 0 !hits;
+  Alcotest.(check int) "every probe reached the segments" n
+    (s.Tiered_set.disk_probes - probes0);
+  if words >= 4. then Alcotest.failf "%.1f minor words per cold miss" words
+
 (* --- cross-process persistence contract --------------------------- *)
 
 (* Child side: re-derive the record family from the indices alone and
@@ -548,7 +580,7 @@ let () =
           Alcotest.test_case "bad magic" `Quick segment_bad_magic;
           Alcotest.test_case "bloom: no false negatives" `Quick
             segment_bloom_no_false_negatives;
-          Alcotest.test_case "bloom: false positives under 2%" `Quick
+          Alcotest.test_case "bloom: false positives under 0.25%" `Quick
             segment_bloom_false_positives;
         ] );
       ( "checkpoint",
@@ -575,6 +607,8 @@ let () =
             tiered_reopen_corrupt_segment_is_loud;
           Alcotest.test_case "deterministic flush cadence" `Quick
             tiered_flush_cadence_deterministic;
+          Alcotest.test_case "cold miss allocation" `Quick
+            tiered_cold_miss_allocation;
         ] );
       ( "cross-process",
         [ Alcotest.test_case "segment probe" `Quick cross_process_probe ] );

@@ -1106,16 +1106,17 @@ let mc_cmd =
   let spill =
     Arg.(value & opt (some string) None
          & info [ "spill" ] ~docv:"DIR"
-             ~doc:"Spill the visited set to an on-disk segment tier under \
-                   $(docv) (created if missing), bounding resident \
-                   fingerprints by $(b,--spill-hot).  Verdicts, counts and \
-                   counterexamples are bit-identical to the all-RAM run.")
+             ~doc:"Keep every reached fingerprint in an on-disk segment \
+                   tier under $(docv) (created if missing), at most \
+                   $(b,--spill-hot) per shard in RAM; checkpoints seal it.  \
+                   Verdicts, counts and counterexamples are bit-identical \
+                   to the run without it.")
   in
   let spill_hot =
     Arg.(value & opt int (1 lsl 20)
          & info [ "spill-hot" ] ~docv:"N"
-             ~doc:"Hot-tier capacity per visited-set shard, in fingerprints; \
-                   a full shard seals a sorted segment to disk.")
+             ~doc:"Hot-tier capacity per owner shard, in fingerprints; a \
+                   full shard seals a sorted segment to disk.")
   in
   let checkpoint_every =
     Arg.(value & opt int 0
@@ -1230,13 +1231,15 @@ let domains_svc_arg =
 let job_budget_arg =
   Arg.(value & opt (some int) None
        & info [ "job-budget" ]
-           ~doc:"Default node budget per job (jobs may override).")
+           ~doc:"Node budget per job, a ceiling: a job's own budget \
+                 may lower it, never raise it.")
 
 let timeout_ms_arg =
   Arg.(value & opt (some int) None
        & info [ "timeout-ms" ]
-           ~doc:"Default wall-clock timeout per job, in milliseconds \
-                 (jobs may override).")
+           ~doc:"Wall-clock timeout per job, in milliseconds, a \
+                 ceiling: a job's own timeout may lower it, never raise \
+                 it.")
 
 let svc_stats_arg =
   Arg.(value & flag

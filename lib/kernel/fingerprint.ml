@@ -1,6 +1,6 @@
 (** Seeded 64-bit fingerprints (FNV-1a).
 
-    The model checker keys its visited set on fingerprints of canonical
+    The model checker keys its dedup on fingerprints of canonical
     state encodings rather than on the states themselves: a fingerprint
     is 8 bytes however large the configuration, and the accumulator
     absorbs the encoding incrementally so no intermediate buffer is

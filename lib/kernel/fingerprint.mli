@@ -1,7 +1,7 @@
 (** Seeded 64-bit fingerprints (FNV-1a with a final avalanche).
 
     Canonical state encodings are absorbed incrementally; the resulting
-    8-byte digest keys the model checker's visited set.  Collisions are
+    8-byte digest keys the model checker's dedup.  Collisions are
     possible in principle (64-bit digests), so clients treating equal
     fingerprints as equal states are exact only modulo a < 10^-5
     birthday bound at the state counts this repository explores.

@@ -1,6 +1,6 @@
 (** Map from 64-bit fingerprints to [int]s, with keys and payloads
-    stored unboxed: the model checker's visited shards, spill hot tier
-    and per-level slot table.
+    stored unboxed: the model checker's per-level slot tables and the
+    spill tier's hot set.
 
     Open addressing with linear probing over one [Bytes] buffer, 16
     bytes per slot (key, then payload, both little-endian [int64]).  A

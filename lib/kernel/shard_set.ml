@@ -1,5 +1,5 @@
-(** Owner-partitioned set of 64-bit fingerprints: the search's visited
-    set.
+(** Owner-partitioned set of 64-bit fingerprints: the search's owner
+    function and the spill tier's hot set.
 
     Each domain has {e outright ownership} of one shard: a
     fingerprint's owner is a pure function of its value ({!owner}), all

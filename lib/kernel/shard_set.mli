@@ -1,5 +1,5 @@
-(** Owner-partitioned set of 64-bit fingerprints: the search's visited
-    set and the spill tier's hot tier.  Each shard is an unboxed
+(** Owner-partitioned set of 64-bit fingerprints: the search's owner
+    function and the spill tier's hot set.  Each shard is an unboxed
     {!Fp_table}, lock-free because it has a single owner; a
     fingerprint's shard is the pure function {!owner} of its value, and
     the caller's routing (SPSC handoff + barrier phases) guarantees

@@ -18,7 +18,8 @@
     only configurations with identical pasts {e and} futures: the set
     of reachable leaf histories — hence any history predicate's
     verdict — is preserved exactly, modulo 64-bit fingerprint
-    collisions. *)
+    collisions within one BFS level (it covers the step counter too,
+    so {!Search} need only dedup each level against itself). *)
 
 open Elin_spec
 open Elin_history

@@ -7,7 +7,8 @@
 
     Dedup is exact for history predicates because fingerprints cover
     the accumulated history: only configurations with identical pasts
-    and futures merge (modulo 64-bit fingerprint collisions).  The
+    and futures merge (modulo 64-bit fingerprint collisions within one
+    BFS level: they cover the step counter, so dedup is per level).  The
     verdict — including the reported counterexample, which is the
     lexicographically minimal violating history of the shallowest
     violating level — is independent of the domain count.  Leaf counts
@@ -31,9 +32,10 @@ type outcome = {
 val workloads_symmetric : Op.t list array -> bool
 
 (** External-memory spill + checkpoint configuration, layered over
-    {!Search.type-spill}: the visited set gains a disk tier under
-    [dir], and with [every > 0] the BFS seals a resumable checkpoint
-    at every [every]-th level barrier.  [identity] must canonically
+    {!Search.type-spill}: every state reached enters a fingerprint
+    set with a disk tier under [dir], and with [every > 0] the BFS
+    seals a resumable checkpoint at every [every]-th level barrier.
+    [identity] must canonically
     describe the workload and search parameters — resume refuses a
     mismatch.  The result fields [store] (spill-tier statistics) and
     [resumed_from] (checkpoint sequence resumed, if any) are filled

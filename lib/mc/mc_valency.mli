@@ -47,7 +47,7 @@ type report = {
     decide within the bound.  [dedup] and [por] default to [true]; the
     decision set and [terminated] are invariant under both and under
     [domains].  [spill]/[resume] as in {!Mc.check}: external-memory
-    visited tier plus crash-safe checkpoint/resume. *)
+    fingerprint tier plus crash-safe checkpoint/resume. *)
 val check_consensus :
   Valency.protocol ->
   inputs:Value.t array ->

@@ -1,5 +1,5 @@
 (** The generic parallel model-checking engine: level-synchronous BFS
-    with fingerprint dedup over an abstract state space.
+    with per-level fingerprint dedup over an abstract state space.
 
     The state space is given by three functions — [fingerprint],
     [expand], and a verdict [compare] — so both the [Explore.config]
@@ -14,11 +14,11 @@
     process-wide pool, so domains are spawned once per process, not
     once per search (with [domains = 1] the single worker runs on the
     calling domain).  Each owns a fixed shard of the fingerprint space
-    (an unboxed per-domain fingerprint table, no lock on the hot path),
-    expands the frontier states it owns, and routes generated
-    successors to their owner in fixed-size batches over SPSC queues;
-    levels synchronize at a two-phase epoch barrier.  See the long
-    comment above [bfs].
+    (an unboxed per-domain table of the level's fingerprints, no lock
+    on the hot path), expands the frontier states it owns, and routes
+    generated successors to their owner in fixed-size batches over
+    SPSC queues; levels synchronize at a two-phase epoch barrier.  See
+    the long comment above [bfs].
 
     {2 Determinism contract}
 
@@ -27,9 +27,9 @@
 
     - the set of states at each level is partition-independent: every
       copy of a fingerprint routes to its one owner, where dedup runs
-      single-threaded, and (modulo 64-bit fingerprint collisions) equal
-      fingerprints mean equal states, so {e which} copy survives is
-      unobservable;
+      single-threaded, and (modulo 64-bit fingerprint collisions within
+      one level) equal fingerprints mean equal states, so {e which}
+      copy survives is unobservable;
     - with [?merge] (dedup under partial-order reduction), the owner
       holds every copy of a level's state until the epoch's second
       phase and keeps the first-arrived copy carrying the [merge] of
@@ -48,7 +48,7 @@
 
 type stats = {
   states : int;           (** states expanded (dequeued from the frontier) *)
-  dedup_hits : int;       (** successors dropped because already visited *)
+  dedup_hits : int;       (** successors dropped: already in their level *)
   kept : int;             (** successors enqueued (dedup survivors) *)
   pruned : int;           (** expansions skipped by partial-order reduction
                               (filled in by the caller's [expand]; 0 here) *)
@@ -249,13 +249,13 @@ let read_verdicts (type v) sp ~seq ~writer : v list =
 (* ------------------------------------------------------------------ *)
 
 (* Each domain {e owns} a fixed shard of the fingerprint space
-   outright ({!Elin_kernel.Shard_set.owner}): it holds that shard's
-   slice of the visited set in an unboxed {!Elin_kernel.Fp_table} (no
-   lock ever touches the hot path), expands exactly the frontier
-   states it owns, and routes generated successors to their owner's
-   inbox in fixed-size batches over per-(src,dst) SPSC queues.  Its
-   levels live in two reused {!Level} buffers.  Domains are spawned once
-   per process ([Workers]); levels synchronize at a two-phase epoch
+   outright ({!Elin_kernel.Shard_set.owner}): it dedups that shard's
+   slice of each level in an unboxed {!Elin_kernel.Fp_table} (no lock
+   ever touches the hot path), expands exactly the frontier states it
+   owns, and routes generated successors to their owner's inbox in
+   fixed-size batches over per-(src,dst) SPSC queues.  Its levels live
+   in two reused {!Level} buffers.  Domains are spawned once per
+   process ([Workers]); levels synchronize at a two-phase epoch
    (blocking {!Elin_kernel.Barrier}), which is all that
    level-stratified dedup — and dedup-under-POR's [merge] — need to
    stay exact.
@@ -423,11 +423,12 @@ type 'v worker_out = {
     first level that produced a verdict; otherwise it exhausts the
     bounded space and returns every verdict.
 
-    [?merge] (meaningful only with [dedup]) resolves duplicates at the
-    level barrier: the owner keeps the first-arrived copy carrying
-    [merge] of all copies.  Requires a {e level-stratified} space —
-    equal states occur only within one BFS level (true whenever the
-    fingerprint covers a step counter) — and a commutative,
+    [dedup] requires a {e level-stratified} space — equal states occur
+    only within one BFS level (true whenever the fingerprint covers a
+    step counter) — because each level is deduplicated against itself
+    only.  [?merge] (meaningful only with [dedup]) resolves duplicates
+    at the level barrier: the owner keeps the first-arrived copy
+    carrying [merge] of all copies, which requires a commutative,
     associative [merge]. *)
 let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     ?spill:sp_opt ?(resume = false) ~fingerprint ~expand ~compare root =
@@ -467,11 +468,6 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
              ~hot_capacity:sp.sp_hot ()))
     | _ -> None
   in
-  let visited =
-    match tiered with
-    | Some _ -> None
-    | None -> if dedup then Some (Shard_set.create ~shards:n_domains ()) else None
-  in
   (* Ownership is a pure function of the fingerprint even with dedup
      off: Plain mode still routes, it just never drops. *)
   let router = Shard_set.create ~shards:n_domains () in
@@ -500,7 +496,7 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
   let worker d () =
     (* Everything below is owned by domain [d] alone; the shared
        surfaces are the queues (SPSC discipline), the slot arrays
-       (slot [d] only, phase-separated), and [d]'s visited shard. *)
+       (slot [d] only, phase-separated), and [d]'s spill-tier shard. *)
     let states = ref 0 and hits = ref 0 and kept = ref 0 in
     let leaves = ref 0 and cut = ref 0 in
     let all_found = ref [] and level_found = ref [] in
@@ -509,7 +505,7 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       ref (Level.of_array (if root_owner = d then [| root |] else [||]))
     in
     let next = ref (Level.of_array [||]) in
-    (* merge mode: each of the level's fingerprints -> its index in
+    (* Under dedup: each of the level's fingerprints -> its index in
        [!next], where the first-arrived copy carries the merge *)
     let slots = Fp_table.create () in
     let bufs = Array.make n_domains [] in
@@ -517,25 +513,12 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     let m_worker =
       if Elin_obs.Metrics.on () then Some (worker_counter d) else None
     in
-    (* The one operation the search needs of this domain's visited
-       shard: insert, [true] iff the fingerprint was not yet a member.
-       The closure erases the difference between the RAM set
-       ({!Elin_kernel.Shard_set}) and the spill tier
-       ({!Elin_store.Tiered_set}), which is what keeps the dedup
-       semantics — and hence the determinism contract —
-       representation-independent. *)
-    let vadd =
-      match tiered, visited with
-      | Some tv, _ ->
-        Some (fun fp -> Elin_store.Tiered_set.add_owned tv ~shard:d fp)
-      | None, Some v -> Some (fun fp -> Shard_set.add v ~shard:d fp)
-      | None, None -> None
-    in
-    let g_shard =
-      match visited with
-      | Some _ when Elin_obs.Metrics.on () ->
-        Some (Elin_obs.Metrics.gauge (Printf.sprintf "mc.shard%d.occupancy" d))
-      | _ -> None
+    (* Inserts into this domain's spill-tier shard: [true] iff the
+       fingerprint was not yet a member (always, with no tier). *)
+    let fresh fp =
+      match tiered with
+      | Some tv -> Elin_store.Tiered_set.add_owned tv ~shard:d fp
+      | None -> true
     in
     let flush o =
       match bufs.(o) with
@@ -552,27 +535,25 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
     (* One kept successor arriving at its owner (locally generated or
        drained from a peer's batch): the single point where dedup and
        merge decisions are made — single-threaded per fingerprint.
-       A new state enters the visited set when its first copy arrives.
-       Under merge, [slots] maps each fingerprint the level keeps to
-       the index of its first-arrived copy, so a later copy merges
-       there without asking the visited set again. *)
+       The space is level-stratified, so [slots] alone dedups: a later
+       copy finds its first copy's index there and merges into it, and
+       a first copy asks the spill tier, if any, before it enters. *)
     let process_kept fp s =
       let lv = !next in
-      match vadd, merge with
-      | None, _ -> Level.push lv ~filler:root s
-      | Some vadd, None ->
-        if vadd fp then Level.push lv ~filler:root s else incr hits
-      | Some vadd, Some merge_fn -> (
+      if not dedup then Level.push lv ~filler:root s
+      else
         match Fp_table.find slots fp with
-        | i ->
+        | i -> (
           incr hits;
-          lv.states.(i) <- merge_fn lv.states.(i) s
+          match merge with
+          | Some merge_fn -> lv.states.(i) <- merge_fn lv.states.(i) s
+          | None -> ())
         | exception Not_found ->
-          if vadd fp then begin
+          if fresh fp then begin
             ignore (Fp_table.add slots fp lv.n);
             Level.push lv ~filler:root s
           end
-          else incr hits)
+          else incr hits
     in
     let route s' =
       let fp = fingerprint s' in
@@ -630,10 +611,7 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       done;
       global_size := !total;
       Barrier.await barrier
-    | _ -> (
-      match vadd with
-      | Some vadd when root_owner = d -> ignore (vadd root_fp)
-      | _ -> ()));
+    | _ -> if root_owner = d then ignore (fresh root_fp));
     let stop = ref false in
     while not !stop do
       if !global_size > !peak then peak := !global_size;
@@ -674,10 +652,6 @@ let bfs ?domains ?(dedup = true) ?(stop_early = true) ?merge
       kept := !kept + lv.n;
       next_sizes.(d) <- lv.n;
       found_counts.(d) <- List.length !level_found;
-      (match g_shard, visited with
-      | Some g, Some visited ->
-        Elin_obs.Metrics.Gauge.set g (Shard_set.shard_cardinal visited d)
-      | _ -> ());
       if Elin_obs.Trace.on () then begin
         let open Elin_obs in
         let pruned_d = Metrics.Counter.shard_value m_pruned - pruned0 in

@@ -1,22 +1,22 @@
 (** The generic parallel model-checking engine: level-synchronous BFS
-    with fingerprint dedup over an abstract state space, partitioned
-    across OCaml 5 domains.
+    with per-level fingerprint dedup over an abstract state space,
+    partitioned across OCaml 5 domains.
 
     {2 Determinism contract}
 
     The returned verdict list and every stats field except
     [per_domain] and [wall] are functions of the state space and the
     bounds alone, {e independent of the domain count} (modulo 64-bit
-    fingerprint collisions): levels are barriers, every copy of a
-    fingerprint is deduplicated by its one owning domain, verdicts are
-    only acted on at level boundaries, and the verdicts of the
-    stopping level are totally ordered by [compare] — the head of the
-    result is the {e minimal} verdict, e.g. the lexicographically
-    minimal counterexample trace. *)
+    fingerprint collisions within one level): levels are barriers,
+    every copy of a fingerprint is deduplicated by its one owning
+    domain, verdicts are only acted on at level boundaries, and the
+    verdicts of the stopping level are totally ordered by [compare] —
+    the head of the result is the {e minimal} verdict, e.g. the
+    lexicographically minimal counterexample trace. *)
 
 type stats = {
   states : int;           (** states expanded (dequeued from the frontier) *)
-  dedup_hits : int;       (** successors dropped because already visited *)
+  dedup_hits : int;       (** successors dropped: already in their level *)
   kept : int;             (** successors enqueued (dedup survivors) *)
   pruned : int;           (** expansions skipped by partial-order reduction
                               ([bfs] itself reports 0; {!Mc}/{!Mc_valency}
@@ -43,17 +43,16 @@ type ('s, 'v) expansion =
 
 (** External-memory spill + crash-safe checkpoint configuration.
 
-    With a spill attached, the visited set becomes an
+    With a spill attached, each state new to its level also asks an
     {!Elin_store.Tiered_set} (RAM hot tier, sealed sorted segments on
-    disk) sharded like the search's ownership partition, and —
-    when [sp_every > 0] — the search seals a {!Elin_store.Checkpoint}
-    at every [sp_every]-th level barrier.  The level barrier is a
+    disk) sharded like the search's ownership partition, which on a
+    level-stratified space never holds it yet, and — when
+    [sp_every > 0] — the search seals a {!Elin_store.Checkpoint} at
+    every [sp_every]-th level barrier.  The level barrier is a
     {e stabilization cut}: no expansion, routing, or merge is
     in-flight, so (visited segments, frontier, counters, verdicts) is
     a complete snapshot and a resumed run replays the identical
-    deterministic search.  Dedup semantics are bit-identical to the
-    RAM sets — spill changes where fingerprints live, never which
-    states survive.
+    deterministic search.
 
     Checkpoint cadence runs on {e absolute} levels ([level mod
     sp_every]), so a resumed run checkpoints on the same schedule the
@@ -113,8 +112,11 @@ val spill :
       in batches over SPSC queues, with no lock on the hot path.  With
       [1] the single worker runs on the calling domain.  [per_domain]
       reports the (deterministic) ownership partition.
-    - [dedup] (default [true]) keys an owner-partitioned visited set
-      ({!Elin_kernel.Shard_set}) on [fingerprint]; with [false] every
+    - [dedup] (default [true]) drops a successor whose [fingerprint]
+      its BFS level already holds.  Requires a {e level-stratified}
+      space: a fingerprint determines its level (true whenever it
+      covers a step counter that every transition advances by one), so
+      equal states only meet within one level.  With [false] every
       generated successor is kept — the BFS then expands exactly the
       nodes a dedup-free tree search would.
     - [stop_early] (default [true]) stops at the end of the first
@@ -125,9 +127,7 @@ val spill :
       the level barrier instead of at generation: one copy survives
       carrying [merge] of all same-fingerprint copies of the level —
       how sleep sets and dedup compose soundly under partial-order
-      reduction.  Requires a level-stratified space (equal states only
-      within one BFS level; true whenever the fingerprint covers a
-      step counter) and a commutative, associative [merge].
+      reduction.  Requires a commutative, associative [merge].
     - [spill] attaches the external-memory tier and checkpoint
       schedule (see {!type:spill}); [resume] (default [false],
       requires [spill]) re-enters the search at the newest committed

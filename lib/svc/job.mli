@@ -17,7 +17,8 @@
     [check] is one of ["linearizable"], ["t-lin"] (requires an extra
     integer field ["t"]), ["min-t"], ["weak"], ["full"]; [budget]
     (node budget per DFS run) and [timeout_ms] (wall-clock, per job)
-    are optional and default to the pool's settings. *)
+    are optional, and can lower the pool's, never raise them
+    ({!Pool.create}). *)
 
 type check =
   | Linearizable      (** 0-linearizability *)

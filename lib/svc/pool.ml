@@ -45,6 +45,14 @@ type t = {
 (* Executing one job                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The pool's bound is a ceiling: a job's own bound may lower it,
+   never raise it. *)
+let ceiling job_bound pool_bound =
+  match job_bound, pool_bound with
+  | Some j, Some p -> Some (min j p)
+  | Some _, None -> job_bound
+  | None, _ -> pool_bound
+
 let exec pool (job : Job.t) cancel_flag =
   (* Monotonic: a wall-clock adjustment mid-job must not skew the
      latency sample or fire/defer the deadline. *)
@@ -65,13 +73,9 @@ let exec pool (job : Job.t) cancel_flag =
     let spec = pool.resolve job.Job.spec in
     let h = Textio.of_string job.Job.history_text in
     let deadline =
-      match
-        (match job.Job.timeout_ms with
-        | Some _ as ms -> ms
-        | None -> pool.default_timeout_ms)
-      with
-      | Some ms -> Some (t0 +. (float_of_int ms /. 1000.))
-      | None -> None
+      Option.map
+        (fun ms -> t0 +. (float_of_int ms /. 1000.))
+        (ceiling job.Job.timeout_ms pool.default_timeout_ms)
     in
     let poll () =
       if Atomic.get cancel_flag then raise Cancel_requested;
@@ -81,11 +85,7 @@ let exec pool (job : Job.t) cancel_flag =
     in
     (* A job cancelled or expired while queued never starts. *)
     poll ();
-    let budget =
-      match job.Job.node_budget with
-      | Some _ as b -> b
-      | None -> pool.default_budget
-    in
+    let budget = ceiling job.Job.node_budget pool.default_budget in
     let engine_prepared () =
       Engine.prepare (Engine.for_spec ?node_budget:budget ~poll spec) h
     in

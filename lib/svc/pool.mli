@@ -48,8 +48,9 @@ type t
 
     - [queue_capacity] (default 64) bounds both channels; producers
       block when the service is saturated.
-    - [default_budget] / [default_timeout_ms] apply to jobs that carry
-      none of their own.
+    - [default_budget] / [default_timeout_ms] are ceilings: a job runs
+      under the smaller of its own bound and the pool's ([elin batch]
+      and [elin serve] alike: a job can lower them, never raise them).
     - [resolve] maps job spec names to specs (default: the
       {!Elin_spec.Zoo} by name); exceptions it raises surface as
       [bad_job].

@@ -53,6 +53,17 @@ let check_bool name expected actual () =
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
+(* --- Allocation --- *)
+
+(** Words this domain allocated straight into the major heap while [f]
+    ran: major words minus the ones promoted from the minor heap.
+    OCaml 5.1's [Gc.counters] count only the calling domain. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. major0 -. (promoted1 -. promoted0)
+
 (* --- Naive sequential references for the exhaustive searches --- *)
 
 (* Plain recursive walks of the transition semantics, written beside

@@ -295,14 +295,6 @@ let gallop_counts cfg hists =
       (nodes + st.Eventual.nodes, hits + st.Eventual.memo_hits))
     (0, 0) hists
 
-(* Words this domain allocated straight into the major heap while [f]
-   ran: major words minus the ones promoted from the minor heap. *)
-let direct_major_words f =
-  let _, promoted0, major0 = Gc.counters () in
-  f ();
-  let _, promoted1, major1 = Gc.counters () in
-  major1 -. major0 -. (promoted1 -. promoted0)
-
 (* The model checker runs one check per leaf (122 158 of them on
    fai/board 2x4 d26), so a small history's check must stay in the
    minor heap.  A memo created at 1 024 buckets put 1 025 words
@@ -315,7 +307,7 @@ let no_major_allocation_per_check () =
   in
   let prepared = List.map (Engine.prepare fcfg) hists in
   let per_call what f =
-    let words = direct_major_words f /. 1000. in
+    let words = Support.direct_major_words f /. 1000. in
     if words >= 1. then
       Alcotest.failf "%s: %.2f words allocated in the major heap per call" what
         words
@@ -337,7 +329,7 @@ let no_major_allocation_per_gallop () =
   let hists = svc_check_shaped () in
   let pass () = ignore (gallop_counts fcfg hists) in
   pass ();
-  let words = direct_major_words pass /. 50. in
+  let words = Support.direct_major_words pass /. 50. in
   if words >= 1. then
     Alcotest.failf "%.1f words allocated in the major heap per min_t gallop"
       words

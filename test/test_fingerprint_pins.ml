@@ -7,7 +7,9 @@
     which a search hands states to [~fingerprint] must therefore leave
     every value below bit-identical.  Each pin is either one absorber on
     one fixed input, or the wrapping [Int64] sum and the count of every
-    fingerprint one whole search computes. *)
+    fingerprint one whole search computes.  Every whole search also
+    checks that no fingerprint arrives at two step counts: the level
+    stratification that [Search.bfs]'s per-level dedup rests on. *)
 
 open Elin_spec
 open Elin_runtime
@@ -17,6 +19,7 @@ open Elin_valency
 open Elin_mc
 open Elin_test_support
 module Fp = Elin_kernel.Fingerprint
+module Fp_table = Elin_kernel.Fp_table
 
 let check_pin name ~want got =
   if not (Int64.equal want got) then
@@ -73,11 +76,23 @@ let absorbers () =
 (* --- whole searches -------------------------------------------------- *)
 
 (* A [~fingerprint] that records the wrapping sum and the count of the
-   values it hands to [Search.bfs]. *)
-let recording f =
+   values it hands to [Search.bfs], and fails when one fingerprint
+   arrives at two step counts.  Every transition adds exactly one step,
+   so a state's step count is its BFS level offset: [Search.bfs]
+   dedups within one level only, which is exact because every
+   fingerprint below belongs to one level. *)
+let recording ~steps f =
   let sum = ref 0L and count = ref 0 in
+  let step_of = Fp_table.create () in
   let fingerprint s =
     let fp = f s in
+    let n = steps s in
+    if not (Fp_table.add step_of fp n) then begin
+      let m = Fp_table.find step_of fp in
+      if m <> n then
+        Alcotest.failf "fingerprint 0x%016Lx arrives at step counts %d and %d"
+          fp m n
+    end;
     sum := Int64.add !sum fp;
     incr count;
     fp
@@ -91,7 +106,11 @@ let check_search name ~sum ~count (got_sum, got_count) =
 (* [Mc.check]'s search (the [Mc.drive] expansion, default dedup and
    merge, one domain) with [~fingerprint] observed. *)
 let mc_search ?(symmetry = false) ~por impl ~workloads ~max_steps pred =
-  let fingerprint, read = recording (Canon.fingerprint ~symmetry) in
+  let fingerprint, read =
+    recording
+      ~steps:(fun (n : Canon.node) -> n.Canon.config.Explore.steps)
+      (Canon.fingerprint ~symmetry)
+  in
   let pruned = Atomic.make 0 in
   let leaf c =
     let h = Explore.history c in
@@ -154,7 +173,11 @@ let symmetry () =
 let valency () =
   let inputs = [| Value.int 0; Value.int 1 |] in
   let pin name p ~max_steps ~sum ~count =
-    let fingerprint, read = recording Mc_valency.fingerprint in
+    let fingerprint, read =
+      recording
+        ~steps:(fun (n : Mc_valency.node) -> n.Mc_valency.config.Valency.steps)
+        Mc_valency.fingerprint
+    in
     let expand (node : Mc_valency.node) =
       let c = node.Mc_valency.config in
       if Valency.all_decided c then Search.Leaf None

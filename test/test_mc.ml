@@ -762,6 +762,33 @@ let pool_survives_raising_search () =
   Alcotest.(check (list int)) "verdicts after" verdicts v;
   check_stats_equal "after a raising search" stats s
 
+(* --- memory per state ------------------------------------------------ *)
+
+(* Dedup keeps only the level being built, so the search's own tables
+   (two level buffers and the level's fingerprint table) grow with the
+   widest level, not with every state reached.  A visited set over
+   every state, doubling its 16-byte slots as the search went, put
+   14.99 words per state straight into the major heap here (dev
+   profile, fai/board 2x3 d22 with the leaf check); per-level dedup
+   reads 4.05, both after a warm-up run.  [Gc.counters] count only the
+   calling domain, so the search runs at one domain. *)
+let major_words_per_state () =
+  let impl = Impls.fai_from_board () in
+  let workloads = Run.uniform_workload Op.fetch_inc ~procs:2 ~per_proc:3 in
+  let cfg = Engine.for_spec (Faicounter.spec ()) in
+  let run () =
+    Mc.check impl ~workloads ~max_steps:22 ~domains:1 (Engine.linearizable cfg)
+  in
+  ignore (run ());
+  let out = ref None in
+  let words = Support.direct_major_words (fun () -> out := Some (run ())) in
+  let states = (Option.get !out).Mc.stats.Search.states in
+  Alcotest.(check int) "states" 23_951 states;
+  let per_state = words /. float_of_int states in
+  if per_state >= 6. then
+    Alcotest.failf "%.2f words per state allocated in the major heap (bound 6)"
+      per_state
+
 let () =
   Alcotest.run "mc"
     [
@@ -827,5 +854,9 @@ let () =
             pool_concurrent_searches;
           Support.quick "raising expand leaves the pool usable"
             pool_survives_raising_search;
+        ] );
+      ( "memory",
+        [
+          Support.quick "major-heap words per state" major_words_per_state;
         ] );
     ]

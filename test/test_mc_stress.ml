@@ -5,7 +5,11 @@
     ranges force genuine cross-path duplicates — and runs each through
     {!Search.bfs} at several domain counts, asserting verdict lists and
     stats bit-identical to a naive sequential reference BFS written
-    out below (one hash table, no domains, no routing).  Two space
+    out below (one hash table, no domains, no routing).  The reference
+    keeps a global visited set on purpose: [Search.bfs] dedups each
+    level against itself only, and these spaces are level-stratified
+    (the fingerprint covers the depth), so equal results show that
+    per-level dedup equals global dedup on them.  Two space
     flavours:
 
     - {b plain}: the fingerprint covers the whole state, dedup is
@@ -18,9 +22,9 @@
       a count diff.
 
     Every space also runs a second time with one reached state's
-    fingerprint replaced by [0L] — the word the visited set and the
-    level tables use for an empty slot — so the search must keep [0L]
-    as an ordinary member in every mode.
+    fingerprint replaced by [0L] — the word the level tables use for
+    an empty slot — so the search must keep [0L] as an ordinary member
+    in every mode.
 
     Runs standalone under [dune runtest] (3 quick repeats) and as
     [test_mc_stress.exe --repeat N --domains 1,2,4 --seed S] from the

@@ -350,6 +350,63 @@ let test_budget_exhausted () =
       (b.Verdict.status = Verdict.Pass)
   | _ -> Alcotest.fail "expected two verdicts"
 
+(* The pool's node budget is a ceiling: a job's own budget may lower
+   it, never raise it.  The unsat register history's check explores a
+   node count that lies between the two budgets (read from an unbounded
+   run). *)
+let test_budget_ceiling () =
+  let low = 100 and high = 1_000_000 in
+  let run ?pool ?budget () =
+    let j =
+      { (job ?budget ~id:"j" ~seq:0 ~spec:"unsat-reg" Job.Linearizable)
+        with Job.history_text = unsat_reg_text }
+    in
+    match Pool.run_batch ~resolve ?default_budget:pool ~domains:1 [ j ] with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "expected one verdict"
+  in
+  let nodes = (run ()).Verdict.nodes in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d nodes lie between the budgets" nodes)
+    true
+    (low < nodes && nodes < high);
+  let expect name want ?pool ?budget () =
+    Alcotest.(check string) name
+      (Verdict.status_to_string want)
+      (Verdict.status_to_string (run ?pool ?budget ()).Verdict.status)
+  in
+  expect "no job budget: the pool's applies" Verdict.Budget_exhausted
+    ~pool:low ();
+  expect "a lower job budget applies" Verdict.Budget_exhausted ~pool:high
+    ~budget:low ();
+  expect "a higher job budget does not raise the pool's"
+    Verdict.Budget_exhausted ~pool:low ~budget:high ();
+  expect "no pool budget: the job's applies" Verdict.Violation ~budget:high ()
+
+(* The pool's timeout is a ceiling too.  A 0 ms deadline has passed
+   before the job starts. *)
+let test_timeout_ceiling () =
+  let run ?pool ?timeout_ms () =
+    let j = job ?timeout_ms ~id:"j" ~seq:0 ~spec:"fetch&increment" Job.Full in
+    match
+      Pool.run_batch ~resolve ?default_timeout_ms:pool ~domains:1 [ j ]
+    with
+    | [ v ] -> v.Verdict.status
+    | _ -> Alcotest.fail "expected one verdict"
+  in
+  let expect name want got =
+    Alcotest.(check string) name
+      (Verdict.status_to_string want)
+      (Verdict.status_to_string got)
+  in
+  expect "a lower job timeout applies" Verdict.Timed_out
+    (run ~pool:60_000 ~timeout_ms:0 ());
+  expect "a higher job timeout does not raise the pool's" Verdict.Timed_out
+    (run ~pool:0 ~timeout_ms:60_000 ());
+  expect "no job timeout: the pool's applies" Verdict.Timed_out (run ~pool:0 ());
+  expect "no pool timeout: the job's applies" Verdict.Pass
+    (run ~timeout_ms:60_000 ())
+
 let test_timeout_pre_exec () =
   (* timeout_ms = 0: the deadline has passed before the job starts;
      the pre-exec poll converts it without running the checker. *)
@@ -568,6 +625,8 @@ let () =
           Support.quick "poisoned job is contained" test_poisoned_job_contained;
           Support.quick "per-job budget yields budget_exhausted"
             test_budget_exhausted;
+          Support.quick "pool budget is a ceiling" test_budget_ceiling;
+          Support.quick "pool timeout is a ceiling" test_timeout_ceiling;
           Support.quick "timeout before start" test_timeout_pre_exec;
           Support.quick "timeout mid-run" test_timeout_mid_run;
           Support.quick "cooperative cancellation" test_cancellation;

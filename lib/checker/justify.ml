@@ -18,6 +18,9 @@ let by_state ((_ : Value.t), q1) ((_ : Value.t), q2) = Value.compare q1 q2
 (** [justifiable spec ~pool ~required ~op ~resp] — [required] lists
     indices into [pool] that must be placed before the final [op].
     Single-object (all pool operations target the same spec). *)
+let m_runs = Elin_obs.Metrics.counter "weak.runs"
+let m_nodes = Elin_obs.Metrics.counter "weak.nodes"
+
 let justifiable spec ~pool ~required ~op ~resp =
   let pool = Array.of_list pool in
   let n = Array.length pool in
@@ -34,8 +37,10 @@ let justifiable spec ~pool ~required ~op ~resp =
   let nw = Bitset.word_count placed in
   let kind = Spec.transitions spec in
   let state = [| Spec.initial spec |] in
+  let nodes = ref 0 in
   Memo_key.borrow ~width:n ~arity:1 @@ fun memo ->
   let rec dfs n_placed_required =
+    incr nodes;
     if
       n_placed_required = n_required
       && Spec.is_legal_response spec state.(0) op resp
@@ -83,4 +88,9 @@ let justifiable spec ~pool ~required ~op ~resp =
       state.(0) <- q';
       dfs n' || try_transitions n' rest
   in
-  dfs 0
+  let ok = dfs 0 in
+  if Elin_obs.Metrics.on () then begin
+    Elin_obs.Metrics.Counter.incr m_runs;
+    Elin_obs.Metrics.Counter.add m_nodes !nodes
+  end;
+  ok

@@ -33,6 +33,13 @@ let for_spec ?node_budget ?poll spec =
 
 exception Budget_exceeded = Budget.Exceeded
 
+(* One bump per run, as [Engine] counts its runs: the node total of a
+   run is known only when it ends. *)
+module Obs = Elin_obs
+
+let m_runs = Obs.Metrics.counter "weak.runs"
+let m_nodes = Obs.Metrics.counter "weak.nodes"
+
 (* Sort transitions by next state and keep one per state: other
    operations' responses are unconstrained, so only the state matters. *)
 let by_state ((_ : Value.t), q1) ((_ : Value.t), q2) = Value.compare q1 q2
@@ -133,7 +140,12 @@ let op_ok cfg h (target : Operation.t) =
       states.(sl) <- q';
       dfs n' || try_transitions sl n' rest
   in
-  dfs 0
+  let ok = dfs 0 in
+  if Obs.Metrics.on () then begin
+    Obs.Metrics.Counter.incr m_runs;
+    Obs.Metrics.Counter.add m_nodes (Budget.spent budget)
+  end;
+  ok
 
 (** [check cfg h] decides weak consistency of the whole history;
     returns the first violating operation if any. *)

@@ -74,11 +74,12 @@ let min_t_hinted () =
     (svc_check_shaped ()) ~sum_t:5_133 ~cuts:3_104 ~nodes:356_520
     ~hits:768_853
 
+let with_pending () =
+  draw 3 200 (fun rng ->
+      Gen.linearizable_with_pending rng ~spec:fai ~procs:3 ~n_ops:8 ())
+
 let final_states_with_pending () =
-  let hists =
-    draw 3 200 (fun rng ->
-        Gen.linearizable_with_pending rng ~spec:fai ~procs:3 ~n_ops:8 ())
-  in
+  let hists = with_pending () in
   let states, nodes, hits =
     List.fold_left
       (fun (states, nodes, hits) h ->
@@ -128,18 +129,20 @@ let min_t_three_word_hinted () =
 (* [Decompose.min_t_stats] on mixed register/fetch&increment histories
    of one to four objects: per-object gallops with hint arrays, gap
    cuts at t = 0. *)
+let reg = Register.spec ()
+let mixed_spec_of_obj o = if o mod 2 = 0 then reg else fai
+
+let mixed () =
+  draw 13 200 (fun rng ->
+      let objs = 1 + Elin_kernel.Prng.int rng 4 in
+      let per = 2 + Elin_kernel.Prng.int rng 3 in
+      fst
+        (Gen.mixed_eventual rng ~spec_of_obj:mixed_spec_of_obj ~objs ~procs:2
+           ~prefix_ops:per ~suffix_ops:per ()))
+
 let decomposed_mixed () =
-  let reg = Register.spec () in
-  let spec_of_obj o = if o mod 2 = 0 then reg else fai in
-  let dcfg = Decompose.config spec_of_obj in
-  let hists =
-    draw 13 200 (fun rng ->
-        let objs = 1 + Elin_kernel.Prng.int rng 4 in
-        let per = 2 + Elin_kernel.Prng.int rng 3 in
-        fst
-          (Gen.mixed_eventual rng ~spec_of_obj ~objs ~procs:2 ~prefix_ops:per
-             ~suffix_ops:per ()))
-  in
+  let dcfg = Decompose.config mixed_spec_of_obj in
+  let hists = mixed () in
   let sum_t, segments, fallbacks, cuts, nodes, hits =
     List.fold_left
       (fun (sum_t, segments, fallbacks, cuts, nodes, hits) h ->
@@ -176,6 +179,60 @@ let search_two_word () =
   check_int "nodes" ~want:1_420 nodes;
   check_int "memo hits" ~want:0 hits
 
+(* --- Weak consistency ---------------------------------------------- *)
+
+(* Summed [weak.runs] and [weak.nodes] registry counts of [check] over
+   [hists], and the ids of the first violators it names. *)
+let check_weak name check hists ~runs ~nodes ~violators ~id_sum =
+  let module C = Elin_obs.Metrics.Counter in
+  Elin_obs.Metrics.enable ();
+  let m_runs = Elin_obs.Metrics.counter "weak.runs"
+  and m_nodes = Elin_obs.Metrics.counter "weak.nodes" in
+  let runs0 = C.value m_runs and nodes0 = C.value m_nodes in
+  let ids =
+    List.filter_map
+      (fun h ->
+        match check h with
+        | Ok () -> None
+        | Error (o : Operation.t) -> Some o.Operation.id)
+      hists
+  in
+  check_int (name ^ ": runs") ~want:runs (C.value m_runs - runs0);
+  check_int (name ^ ": nodes") ~want:nodes (C.value m_nodes - nodes0);
+  check_int (name ^ ": first violators") ~want:violators (List.length ids);
+  check_int (name ^ ": sum of their ids") ~want:id_sum
+    (List.fold_left ( + ) 0 ids)
+
+let weak_svc_check_shaped () =
+  check_weak "svc_check-shaped"
+    (Weak.check (Weak.for_spec fai))
+    (svc_check_shaped ()) ~runs:6_000 ~nodes:1_281_083 ~violators:0 ~id_sum:0
+
+let weak_with_pending () =
+  check_weak "with pending"
+    (Weak.check (Weak.for_spec fai))
+    (with_pending ()) ~runs:1_284 ~nodes:5_213 ~violators:0 ~id_sum:0
+
+(* Linearizable histories with one response corrupted, so that most
+   have a first violator. *)
+let weak_corrupted () =
+  let hists =
+    draw 5 200 (fun rng ->
+        Gen.corrupt rng (Gen.linearizable rng ~spec:fai ~procs:3 ~n_ops:10 ()))
+  in
+  check_weak "corrupted"
+    (Weak.check (Weak.for_spec fai))
+    (List.filter_map Fun.id hists)
+    ~runs:1_449 ~nodes:90_212 ~violators:129 ~id_sum:610
+
+let weak_mixed () =
+  check_weak "Weak.check"
+    (Weak.check (Weak.config mixed_spec_of_obj))
+    (mixed ()) ~runs:3_072 ~nodes:53_630_940 ~violators:0 ~id_sum:0;
+  check_weak "Decompose.weak_check"
+    (Decompose.weak_check (Decompose.config mixed_spec_of_obj))
+    (mixed ()) ~runs:3_072 ~nodes:10_213 ~violators:0 ~id_sum:0
+
 let () =
   Alcotest.run "checker-pins"
     [
@@ -189,5 +246,9 @@ let () =
           Support.quick "min_t 130-180 ops `History" min_t_three_word_history;
           Support.quick "min_t 130-180 ops hinted" min_t_three_word_hinted;
           Support.quick "decomposed min_t mixed" decomposed_mixed;
+          Support.quick "weak svc_check-shaped" weak_svc_check_shaped;
+          Support.quick "weak with pending" weak_with_pending;
+          Support.quick "weak corrupted" weak_corrupted;
+          Support.quick "weak mixed" weak_mixed;
         ] );
     ]

@@ -169,6 +169,31 @@ let relational_with_fai =
       in
       agrees_at_every_cut spec_of h)
 
+(* [Weak.check] on single-object relational histories of every
+   [random_history] shape: summed [weak.runs] and [weak.nodes], and
+   the first violators' count and id sum.  Constants recorded once:
+   the per-transition loop and the memo must not move them. *)
+let relational_weak_pins () =
+  let module C = Elin_obs.Metrics.Counter in
+  Elin_obs.Metrics.enable ();
+  let m_runs = Elin_obs.Metrics.counter "weak.runs"
+  and m_nodes = Elin_obs.Metrics.counter "weak.nodes" in
+  let runs0 = C.value m_runs and nodes0 = C.value m_nodes in
+  let rng = Elin_kernel.Prng.create 17 in
+  let ids =
+    List.filter_map
+      (fun _ ->
+        let h = random_history rng fetch_1_or_2 ~n_ops:8 in
+        match Weak.check (Weak.for_spec fetch_1_or_2) h with
+        | Ok () -> None
+        | Error (o : Operation.t) -> Some o.Operation.id)
+      (List.init 200 Fun.id)
+  in
+  Alcotest.(check int) "runs" 1_460 (C.value m_runs - runs0);
+  Alcotest.(check int) "nodes" 23_629 (C.value m_nodes - nodes0);
+  Alcotest.(check int) "first violators" 25 (List.length ids);
+  Alcotest.(check int) "sum of their ids" 95 (List.fold_left ( + ) 0 ids)
+
 (* --- galloping min_t = binary-search min_t --- *)
 
 (* Plain binary search (the pre-galloping strategy), inlined so the
@@ -520,6 +545,7 @@ let () =
           vs_oracle "queue" (Fifo.spec ());
           vs_faic;
           weak_vs_faic;
+          Support.quick "relational weak pins" relational_weak_pins;
           relational_alone;
           relational_with_fai;
         ] );

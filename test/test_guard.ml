@@ -224,6 +224,51 @@ let register_guard_exhaustive_weak () =
   | None -> ());
   Alcotest.(check bool) "all weakly consistent" true ok
 
+(* --- pins --- *)
+
+(* Seeded guarded runs of both substrates: the line-13 searches'
+   summed [weak.runs] and [weak.nodes] registry counts and every
+   response, in operation order.  Constants recorded once: a change to
+   the search or to how the guard builds its pool must not move
+   them. *)
+let guarded_run_pins () =
+  let module C = Elin_obs.Metrics.Counter in
+  Elin_obs.Metrics.enable ();
+  let m_runs = Elin_obs.Metrics.counter "weak.runs"
+  and m_nodes = Elin_obs.Metrics.counter "weak.nodes" in
+  let pin name impl ~seed ~runs ~nodes ~responses =
+    let runs0 = C.value m_runs and nodes0 = C.value m_nodes in
+    let out =
+      Run.execute impl ~workloads:(fai_wl 3 4) ~sched:(Sched.random ~seed) ()
+    in
+    let got =
+      List.map
+        (fun o ->
+          Value.to_int (Option.get (Elin_history.Operation.response_value o)))
+        (Elin_history.History.ops out.Run.history)
+    in
+    let what = Printf.sprintf "%s seed %d" name seed in
+    Alcotest.(check int) (what ^ ": runs") runs (C.value m_runs - runs0);
+    Alcotest.(check int) (what ^ ": nodes") nodes (C.value m_nodes - nodes0);
+    Alcotest.(check (list int)) (what ^ ": responses") responses got
+  in
+  let board = Guard.wrap ~spec:fai (weird ~k:4 ~bogus:7 ()) in
+  let regs =
+    Guard.wrap_registers ~spec:fai ~procs:3 ~max_ops:8 (weird ~k:4 ~bogus:7 ())
+  in
+  pin "board" board ~seed:1 ~runs:12 ~nodes:104
+    ~responses:[ 0; 0; 0; 1; 5; 6; 4; 7; 9; 8; 10; 11 ];
+  pin "registers" regs ~seed:1 ~runs:12 ~nodes:118
+    ~responses:[ 0; 0; 0; 1; 4; 6; 5; 7; 8; 9; 10; 11 ];
+  pin "board" board ~seed:2 ~runs:12 ~nodes:109
+    ~responses:[ 0; 0; 0; 1; 4; 5; 6; 7; 8; 9; 10; 11 ];
+  pin "registers" regs ~seed:2 ~runs:12 ~nodes:163
+    ~responses:[ 0; 0; 0; 1; 4; 5; 6; 7; 8; 9; 10; 11 ];
+  pin "board" board ~seed:3 ~runs:12 ~nodes:144
+    ~responses:[ 0; 0; 0; 4; 1; 5; 6; 8; 7; 9; 10; 11 ];
+  pin "registers" regs ~seed:3 ~runs:12 ~nodes:181
+    ~responses:[ 0; 0; 0; 1; 5; 4; 6; 7; 8; 9; 10; 11 ]
+
 let () =
   Alcotest.run "guard"
     [
@@ -245,4 +290,5 @@ let () =
           Support.quick "array exhaustion" register_guard_exhausts;
           Support.slow "exhaustive weak" register_guard_exhaustive_weak;
         ] );
+      ("pins", [ Support.quick "seeded guarded runs" guarded_run_pins ]);
     ]

@@ -74,10 +74,19 @@ resume-smoke: build
 perf-regress:
 	$(DUNE) exec bench/main.exe -- --regress
 
-# Rewrites the committed baselines from a fresh run (use after an
-# intentional engine change, then commit the files).
+# The B6 2x3 d22 workload with tracing on, given the trace file to
+# write: trace-smoke writes it under _build, perf-baseline re-records
+# the committed example trace.
+TRACE_B6 = elin mc -i fai/board --procs 2 --per-proc 3 --depth 22 \
+	--domains 2 --trace
+
+# Rewrites the committed baselines and the committed example trace
+# (bench/baselines/trace_b6_2x3_d22.json) from a fresh run (use after
+# an intentional engine change, then commit the files).
 perf-baseline:
 	$(DUNE) exec bench/main.exe -- --regress-update
+	$(DUNE) exec -- $(TRACE_B6) bench/baselines/trace_b6_2x3_d22.json \
+	  > /dev/null
 
 # Round-trips the committed 50-job corpus through the checking service
 # on 2 worker domains: the verdict stream must be byte-identical to
@@ -191,16 +200,18 @@ net-smoke: build
 	@echo "net-smoke OK"
 
 # Bounded runs with tracing enabled, every artefact linted with
-# `elin trace lint`: regenerates the committed example trace
-# (bench/baselines/trace_b6_2x3_d22.json — the B6 2x3 d22 workload,
-# loads in Perfetto / chrome://tracing with per-domain expansion spans
-# and POR-pruned instants), a canonical-JSONL mc trace, and a batch
-# metrics snapshot over the 50-job corpus.
+# `elin trace lint`: a fresh trace of the B6 2x3 d22 workload (Chrome
+# JSON, loads in Perfetto / chrome://tracing with per-domain expansion
+# spans and POR-pruned instants) beside the committed example
+# (bench/baselines/trace_b6_2x3_d22.json, which only perf-baseline
+# rewrites), a canonical-JSONL mc trace, and a batch metrics snapshot
+# over the 50-job corpus.
 trace-smoke: build
 	@mkdir -p _build/trace-smoke
-	@$(DUNE) exec --no-build -- elin mc -i fai/board --procs 2 --per-proc 3 \
-	  --depth 22 --domains 2 --trace bench/baselines/trace_b6_2x3_d22.json \
-	  > _build/trace-smoke/mc.out
+	@$(DUNE) exec --no-build -- $(TRACE_B6) \
+	  _build/trace-smoke/trace_b6_2x3_d22.json > _build/trace-smoke/mc.out
+	@$(DUNE) exec --no-build -- elin trace lint \
+	  _build/trace-smoke/trace_b6_2x3_d22.json
 	@$(DUNE) exec --no-build -- elin trace lint \
 	  bench/baselines/trace_b6_2x3_d22.json
 	@$(DUNE) exec --no-build -- elin mc -i fai/board --depth 12 \

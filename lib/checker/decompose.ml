@@ -10,11 +10,8 @@
      H|o, where t_o(t) counts events of object o among the first t of
      H; hence H is t-linearizable iff every H|o is t_o(t)-linearizable
      and [Locality.compose_min_t] is *exact*, not just the Lemma 7
-     upper bound.  Weak consistency decomposes per operation: for
-     total types, required operations on other objects never
-     constrain the target's justification, so the per-object check of
-     each completed operation in global order finds the identical
-     first violator.
+     upper bound.  Weak consistency needs no split here: [Weak.check]
+     already decides each completed operation on its own object.
 
    - Gap cuts, only at t = 0: indices where no operation is open split
      a sub-history into segments such that every linearization is a
@@ -46,9 +43,6 @@ let for_spec ?node_budget ?poll spec = config ?node_budget ?poll (fun _ -> spec)
 
 let engine_cfg dcfg =
   Engine.config ?node_budget:dcfg.node_budget ?poll:dcfg.poll dcfg.spec_of_obj
-
-let weak_cfg dcfg =
-  Weak.config ?node_budget:dcfg.node_budget ?poll:dcfg.poll dcfg.spec_of_obj
 
 type stats = {
   objects : int;        (* per-object sub-histories *)
@@ -266,48 +260,6 @@ let t_linearizable dcfg h ~t = fst (t_linearizable_stats dcfg h ~t)
 let linearizable dcfg h = t_linearizable dcfg h ~t:0
 
 (* ------------------------------------------------------------------ *)
-(* Weak consistency                                                    *)
-
-(* Check each completed operation of [h], in global operation order,
-   against its object's projection (identical first violator — see the
-   module header). *)
-let weak_check dcfg h =
-  let wcfg = weak_cfg dcfg in
-  let tbl = Hashtbl.create 8 in
-  (* object -> (projection, global op id -> projected op) *)
-  let projection o =
-    match Hashtbl.find_opt tbl o with
-    | Some x -> x
-    | None ->
-        let ho = History.proj_obj h o in
-        let map = Hashtbl.create 16 in
-        List.iter2
-          (fun (g : Operation.t) (l : Operation.t) ->
-            Hashtbl.replace map g.Operation.id l)
-          (List.filter (fun (op : Operation.t) -> op.Operation.obj = o) (History.ops h))
-          (History.ops ho);
-        Hashtbl.replace tbl o (ho, map);
-        (ho, map)
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | (op : Operation.t) :: rest ->
-        let ho, map = projection op.Operation.obj in
-        let lop = Hashtbl.find map op.Operation.id in
-        if Weak.op_ok wcfg ho lop then go rest else Error op
-  in
-  go (History.complete_ops h)
-
-let is_weakly_consistent dcfg h =
-  match weak_check dcfg h with Ok () -> true | Error _ -> false
-
-let check dcfg h : Eventual.verdict =
-  {
-    weakly_consistent = is_weakly_consistent dcfg h;
-    min_t = min_t dcfg h;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Full report (decomposed drop-in for [Report.analyze])               *)
 
 let analyze ?node_budget ?poll spec h =
@@ -325,7 +277,8 @@ let analyze ?node_budget ?poll spec h =
   in
   let search = if !exhausted then None else Some (search_stats_of a) in
   let weak_result =
-    guard ~absent:None (fun () -> Some (weak_check dcfg h))
+    guard ~absent:None (fun () ->
+        Some (Weak.check (Weak.for_spec ?node_budget ?poll spec) h))
   in
   let witness =
     (* Monolithic witness at the composed bound, so the rendered report

@@ -10,9 +10,8 @@
       the first [t] of H; by the Herlihy–Wing interval-order merge
       this holds in both directions, so [Locality.compose_min_t] over
       the per-object bounds equals the monolithic [min_t] — it is not
-      merely the Lemma 7 upper bound.  Weak consistency likewise
-      decomposes per completed operation, preserving the identity of
-      the first violator.
+      merely the Lemma 7 upper bound.  Weak consistency is decided per
+      object by [Weak.check] itself.
 
     - {b Gap cuts at t = 0}: event indices where no operation is open
       split a sub-history into segments whose linearizations
@@ -24,9 +23,9 @@
 
     Each sub-history's gallop threads one failure-hint array through
     its probes ({!Engine.check_at}).  [node_budget] bounds each engine
-    run, as in the monolithic path; verdicts, [min_t], and first
-    violators are bit-identical to the monolithic checkers whenever
-    neither path exhausts its budget. *)
+    run, as in the monolithic path; verdicts and [min_t] are
+    bit-identical to the monolithic checkers whenever neither path
+    exhausts its budget. *)
 
 open Elin_spec
 open Elin_history
@@ -69,15 +68,6 @@ val min_t_stats :
   config -> History.t -> int option * Eventual.search_stats * stats
 
 val min_t : config -> History.t -> int option
-
-(** [weak_check cfg h] — first violating operation of [h] (the {e
-    global} operation, identical to [Weak.check]), decided per-object. *)
-val weak_check : config -> History.t -> (unit, Operation.t) result
-
-val is_weakly_consistent : config -> History.t -> bool
-
-(** Eventual-linearizability verdict, equal to [Eventual.check]. *)
-val check : config -> History.t -> Eventual.verdict
 
 (** Decomposed drop-in for {!Report.analyze}: the returned report
     renders bit-identically (the witness is reconstructed by the

@@ -72,7 +72,7 @@ val history_length : prepared -> int
 (** [object_slots ops] — the distinct objects of [ops] in ascending
     order (the order of [History.objs], which indexes [?init] below),
     and each operation's index into that array.  Shared with
-    [Weak.op_ok]. *)
+    [Weak.check], which keeps one table per object. *)
 val object_slots : Operation.t array -> int array * int array
 
 (** [check_at ?hint ?init p ~t] — full verdict at cut [t] against a

@@ -51,10 +51,11 @@ let concurrency_of h =
        else float_of_int !total /. float_of_int (History.length h));
   }
 
-(** [analyze ?node_budget spec h] — the full report (single-object
-    histories; use per-object projections plus [Locality] for
-    multi-object ones).  The min_t search and the witness share one
-    {!Engine.prepare}.  Budget exhaustion in any phase is absorbed
+(** [analyze ?node_budget spec h] — the full report, every object of
+    [h] of type [spec].  The min_t search and the witness run over all
+    objects at once and share one {!Engine.prepare}; [Weak.check]
+    decides each operation on its own object ([Decompose.analyze] also
+    splits the min_t search per object).  Budget exhaustion in any phase is absorbed
     into [budget_exhausted] rather than escaping, so a bounded
     analysis always yields a (partial) report. *)
 let analyze ?node_budget ?poll spec h =

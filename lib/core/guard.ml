@@ -20,7 +20,7 @@
     R_i[0,1,...]; we announce on one linearizable append/read-all board
     (a history object buildable from exactly such register arrays),
     which keeps programmes short enough for exhaustive exploration.
-    The line-13 search is [Elin_checker.Justify.justifiable]. *)
+    The line-13 search is [Elin_checker.Weak.justifiable]. *)
 
 open Elin_spec
 open Elin_runtime
@@ -28,6 +28,43 @@ open Elin_runtime
 let ( let* ) = Program.bind
 
 let bot = Value.str "bot"
+
+(* Lines 4-14, shared by both substrates once [op] is announced:
+   [announced] reads every announcement as (process, operation) pairs
+   in announcement order (lines 6-12).  Yields the response, the inner
+   implementation's local state and the private state. *)
+let execute ~spec ~(inner : Impl.t) ~announced ~proc ~inner_local ~qi op =
+  (* line 4: private state and response *)
+  let r_private, qi' =
+    match Spec.apply spec qi op with
+    | (r, q') :: _ -> (r, q')
+    | [] -> invalid_arg "Guard: operation not applicable privately"
+  in
+  (* line 5: inner implementation *)
+  let* r_shared, inner_local' = inner.Impl.program ~proc ~local:inner_local op in
+  (* lines 6-12 *)
+  let* entries = announced in
+  (* Drop this operation's own announcement — the last one by this
+     process — since the final op of the permutation is op itself. *)
+  let entries_before =
+    let rec remove_first = function
+      | [] -> []
+      | (p, o) :: tl when p = proc && Op.equal o op -> tl
+      | e :: tl -> e :: remove_first tl
+    in
+    List.rev (remove_first (List.rev entries))
+  in
+  let pool = List.map snd entries_before in
+  let required =
+    List.mapi (fun i (p, _) -> (i, p)) entries_before
+    |> List.filter_map (fun (i, p) -> if p = proc then Some i else None)
+  in
+  (* line 13: the permutation test; line 14 *)
+  let justified =
+    Elin_checker.Weak.justifiable spec ~pool ~required ~op ~resp:r_shared
+  in
+  Program.return
+    ((if justified then r_shared else r_private), inner_local', qi')
 
 (** [wrap_registers ~spec ~procs ~max_ops inner] — the appendix's
     literal substrate: per-process single-writer register arrays
@@ -76,38 +113,10 @@ let wrap_registers ~spec ~procs ~max_ops (inner : Impl.t) : Impl.t =
           Program.access (reg_index ~owner:proc ~slot:ci)
             (Op.write_value (Codec.encode_op op))
         in
-        (* line 4: private state and response *)
-        let r_private, qi' =
-          match Spec.apply spec qi op with
-          | (r, q') :: _ -> (r, q')
-          | [] -> invalid_arg "Guard: operation not applicable privately"
+        let* resp, inner_local', qi' =
+          execute ~spec ~inner ~announced:(read_all ()) ~proc ~inner_local ~qi
+            op
         in
-        (* line 5: inner implementation *)
-        let* r_shared, inner_local' =
-          inner.Impl.program ~proc ~local:inner_local op
-        in
-        (* lines 6-12: read all announced operations *)
-        let* entries = read_all () in
-        (* Drop this operation's own announcement (the last own entry). *)
-        let entries_before =
-          let rec remove_first = function
-            | [] -> []
-            | (p, o) :: tl when p = proc && Op.equal o op -> tl
-            | e :: tl -> e :: remove_first tl
-          in
-          List.rev (remove_first (List.rev entries))
-        in
-        let pool = List.map snd entries_before in
-        let required =
-          List.mapi (fun i (p, _) -> (i, p)) entries_before
-          |> List.filter_map (fun (i, p) -> if p = proc then Some i else None)
-        in
-        (* line 13 *)
-        let justified =
-          Elin_checker.Justify.justifiable spec ~pool ~required ~op
-            ~resp:r_shared
-        in
-        let resp = if justified then r_shared else r_private in
         Program.return
           (resp, Value.pair inner_local' (Value.pair qi' (Value.int (ci + 1)))))
   }
@@ -133,40 +142,14 @@ let wrap ~spec (inner : Impl.t) : Impl.t =
         let* _ = Program.access board
             (Announce_board.announce (Codec.encode_entry ~proc op))
         in
-        (* line 4: private state and response *)
-        let r_private, qi' =
-          match Spec.apply spec qi op with
-          | (r, q') :: _ -> (r, q')
-          | [] -> invalid_arg "Guard: operation not applicable privately"
-        in
-        (* line 5: inner implementation *)
-        let* r_shared, inner_local' =
-          inner.Impl.program ~proc ~local:inner_local op
-        in
         (* lines 6-12: read every announcement *)
-        let* log = Program.access board Announce_board.read_log in
-        let entries = List.map Codec.decode_entry (Value.to_list log) in
-        (* Drop this operation's own announcement — the last one by
-           this process — since the final op of the permutation is op
-           itself. *)
-        let entries_before =
-          let rec remove_first = function
-            | [] -> []
-            | (p, o) :: tl when p = proc && Op.equal o op -> tl
-            | e :: tl -> e :: remove_first tl
-          in
-          List.rev (remove_first (List.rev entries))
+        let announced =
+          Program.map
+            (fun log -> List.map Codec.decode_entry (Value.to_list log))
+            (Program.access board Announce_board.read_log)
         in
-        let pool = List.map snd entries_before in
-        let required =
-          List.mapi (fun i (p, _) -> (i, p)) entries_before
-          |> List.filter_map (fun (i, p) -> if p = proc then Some i else None)
+        let* resp, inner_local', qi' =
+          execute ~spec ~inner ~announced ~proc ~inner_local ~qi op
         in
-        (* line 13: the permutation test *)
-        let justified =
-          Elin_checker.Justify.justifiable spec ~pool ~required ~op
-            ~resp:r_shared
-        in
-        let resp = if justified then r_shared else r_private in
         Program.return (resp, Value.pair inner_local' qi'))
   }

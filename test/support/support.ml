@@ -36,6 +36,18 @@ let paper_fai_family k =
         (fun i -> [ inv 1 Op.fetch_inc; resi 1 i ])
         (List.init k (fun i -> i)))
 
+(** A partial spec: test&set that admits no second test&set, so a
+    sequence holding two of them has no transition. *)
+let test_and_set_once =
+  Spec.make ~name:"test&set-once" ~initial:(Value.int 0)
+    ~apply:(fun q op ->
+      match Op.name op with
+      | "test&set" when Value.equal q (Value.int 0) ->
+        [ (Value.int 0, Value.int 1) ]
+      | "test&set" -> []
+      | other -> invalid_arg ("test&set-once: unknown operation " ^ other))
+    ~all_ops:[ Op.test_and_set ]
+
 (* --- QCheck plumbing --- *)
 
 let qtest ?(count = 200) name gen prop =

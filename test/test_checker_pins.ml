@@ -6,8 +6,11 @@
     must leave every value below bit-identical.  The hinted pins
     thread one hint array through each history's gallop, as
     [Decompose] does, and the decomposed pin runs [Decompose] itself.
-    Each family draws its histories in sequence from its own fresh
-    [Prng.create seed]; a pin is the family's summed counts. *)
+    The weak pins read [Weak.check]'s runs and nodes from the
+    [weak.runs] and [weak.nodes] registry counters, and the ids of
+    the first violators it names.  Each family draws its histories in
+    sequence from its own fresh [Prng.create seed]; a pin is the
+    family's summed counts. *)
 
 open Elin_spec
 open Elin_history
@@ -225,12 +228,11 @@ let weak_corrupted () =
     (List.filter_map Fun.id hists)
     ~runs:1_449 ~nodes:90_212 ~violators:129 ~id_sum:610
 
+(* Each operation is decided on its own object: 10 213 nodes, where
+   the search over every object at once explored 53 630 940. *)
 let weak_mixed () =
   check_weak "Weak.check"
     (Weak.check (Weak.config mixed_spec_of_obj))
-    (mixed ()) ~runs:3_072 ~nodes:53_630_940 ~violators:0 ~id_sum:0;
-  check_weak "Decompose.weak_check"
-    (Decompose.weak_check (Decompose.config mixed_spec_of_obj))
     (mixed ()) ~runs:3_072 ~nodes:10_213 ~violators:0 ~id_sum:0
 
 let () =

@@ -1,7 +1,9 @@
 (** Differential fuzzing of the decomposed checker ([Decompose])
-    against the monolithic engine: verdict, [min_t], weak-consistency,
-    and full-report equality on random multi-object histories at
-    random cuts, budget self-consistency, gap-cut unit tests
+    against the monolithic engine: verdict, [min_t] and full-report
+    equality on random multi-object histories at random cuts; the
+    per-object [Weak.check] against the literal Definition 1
+    ([Oracle]), on the same family and on two-object histories with a
+    partial spec; budget self-consistency, gap-cut unit tests
     (including nondeterministic boundary-state threading), and
     hinted-scan verdict equivalence. *)
 
@@ -55,17 +57,52 @@ let min_t_equality =
       let h = random_mixed rng ~spec_of:spec_of_obj ~objs ~n_ops:6 in
       Decompose.min_t dcfg h = Eventual.min_t mono h)
 
-(* --- decomposed weak check finds the identical first violator --- *)
+(* --- Weak.check, per object, against the literal Definition 1 --- *)
 
-let weak_equality =
-  Support.seeded_prop ~count:120 "decomposed weak = monolithic weak"
-    (fun rng ->
+let weak_vs_oracle =
+  Support.seeded_prop ~count:120 "Weak.check = Oracle (mixed)" (fun rng ->
       let objs = random_objs rng in
       let h = random_mixed rng ~spec_of:spec_of_obj ~objs ~n_ops:6 in
-      match (Decompose.weak_check dcfg h, Weak.check wmono h) with
-      | Ok (), Ok () -> true
-      | Error a, Error b -> a.Operation.id = b.Operation.id
-      | _ -> false)
+      Weak.is_weakly_consistent wmono h = Oracle.weakly_consistent spec_of_obj h)
+
+(* Object 0 is a test&set with no second test&set, object 1 a
+   register; responses are random, so operations on object 0 often
+   have no transition at all. *)
+let partial_spec_of o = if o = 0 then Support.test_and_set_once else reg
+
+let random_partial rng =
+  let module P = Elin_kernel.Prng in
+  let open_op = Array.make 2 None in
+  let events = ref [] and invoked = ref 0 in
+  for _ = 1 to 10 do
+    let p = P.int rng 2 in
+    match open_op.(p) with
+    | Some (obj, op) ->
+      let r =
+        if Op.equal op (Op.write 1) then Value.unit else Value.int (P.int rng 2)
+      in
+      events := res ~obj p r :: !events;
+      open_op.(p) <- None
+    | None when !invoked < 4 ->
+      let obj = P.int rng 2 in
+      let op =
+        if obj = 0 then Op.test_and_set
+        else if P.bool rng then Op.read
+        else Op.write 1
+      in
+      events := inv ~obj p op :: !events;
+      open_op.(p) <- Some (obj, op);
+      incr invoked
+    | None -> ()
+  done;
+  h (List.rev !events)
+
+let weak_vs_oracle_partial =
+  Support.seeded_prop ~count:300 "Weak.check = Oracle (partial spec)"
+    (fun rng ->
+      let h = random_partial rng in
+      Weak.is_weakly_consistent (Weak.config partial_spec_of) h
+      = Oracle.weakly_consistent partial_spec_of h)
 
 (* --- full decomposed report = monolithic report (single-spec) --- *)
 
@@ -179,8 +216,6 @@ let family_min_t_exact () =
 let empty_history () =
   Alcotest.(check (option int)) "empty min_t" (Some 0)
     (Decompose.min_t dcfg History.empty);
-  Alcotest.(check bool) "empty weak" true
-    (Decompose.is_weakly_consistent dcfg History.empty);
   Alcotest.(check bool) "empty linearizable" true
     (Decompose.linearizable dcfg History.empty)
 
@@ -208,8 +243,13 @@ let () =
   Alcotest.run "decompose"
     [
       ( "differential",
-        [ verdict_equality; min_t_equality; weak_equality; analyze_equality ]
-      );
+        [
+          verdict_equality;
+          min_t_equality;
+          weak_vs_oracle;
+          weak_vs_oracle_partial;
+          analyze_equality;
+        ] );
       ("budget", [ budget_consistency ]);
       ( "gap cuts",
         [

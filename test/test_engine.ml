@@ -280,9 +280,9 @@ let object_slots_ascending () =
 
 (* The first 50 histories of test_checker_pins' svc_check-shaped
    family (seed 1, 4 processes, 10 + 10 fetch&inc operations). *)
-let svc_check_shaped () =
+let svc_check_shaped ?(count = 50) () =
   let rng = Elin_kernel.Prng.create 1 in
-  List.init 50 (fun _ ->
+  List.init count (fun _ ->
       fst
         (Gen.eventually_linearizable rng ~spec:fai ~procs:4 ~prefix_ops:10
            ~suffix_ops:10 ()))
@@ -387,6 +387,26 @@ let checker_minor_words () =
   if per_hinted_check >= 240. then
     Alcotest.failf "%.1f minor words per hinted 8-op check (bound 240)"
       per_hinted_check
+
+(* Minor-heap words per history of [Weak.check] on test_checker_pins'
+   300 svc_check-shaped histories (20 completed operations each, so 20
+   runs per history), after a warm-up pass.  The object's tables are
+   built once per check and refilled per run, so what a run allocates
+   is its budget counter, placed set and closures.  This build ([dune
+   runtest], dev profile) reads 1 173 words per history; the search
+   over every object at once, which rebuilt its tables on every run,
+   read 2 510 (125.5 per run) in the dev and release profiles alike.
+   The bound leaves about 15 % headroom. *)
+let weak_minor_words () =
+  let wcfg = Weak.for_spec fai in
+  let hists = svc_check_shaped ~count:300 () in
+  let pass () = List.iter (fun h -> assert (Weak.check wcfg h = Ok ())) hists in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let per_history = (Gc.minor_words () -. w0) /. 300. in
+  if per_history >= 1_350. then
+    Alcotest.failf "%.1f minor words per history (bound 1 350)" per_history
 
 (* Minor-heap words per state of the model checker's work outside the
    leaf check (successors, fingerprints, dedup, routing): fai/board
@@ -653,6 +673,7 @@ let () =
           Support.quick "no major-heap allocation per gallop"
             no_major_allocation_per_gallop;
           Support.quick "checker minor words per node" checker_minor_words;
+          Support.quick "weak minor words per history" weak_minor_words;
           Support.quick "pending-writes family" pending_writes_refuted;
           generated_pass;
           witness_valid;

@@ -62,8 +62,8 @@ let vs_faic =
 
 (* Beyond the Oracle's micro histories: Definition 1 on 6-10-op fai
    histories of every [random_history] shape, including corrupted
-   responses, so the in-place placed set and state vector of
-   [Weak.op_ok] backtrack through real refutations. *)
+   responses, so the in-place placed set and state of [Weak.check]'s
+   search backtrack through real refutations. *)
 let weak_vs_faic =
   Support.seeded_prop ~count:150 "weak = faic weak" (fun rng ->
       let h = random_history rng fai ~n_ops:(6 + Elin_kernel.Prng.int rng 5) in

@@ -1,7 +1,7 @@
 (** Experiment E5 and unit tests for weak consistency (Definition 1,
     Lemma 10): own-history coherence, no out-of-thin-air responses,
     safety (prefix and finite limit closure), locality (Lemma 8),
-    and the Justify search used by the Figure-1 guard. *)
+    and [Weak.justifiable], the search of the Figure-1 guard. *)
 
 open Elin_spec
 open Elin_history
@@ -103,6 +103,29 @@ let check_names_culprit () =
   | Error o ->
     Alcotest.(check int) "second op blamed" 1 o.Operation.id
 
+(* Each operation is decided on its own object.  Op 2 (a register
+   read) is justified there, though the test&set object cannot place
+   its required ops 0 and 1 together; but then op 1, the last of
+   them, is unjustified itself and comes first. *)
+let first_violator_is_required_op () =
+  let spec_of o = if o = 0 then Support.test_and_set_once else reg in
+  let hist =
+    h
+      [
+        inv 0 Op.test_and_set;
+        resi 0 0;
+        inv 0 Op.test_and_set;
+        resi 0 0;
+        inv ~obj:1 0 Op.read;
+        resi ~obj:1 0 0;
+      ]
+  in
+  (match Weak.check (Weak.config spec_of) hist with
+  | Ok () -> Alcotest.fail "expected violation"
+  | Error o -> Alcotest.(check int) "op 1 blamed" 1 o.Operation.id);
+  Alcotest.(check bool) "oracle agrees" false
+    (Oracle.weakly_consistent spec_of hist)
+
 (* Nondeterministic types: a flip justified by *some* transition is
    weakly consistent even if other transitions disagree. *)
 let nondeterministic_type_ok () =
@@ -195,32 +218,44 @@ let locality_weak =
       in
       direct = local)
 
-(* --- Justify (Figure 1 line 13 search) --- *)
+(* --- Weak.justifiable (Figure 1 line 13) --- *)
 
 let justify_basic () =
   let pool = [ Op.write 1; Op.write 2 ] in
   (* read -> 2 justified by writing 2 last *)
   Alcotest.(check bool) "justified" true
-    (Justify.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 2));
+    (Weak.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 2));
   (* read -> 3 not justifiable *)
   Alcotest.(check bool) "not justifiable" false
-    (Justify.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 3))
+    (Weak.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 3))
 
 let justify_required () =
   let pool = [ Op.write 1; Op.write 2 ] in
   (* read -> 0 requires placing no ops, fine with no required ops *)
   Alcotest.(check bool) "empty subset ok" true
-    (Justify.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 0));
+    (Weak.justifiable reg ~pool ~required:[] ~op:Op.read ~resp:(Value.int 0));
   (* but required index 0 (write 1) forces it into S; read -> 0 then
      needs write 2... order write1 write2? no: read must return last
      write.  With required = [0], S must contain write 1; read -> 0
      impossible since any placement leaves register non-zero... *)
   Alcotest.(check bool) "required write blocks stale read" false
-    (Justify.justifiable reg ~pool ~required:[ 0 ] ~op:Op.read
+    (Weak.justifiable reg ~pool ~required:[ 0 ] ~op:Op.read
        ~resp:(Value.int 0));
   Alcotest.(check bool) "required write enables its value" true
-    (Justify.justifiable reg ~pool ~required:[ 0 ] ~op:Op.read
+    (Weak.justifiable reg ~pool ~required:[ 0 ] ~op:Op.read
        ~resp:(Value.int 1))
+
+(* A repeated required index is one required operation. *)
+let justify_repeated_required () =
+  let pool = [ Op.fetch_inc ] in
+  List.iter
+    (fun required ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d required entries" (List.length required))
+        true
+        (Weak.justifiable fai ~pool ~required ~op:Op.fetch_inc
+           ~resp:(Value.int 1)))
+    [ [ 0 ]; [ 0; 0 ] ]
 
 let justify_fai_counts () =
   let pool = [ Op.fetch_inc; Op.fetch_inc; Op.fetch_inc ] in
@@ -229,11 +264,11 @@ let justify_fai_counts () =
       Alcotest.(check bool)
         (Printf.sprintf "fetch&inc -> %d" v)
         (v <= 3)
-        (Justify.justifiable fai ~pool ~required:[] ~op:Op.fetch_inc
+        (Weak.justifiable fai ~pool ~required:[] ~op:Op.fetch_inc
            ~resp:(Value.int v)))
     [ 0; 1; 2; 3; 4 ]
 
-(* Cross-validation: Weak.op_ok agrees with the fast fetch&inc bounds
+(* Cross-validation: Weak.check agrees with the fast fetch&inc bounds
    check on generated histories (full Faic cross-check in
    test_faic). *)
 let weak_matches_fast =
@@ -271,6 +306,8 @@ let () =
           Support.quick "fai past every candidate"
             fai_beyond_candidates_rejected;
           Support.quick "culprit named" check_names_culprit;
+          Support.quick "first violator is a required op"
+            first_violator_is_required_op;
           Support.quick "nondeterministic type" nondeterministic_type_ok;
           pending_never_violates;
         ] );
@@ -285,6 +322,7 @@ let () =
         [
           Support.quick "basic" justify_basic;
           Support.quick "required ops" justify_required;
+          Support.quick "repeated required index" justify_repeated_required;
           Support.quick "fai counts" justify_fai_counts;
           weak_matches_fast;
           weak_matches_fast_corrupted;

@@ -105,7 +105,8 @@ let search spec (ops : Op.t array) ~candidates ~required ~op ~resp budget =
                  state.(0) <- d.next saved ops.(id);
                  dfs n'
                | Spec.Relation f ->
-                 try_transitions n' (List.sort_uniq by_state (f saved ops.(id))));
+                 try_transitions n'
+                   (List.sort_uniq by_state (f saved ops.(id))));
             if not !success then begin
               state.(0) <- saved;
               Bitset.clear placed id

@@ -41,7 +41,9 @@ let execute ~spec ~(inner : Impl.t) ~announced ~proc ~inner_local ~qi op =
     | [] -> invalid_arg "Guard: operation not applicable privately"
   in
   (* line 5: inner implementation *)
-  let* r_shared, inner_local' = inner.Impl.program ~proc ~local:inner_local op in
+  let* r_shared, inner_local' =
+    inner.Impl.program ~proc ~local:inner_local op
+  in
   (* lines 6-12 *)
   let* entries = announced in
   (* Drop this operation's own announcement — the last one by this

@@ -63,7 +63,8 @@ let weak_vs_oracle =
   Support.seeded_prop ~count:120 "Weak.check = Oracle (mixed)" (fun rng ->
       let objs = random_objs rng in
       let h = random_mixed rng ~spec_of:spec_of_obj ~objs ~n_ops:6 in
-      Weak.is_weakly_consistent wmono h = Oracle.weakly_consistent spec_of_obj h)
+      Weak.is_weakly_consistent wmono h
+      = Oracle.weakly_consistent spec_of_obj h)
 
 (* Object 0 is a test&set with no second test&set, object 1 a
    register; responses are random, so operations on object 0 often
